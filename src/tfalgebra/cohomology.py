@@ -4,7 +4,9 @@ Two independent computations of H^n = ker(d^n) / im(d^{n-1}) for n <= 3:
 
 * :func:`cohomology_group` linearizes cochains as integer exponent vectors.
   The coboundary becomes an integer matrix acting modulo the cyclic factor
-  moduli, and the quotient is extracted with Hermite/Smith normal forms.
+  moduli.  The cocycles are its kernel modulo the moduli and the coboundaries
+  an image plus the moduli relations, both found by modular Hermite
+  elimination; the quotient between them comes from a small Smith form.
 
 * :func:`brute_force_cohomology` enumerates every cochain below a size cap,
   filters cocycles pointwise, and reads off the group structure by counting
@@ -21,11 +23,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import prod
+from math import lcm, prod
+from operator import add, mod
 
 from . import intmat
 from .cochains import Cochain, coboundary, is_cocycle
-from .errors import DegreeOutOfRange, TooLarge
+from .errors import DegreeOutOfRange, NotACocycle, TooLarge
 from .gmodule import GModule
 
 DEFAULT_ENUM_CAP = 1 << 16
@@ -100,52 +103,27 @@ def _moduli_vector(module: GModule, degree: int) -> list[int]:
 def _cocycle_lattice(module: GModule, degree: int) -> list[list[int]]:
     """Hermite basis of {x in Z^N : D x == 0 mod target moduli}."""
     D = coboundary_matrix(module, degree)
-    N = len(D[0]) if D else 0
-    tmod = _moduli_vector(module, degree + 1)
-    aug = [list(row) + [tmod[r] if c == r else 0 for c in range(len(tmod))] for r, row in enumerate(D)]
-    ker = intmat.kernel_basis(aug, N + len(tmod))
-    gens = [v[:N] for v in ker]
-    return intmat.hermite_basis(gens, N)
+    N = module.rank * module.group.order**degree
+    return intmat.kernel_mod(D, _moduli_vector(module, degree + 1), N)
 
 
-def _boundary_generators(module: GModule, degree: int) -> list[list[int]]:
-    """Generators of im(d^{degree-1}) + (moduli relations) inside Z^N."""
+def _boundary_lattice(module: GModule, degree: int) -> list[list[int]]:
+    """Hermite basis of im(d^{degree-1}) + (moduli relations) inside Z^N."""
     mvec = _moduli_vector(module, degree)
     N = len(mvec)
-    gens = [[mvec[i] if j == i else 0 for j in range(N)] for i in range(N)]
+    e = lcm(*module.moduli)
+    gens = [[m if j == i else 0 for j in range(N)] for i, m in enumerate(mvec) if m != e]
     if degree >= 1:
         Dprev = coboundary_matrix(module, degree - 1)
         ncols = len(Dprev[0]) if Dprev else 0
         for j in range(ncols):
             gens.append([Dprev[r][j] for r in range(N)])
-    return gens
-
-
-def _subgroup_elements(basis_rows, mvec, cap):
-    """All residues of a lattice mod the coordinate moduli, or None if > cap."""
-    size = prod(mvec) // intmat.lattice_index(basis_rows, len(mvec)) if basis_rows else None
-    if size is None or size > cap:
-        return None
-    gens = [tuple(x % m for x, m in zip(row, mvec)) for row in basis_rows]
-    zero = tuple(0 for _ in mvec)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in gens:
-                w = tuple((a + b) % m for a, b, m in zip(v, g, mvec))
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    assert len(seen) == size
-    return seen
+    return intmat.hermite_mod(gens, N, e)
 
 
 def _lex_min_in_coset(vec, subgroup, mvec):
     v = tuple(x % m for x, m in zip(vec, mvec))
-    return min(tuple((a + b) % m for a, b, m in zip(v, s, mvec)) for s in subgroup)
+    return min(tuple(map(mod, map(add, v, s), mvec)) for s in subgroup)
 
 
 def cohomology_group(
@@ -160,14 +138,13 @@ def cohomology_group(
         # coefficients are trivial: every group vanishes
         return CohomologyGroup(module, degree, (), (), 1, 1)
     Z = _cocycle_lattice(module, degree)
-    Bgens = _boundary_generators(module, degree)
-    factors, reps = intmat.quotient_structure(Z, Bgens, N)
+    B = _boundary_lattice(module, degree)
+    factors, reps = intmat.quotient_structure(Z, B, N)
     ambient = prod(mvec)
     z_order = ambient // intmat.lattice_index(Z, N)
-    B = intmat.hermite_basis(Bgens, N)
     b_order = ambient // intmat.lattice_index(B, N)
 
-    subgroup = _subgroup_elements(B, mvec, coset_cap)
+    subgroup = intmat.lattice_residues(B, mvec, coset_cap)
     cochains = []
     for rep in reps:
         if subgroup is not None:
@@ -176,7 +153,8 @@ def cohomology_group(
             vec = tuple(x % m for x, m in zip(rep, mvec))
         c = Cochain.from_vector(module, degree, vec)
         ok, witness = is_cocycle(c)
-        assert ok, f"representative is not a cocycle (violated at {witness})"
+        if not ok:
+            raise NotACocycle(f"representative is not a cocycle (violated at {witness})", witness)
         cochains.append(c)
     return CohomologyGroup(
         module, degree, tuple(factors), tuple(cochains), z_order, b_order

@@ -82,6 +82,14 @@ class InvalidPair(TFAError):
         self.witness = witness
 
 
+class NotACocycle(TFAError):
+    """A cochain expected to be a cocycle has a nonzero coboundary."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 class NotNormalized(TFAError):
     """A cochain expected to be normalized has a nontrivial value on the unit."""
 

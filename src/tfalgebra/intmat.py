@@ -5,12 +5,26 @@ and the classification group of scalar pairs both reduce to computing
 ``lattice / sublattice`` for full-rank integer lattices.  Everything here is
 plain list-of-lists arithmetic over Python ints.
 
+Every lattice the library meets contains ``e * Z^n`` for the exponent ``e``
+of its coefficients, so the heavy lifting is modular Hermite elimination:
+:func:`kernel_mod` cuts out ``{x : A x == 0 mod m}`` one constraint at a
+time and :func:`hermite_mod` returns the canonical basis of such a lattice,
+both keeping every entry reduced modulo ``e`` (Domich, Kannan and Trotter
+1987; Storjohann and Mulders 1998).  :func:`lattice_residues` lists a
+lattice's residues in mixed radix.  The Smith form remains for the small
+quotient step and for exact solves over Z.
+
 Conventions: matrices are lists of row lists; lattices are given by generator
-rows and normalized to a row-style Hermite basis (row echelon, nonnegative
-pivots, entries above a pivot reduced mod the pivot).
+rows and normalized to a row-style Hermite basis (row echelon, positive
+pivots, entries above a pivot reduced into ``[0, pivot)``).
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm, prod
+from operator import add, mod
+
+from .errors import NoSolution, ShapeMismatch
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -46,11 +60,22 @@ def hermite_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return basis
 
 
-def _leading(vec: list[int]) -> int:
-    for j, x in enumerate(vec):
-        if x:
+def _leading(vec: list[int], start: int = 0) -> int:
+    """Index of the first nonzero entry at or after ``start``, else len(vec)."""
+    for j in range(start, len(vec)):
+        if vec[j]:
             return j
     return len(vec)
+
+
+def _pivots(basis: list[list[int]]) -> list[int]:
+    """Pivot columns of an echelon basis, found in one left-to-right pass."""
+    out = []
+    j = 0
+    for row in basis:
+        j = _leading(row, j)
+        out.append(j)
+    return out
 
 
 def _reduce_against(vec, basis, pivots, ncols):
@@ -91,27 +116,30 @@ def _insert_row(vec, basis, pivots, ncols):
 
 
 def _normalize(basis, pivots):
-    """Make pivots positive and reduce entries above each pivot."""
+    """Make pivots positive and reduce the entries above each pivot into [0, pivot).
+
+    Pivot columns are reduced left to right: clearing column ``p`` only
+    touches columns at or after ``p``, so earlier columns stay reduced.
+    """
     for i in range(len(basis)):
         if basis[i][pivots[i]] < 0:
             basis[i] = [-x for x in basis[i]]
-    for i in reversed(range(len(basis))):
+    for i in range(len(basis)):
         p = pivots[i]
         a = basis[i][p]
+        tail = basis[i][p:]
         for ii in range(i):
-            b = basis[ii][p]
-            q = b // a
+            q = basis[ii][p] // a
             if q:
-                basis[ii] = [x - q * y for x, y in zip(basis[ii], basis[i])]
+                row = basis[ii]
+                row[p:] = [x - q * y for x, y in zip(row[p:], tail)]
 
 
 def lattice_index(basis: list[list[int]], ncols: int) -> int:
     """Index [Z^n : L] for a full-rank lattice basis in echelon form."""
-    assert len(basis) == ncols, "lattice is not full rank"
-    det = 1
-    for i, row in enumerate(basis):
-        det *= row[_leading(row)]
-    return abs(det)
+    if len(basis) != ncols:
+        raise ShapeMismatch(f"lattice of rank {len(basis)} in Z^{ncols} is not full rank")
+    return abs(prod(row[j] for row, j in zip(basis, _pivots(basis))))
 
 
 def solve_in_lattice(basis: list[list[int]], vec: list[int]) -> list[int] | None:
@@ -122,7 +150,7 @@ def solve_in_lattice(basis: list[list[int]], vec: list[int]) -> list[int] | None
     vec = list(vec)
     ncols = len(vec)
     coeffs = [0] * len(basis)
-    pivots = [_leading(r) for r in basis]
+    pivots = _pivots(basis)
     for i, row in enumerate(basis):
         j = pivots[i]
         q, r = divmod(vec[j], row[j])
@@ -135,6 +163,128 @@ def solve_in_lattice(basis: list[list[int]], vec: list[int]) -> list[int] | None
     if any(vec):
         return None
     return coeffs
+
+
+def hermite_mod(gens: list[list[int]], ncols: int, e: int) -> list[list[int]]:
+    """Canonical Hermite basis of ``span(gens) + e * Z^ncols``.
+
+    The lattice has full rank, so the basis is upper triangular with one row
+    per column and every pivot divides ``e``.  Elimination works modulo
+    ``e``.  An empty pivot slot stands for the row ``e * unit``: a vector
+    entering it leaves ``y * vector`` with pivot ``g = gcd(vector[j], e)``
+    there, and ``(e / g) * vector``, which vanishes in column ``j``, goes on
+    to be reduced.  A vector meeting a filled slot is merged by an xgcd step
+    whose residual likewise vanishes in column ``j``.  The residuals keep the
+    rows below each pivot a basis of the part of the lattice they cover, so
+    the rows span the lattice itself and not just its image modulo ``e``.
+    """
+    slots: list[list[int] | None] = [None] * ncols
+    for gen in gens:
+        vec = [x % e for x in gen]
+        j = _leading(vec)
+        while j < ncols:
+            row = slots[j]
+            b = vec[j]
+            if row is None:
+                _, y, g = xgcd(e, b)
+                slots[j] = [0] * j + [(y * x) % e for x in vec[j:]]
+                s = e // g
+                vec[j:] = [(s * x) % e for x in vec[j:]]
+            elif b % row[j] == 0:
+                q = b // row[j]
+                vec[j:] = [(x - q * y) % e for x, y in zip(vec[j:], row[j:])]
+            else:
+                a = row[j]
+                x, y, g = xgcd(a, b)
+                s, t = a // g, b // g
+                tail_r, tail_v = row[j:], vec[j:]
+                row[j:] = [(x * r + y * v) % e for r, v in zip(tail_r, tail_v)]
+                vec[j:] = [(s * v - t * r) % e for r, v in zip(tail_r, tail_v)]
+            j = _leading(vec, j + 1)
+    basis = [
+        row if row is not None else [e if c == j else 0 for c in range(ncols)]
+        for j, row in enumerate(slots)
+    ]
+    _normalize(basis, list(range(ncols)))
+    return basis
+
+
+def kernel_mod(rows: list[list[int]], moduli: list[int], ncols: int) -> list[list[int]]:
+    """Canonical Hermite basis of ``{x : rows[r] . x == 0 mod moduli[r]}``.
+
+    Starts from the generators ``I`` of ``Z^ncols`` and applies one
+    constraint at a time.  The generators with a nonzero value are combined
+    into a single survivor (the one whose value has the smallest gcd with the
+    modulus leads), the survivor is scaled by ``m / gcd(value, m)``, and any
+    generator that becomes ``0 mod e`` is dropped, where ``e`` is the lcm of
+    the moduli.  This is exact because the lattice always contains
+    ``e * Z^ncols``, so generators may be kept reduced modulo ``e``.
+    """
+    e = lcm(*moduli)
+    gens = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    for row, m in zip(rows, moduli):
+        support = [(c, v % m) for c, v in enumerate(row) if v % m]
+        if not support:
+            continue
+        vals = [0] * len(gens)
+        for c, v in support:
+            vals = [s + v * g[c] for s, g in zip(vals, gens)]
+        vals = [s % m for s in vals]
+        live = [i for i, val in enumerate(vals) if val]
+        if not live:
+            continue
+        lead = min(live, key=lambda i: gcd(vals[i], m))
+        gp = gens[lead]
+        for i in live:
+            if i == lead:
+                continue
+            a, b, gi = vals[lead], vals[i], gens[i]
+            d = gcd(a, m)
+            if b % d == 0:
+                # b == c * a mod m: one axpy clears the value
+                c = (b // d) * pow(a // d, -1, m // d) % m
+                gi[:] = [(x - c * y) % e for x, y in zip(gi, gp)]
+            else:
+                x, y, g = xgcd(a, b)
+                s, t = a // g, b // g
+                gi[:], gp[:] = (
+                    [(s * v - t * r) % e for r, v in zip(gp, gi)],
+                    [(x * r + y * v) % e for r, v in zip(gp, gi)],
+                )
+                vals[lead] = g
+        s = m // gcd(vals[lead], m)
+        gp[:] = [(s * x) % e for x in gp]
+        if not all(any(gens[i]) for i in live):
+            gens = [g for g in gens if any(g)]
+    return hermite_mod(gens, ncols, e)
+
+
+def lattice_residues(
+    basis: list[list[int]], moduli: list[int], cap: int
+) -> list[tuple[int, ...]] | None:
+    """Every residue of a lattice modulo ``diag(moduli)``, or None beyond ``cap``.
+
+    ``basis`` is the full-rank Hermite basis of a lattice containing
+    ``diag(moduli) * Z^n``, so each pivot divides its modulus and the
+    residues are exactly the sums ``sum(c_j * basis_j)`` with ``c_j`` in
+    ``range(moduli[j] // pivot_j)``, listed here in mixed radix.
+    """
+    if len(basis) != len(moduli):
+        raise ShapeMismatch(f"lattice of rank {len(basis)} in Z^{len(moduli)} is not full rank")
+    radix = []
+    for j, (row, m) in enumerate(zip(basis, moduli)):
+        if m % row[j]:
+            raise ShapeMismatch(f"pivot {row[j]} in column {j} does not divide the modulus {m}")
+        radix.append(m // row[j])
+    if prod(radix) > cap:
+        return None
+    out = [tuple(0 for _ in moduli)]
+    for row, r in zip(basis, radix):
+        if r == 1:
+            continue
+        shifts = [tuple((c * x) % m for x, m in zip(row, moduli)) for c in range(r)]
+        out = [tuple(map(mod, map(add, v, shift), moduli)) for shift in shifts for v in out]
+    return out
 
 
 def smith_normal_form(A: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -235,26 +385,6 @@ def smith_normal_form(A: list[list[int]]) -> tuple[list[list[int]], list[list[in
     return S, U, V
 
 
-def kernel_basis(A: list[list[int]], ncols: int) -> list[list[int]]:
-    """Basis of the integer kernel {x : A x == 0} (x as column vectors).
-
-    Returned as a list of length-``ncols`` vectors.
-    """
-    if not A:
-        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    S, U, V = smith_normal_form(A)
-    m = len(A)
-    r = 0
-    for k in range(min(m, ncols)):
-        if S[k][k] != 0:
-            r += 1
-    # kernel = V * (columns r..ncols-1 of identity)
-    out = []
-    for j in range(r, ncols):
-        out.append([V[i][j] for i in range(ncols)])
-    return out
-
-
 def solve_integer(A: list[list[int]], b: list[int]) -> list[int] | None:
     """One integer solution x of A x == b, or None."""
     m = len(A)
@@ -295,7 +425,8 @@ def quotient_structure(
     T = []
     for g in small_gens:
         c = solve_in_lattice(big, g)
-        assert c is not None, "small lattice not contained in big lattice"
+        if c is None:
+            raise NoSolution("small lattice is not contained in the big lattice")
         T.append(c)
     nb = len(big)
     S, U, V = smith_normal_form(T) if T else ([], [], [[int(i == j) for j in range(nb)] for i in range(nb)])
@@ -309,7 +440,8 @@ def quotient_structure(
     reps: list[list[int]] = []
     for k in range(nb):
         d = diag[k]
-        assert d != 0, "quotient is not finite"
+        if d == 0:
+            raise ShapeMismatch("small lattice has lower rank, so the quotient is not finite")
         if d == 1:
             continue
         factors.append(d)
@@ -331,6 +463,6 @@ def _unimodular_inverse(V: list[list[int]], n: int) -> list[list[int]]:
     aug = [list(V[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     basis = hermite_basis(aug, 2 * n)
     # V unimodular => hermite of [V | I] is [I | V^-1]
-    for i in range(n):
-        assert basis[i][i] == 1
+    if len(basis) != n or any(basis[i][i] != 1 for i in range(n)):
+        raise NoSolution("matrix is not unimodular")
     return [row[n:] for row in basis]

@@ -11,8 +11,10 @@ scalar rescaling parameter.
 Two enumeration routes over a prime field (where the unit group is cyclic of
 order p-1):
 
-* ``normal-form``: transport everything along discrete logs and solve one
-  integer linear system mod p-1 with Hermite/Smith machinery;
+* ``normal-form``: transport everything along discrete logs, cut the pair
+  group out of Z^N as the kernel of one integer system mod p-1 and span the
+  coboundary pairs, both by modular Hermite elimination, then read off the
+  quotient from a small Smith form;
 * ``brute-force``: enumerate characters and normalized tables outright and
   filter pointwise -- the oracle for the first route.
 """
@@ -28,6 +30,7 @@ from .algebra import AlgebraContext
 from .errors import (
     InvalidPair,
     NonCyclicUnits,
+    NoSolution,
     NotPointed,
     TooLarge,
 )
@@ -267,18 +270,8 @@ def _constraint_matrix(context: AlgebraContext) -> list[list[int]]:
     return rows
 
 
-def _solution_lattice(rows: list[list[int]], N: int, m: int) -> list[list[int]]:
-    """Hermite basis of {z in Z^N : rows . z == 0 mod m}."""
-    if not rows:
-        gens = [[int(i == j) for j in range(N)] for i in range(N)]
-        return intmat.hermite_basis(gens, N)
-    aug = [list(r) + [m if c == i else 0 for c in range(len(rows))] for i, r in enumerate(rows)]
-    ker = intmat.kernel_basis(aug, N + len(rows))
-    gens = [v[:N] for v in ker]
-    return intmat.hermite_basis(gens, N)
-
-
-def _coboundary_generators(context: AlgebraContext, m: int) -> list[list[int]]:
+def _coboundary_lattice(context: AlgebraContext, m: int) -> list[list[int]]:
+    """Hermite basis of the coboundary pairs plus m * Z^N."""
     G = context.group
     k = context.module.rank
     n = G.order
@@ -299,35 +292,12 @@ def _coboundary_generators(context: AlgebraContext, m: int) -> list[list[int]]:
                 if a == s:
                     row[col] += 1
         gens.append(row)
-    for i in range(N):
-        gens.append([m if j == i else 0 for j in range(N)])
-    return gens
+    return intmat.hermite_mod(gens, N, m)
 
 
 def _lex_min_pair_vector(vec, subgroup, m):
     v = tuple(x % m for x in vec)
     return min(tuple((a + b) % m for a, b in zip(v, s)) for s in subgroup)
-
-
-def _subgroup_residues(basis_rows, N, m, cap):
-    size = (m**N) // intmat.lattice_index(basis_rows, N)
-    if size > cap:
-        return None
-    gens = [tuple(x % m for x in row) for row in basis_rows]
-    zero = tuple([0] * N)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in gens:
-                w = tuple((a + b) % m for a, b in zip(v, g))
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    assert len(seen) == size
-    return seen
 
 
 def enumerate_pairs(
@@ -354,24 +324,24 @@ def enumerate_pairs(
         return PairEnumeration(cg, (triv,), (triv,))
 
     rows = _constraint_matrix(context)
-    H = _solution_lattice(rows, N, m)
+    H = intmat.kernel_mod(rows, [m] * len(rows), N)
     h_order = (m**N) // intmat.lattice_index(H, N)
-    Bgens = _coboundary_generators(context, m)
-    B = intmat.hermite_basis(Bgens, N)
+    B = _coboundary_lattice(context, m)
     b_order = (m**N) // intmat.lattice_index(B, N)
-    factors, reps = intmat.quotient_structure(H, Bgens, N)
+    factors, reps = intmat.quotient_structure(H, B, N)
+    moduli = [m] * N
 
     explicit = None
     cob_explicit = None
     if h_order <= cap:
-        elems = _subgroup_residues(H, N, m, cap)
+        elems = intmat.lattice_residues(H, moduli, cap)
         explicit = tuple(
             sorted(
                 (_pair_from_vector(context, v) for v in elems),
                 key=lambda p: p.key(G),
             )
         )
-        cob = _subgroup_residues(B, N, m, cap)
+        cob = intmat.lattice_residues(B, moduli, cap)
         cob_explicit = tuple(
             sorted(
                 (_pair_from_vector(context, v) for v in cob),
@@ -387,7 +357,7 @@ def enumerate_pairs(
             context, list(explicit), list(cob_explicit), cob_keys, factors, coset_cap
         )
     else:
-        subgroup = _subgroup_residues(B, N, m, coset_cap)
+        subgroup = intmat.lattice_residues(B, moduli, coset_cap)
         rep_pairs = []
         for rep in reps:
             vec = (
@@ -579,7 +549,8 @@ def pairs_equivalent(
     if psi is None:
         return None
     check = coboundary_pair(context, psi)
-    assert all(F.mul(q.g1[k], check.g1[k]) == p.g1[k] for k in p.g1)
+    if any(F.mul(q.g1[k], check.g1[k]) != p.g1[k] for k in p.g1):
+        raise NoSolution("the solved psi does not carry q to p")
     return psi
 
 
@@ -606,10 +577,7 @@ def _solve_pointed_coboundary(context: AlgebraContext, ratio) -> dict[int, objec
 
     if isinstance(F, PrimeField):
         m = F.unit_order
-        rhs = [F.dlog(ratio[k]) for k in keys]
-        nr = len(rows)
-        aug = [rows[i] + [m if j == i else 0 for j in range(nr)] for i in range(nr)]
-        sol = intmat.solve_integer(aug, rhs)
+        sol = _solve_mod(rows, [F.dlog(ratio[k]) for k in keys], m)
         if sol is None:
             return None
         psi = {e: F.one}
@@ -643,10 +611,7 @@ def _solve_pointed_coboundary(context: AlgebraContext, ratio) -> dict[int, objec
         for a in unknowns:
             exps[a][prime] = sol[col[a]]
     # signs mod 2
-    rhs = [0 if Fraction(ratio[k]) > 0 else 1 for k in keys]
-    nr = len(rows)
-    aug = [rows[i] + [2 if j == i else 0 for j in range(nr)] for i in range(nr)]
-    sol = intmat.solve_integer(aug, rhs)
+    sol = _solve_mod(rows, [0 if Fraction(ratio[k]) > 0 else 1 for k in keys], 2)
     if sol is None:
         return None
     psi = {e: F.one}
@@ -658,6 +623,18 @@ def _solve_pointed_coboundary(context: AlgebraContext, ratio) -> dict[int, objec
             val = -val
         psi[a] = val
     return psi
+
+
+def _solve_mod(rows: list[list[int]], rhs: list[int], m: int) -> list[int] | None:
+    """One x with rows . x == rhs mod m, or None.
+
+    The solutions are the kernel of [-rhs | rows] mod m with first coordinate
+    1; one exists iff the first Hermite pivot of that kernel is 1, and then x
+    is the rest of that row.
+    """
+    aug = [[-b] + row for row, b in zip(rows, rhs)]
+    top = intmat.kernel_mod(aug, [m] * len(aug), len(aug[0]))[0]
+    return top[1:] if top[0] == 1 else None
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Normal-form cohomology against the enumeration oracle."""
 
+import itertools
+
 import pytest
 
 from tfalgebra.cochains import Cochain, coboundary, is_cocycle
@@ -10,7 +12,7 @@ from tfalgebra.cohomology import (
 )
 from tfalgebra.errors import DegreeOutOfRange, TooLarge
 from tfalgebra.gmodule import GModule, cyclic_module, trivial_module
-from tfalgebra.groups import cyclic_group, trivial_group
+from tfalgebra.groups import cyclic_group, symmetric_group, trivial_group
 
 from test_cochains import s3_sign_module
 
@@ -103,8 +105,48 @@ def test_oracle_agreement_suite():
             assert fast.coboundary_order == slow.coboundary_order
             for rep in fast.representatives:
                 assert is_cocycle(rep)[0]
+            coboundaries = _brute_force_coboundaries(A, n)
+            mvec = list(A.moduli) * (A.group.order**n)
+            for d, rep in zip(fast.invariant_factors, fast.representatives):
+                # the representative has exactly order d modulo the coboundaries
+                vec = rep.to_vector()
+                orders = [
+                    t
+                    for t in range(1, d + 1)
+                    if tuple((t * x) % m for x, m in zip(vec, mvec)) in coboundaries
+                ]
+                assert orders[:1] == [d], (A, n, d)
             checked += 1
     assert checked >= 15
+
+
+def _brute_force_coboundaries(A, n):
+    """Every coboundary of degree n, as residue tuples, by enumeration."""
+    if n == 0:
+        return {tuple(0 for _ in A.moduli)}
+    prev = list(A.moduli) * (A.group.order ** (n - 1))
+    return {
+        tuple(coboundary(Cochain.from_vector(A, n - 1, vec)).to_vector())
+        for vec in itertools.product(*(range(m) for m in prev))
+    }
+
+
+def test_h3_s3_z2():
+    A = cyclic_module(symmetric_group(3), 2)
+    H = cohomology_group(A, 3)
+    assert H.invariant_factors == (2,)
+    assert (H.cocycle_order, H.coboundary_order) == (2**31, 2**30)
+    assert is_cocycle(H.representatives[0])[0]
+
+
+def test_h2_s3_sign_z3_odd_acts_by_2():
+    # the encoding of -1 as 2 once stalled the Smith form on coefficient growth
+    A = s3_sign_module(3)
+    assert A.action[1] == ((2,),)
+    H = cohomology_group(A, 2)
+    assert H.invariant_factors == (3,)
+    assert (H.cocycle_order, H.coboundary_order) == (3**5, 3**4)
+    assert is_cocycle(H.representatives[0])[0]
 
 
 def test_representatives_agree_between_paths():

@@ -1,12 +1,17 @@
 """Scalars, integer normal forms, field linear algebra, groups, modules."""
 
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tfalgebra import intmat
-from tfalgebra.errors import NoSolution, NotAGroup, NotAModule
+from tfalgebra.errors import NoSolution, NotAGroup, NotAModule, ShapeMismatch
 from tfalgebra.fields import PrimeField, RationalField, factorize, is_prime
 from tfalgebra.gmodule import GModule, trivial_module
 from tfalgebra.groups import (
@@ -82,10 +87,12 @@ def test_smith_normal_form_transforms():
 
 def test_kernel_and_solve():
     A = [[2, 4, 6], [1, 2, 3]]
-    ker = intmat.kernel_basis(A, 3)
-    assert len(ker) == 2
+    ker = intmat.kernel_mod(A, [6, 6], 3)
+    assert len(ker) == 3
     for v in ker:
-        assert all(sum(A[i][j] * v[j] for j in range(3)) == 0 for i in range(2))
+        assert all(sum(A[i][j] * v[j] for j in range(3)) % 6 == 0 for i in range(2))
+    # x1 == -2 x2 - 3 x3 mod 6 is the only condition
+    assert intmat.lattice_index(ker, 3) == 6
     x = intmat.solve_integer([[2, 0], [0, 3]], [4, 9])
     assert x == [2, 3]
     assert intmat.solve_integer([[2]], [3]) is None
@@ -96,6 +103,100 @@ def test_hermite_membership_and_index():
     assert intmat.lattice_index(basis, 2) == 6
     assert intmat.solve_in_lattice(basis, [2, 4]) is not None
     assert intmat.solve_in_lattice(basis, [1, 0]) is None
+
+
+def _smith_route_kernel(A, moduli, ncols):
+    """{x : A x == 0 mod moduli} from a Smith form of [A | diag(moduli)]."""
+    aug = [list(r) + [moduli[i] if c == i else 0 for c in range(len(A))] for i, r in enumerate(A)]
+    S, U, V = intmat.smith_normal_form(aug)
+    n = ncols + len(A)
+    rank = sum(1 for k in range(min(len(aug), n)) if S[k][k])
+    return [[V[i][j] for i in range(ncols)] for j in range(rank, n)]
+
+
+def _scaled_identity(e, n):
+    return [[e if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def test_modular_routines_match_smith_route():
+    rng = random.Random(5)
+    for trial in range(300):
+        n, r = rng.randint(1, 5), rng.randint(1, 5)
+        A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(r)]
+        if trial % 2:
+            moduli = [rng.choice((2, 3, 4, 6, 12)) for _ in range(r)]
+        else:
+            moduli = [rng.choice((2, 3, 4, 6, 12))] * r
+        e = math.lcm(*moduli)
+        smith = intmat.hermite_basis(_smith_route_kernel(A, moduli, n) + _scaled_identity(e, n), n)
+        assert intmat.kernel_mod(A, moduli, n) == smith, (A, moduli)
+
+        gens = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+        e = rng.choice((2, 3, 4, 6, 12))
+        expected = intmat.hermite_basis(gens + _scaled_identity(e, n), n)
+        assert intmat.hermite_mod(gens, n, e) == expected, (gens, e)
+
+
+def test_hermite_basis_is_canonical():
+    rng = random.Random(3)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        gens = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randint(1, 6))]
+        # another generator set of the same lattice: shuffled, with row additions
+        other = [list(g) for g in gens]
+        rng.shuffle(other)
+        for _ in range(6):
+            i, j = rng.randrange(len(other)), rng.randrange(len(other))
+            if i != j:
+                c = rng.randint(-3, 3)
+                other[i] = [x + c * y for x, y in zip(other[i], other[j])]
+        basis = intmat.hermite_basis(gens, n)
+        assert intmat.hermite_basis(other, n) == basis
+        for row in basis:
+            p = next(j for j, x in enumerate(row) if x)
+            assert row[p] > 0
+            assert all(0 <= above[p] < row[p] for above in basis[: basis.index(row)])
+
+
+def test_lattice_residues_lists_each_residue_once():
+    moduli = [4, 2, 4]
+    basis = intmat.hermite_mod([[2, 1, 3], [0, 0, 2]], 3, 4)
+    residues = intmat.lattice_residues(basis, moduli, cap=64)
+    # closure of the generators under addition mod the moduli
+    closure = {(0, 0, 0)}
+    frontier = list(closure)
+    while frontier:
+        v = frontier.pop()
+        for g in basis:
+            w = tuple((a + b) % m for a, b, m in zip(v, g, moduli))
+            if w not in closure:
+                closure.add(w)
+                frontier.append(w)
+    assert sorted(residues) == sorted(closure)
+    assert len(residues) == len(set(residues))
+    assert intmat.lattice_residues(basis, moduli, cap=len(closure) - 1) is None
+
+
+def test_rank_deficient_basis_raises_without_asserts():
+    # the check must survive python -O, which strips assert statements
+    code = (
+        "from tfalgebra import intmat\n"
+        "from tfalgebra.errors import ShapeMismatch\n"
+        "try:\n"
+        "    intmat.lattice_index([[1, 0]], 2)\n"
+        "except ShapeMismatch:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(intmat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.stdout.strip() == "raised", out.stderr
+    with pytest.raises(ShapeMismatch):
+        intmat.lattice_index([[1, 0]], 2)
+    with pytest.raises(ShapeMismatch):
+        intmat.quotient_structure(intmat.hermite_basis([[1, 0], [0, 1]], 2), [[2, 0]], 2)
 
 
 def test_quotient_structure_z6():

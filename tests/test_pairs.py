@@ -247,6 +247,25 @@ def test_distinct_classes_not_equivalent():
     assert pairs_equivalent(ctx, rep, trivial_pair(ctx)) is None
 
 
+def test_pairs_equivalent_over_s4():
+    G = symmetric_group(4)
+    ctx = trivial_context(G, trivial_module(G), F5)
+    base = trivial_pair(ctx)
+    psi0 = {a: 1 + (3 * a) % 4 for a in G.elements()}
+    psi0[G.identity] = 1
+    shifted = pair_mul(ctx, base, coboundary_pair(ctx, psi0))
+    psi = pairs_equivalent(ctx, shifted, base)
+    assert psi is not None
+    assert coboundary_pair(ctx, psi) == coboundary_pair(ctx, psi0)
+    # the carry cocycle of Z/2, pulled back along the sign, with 2 of order 4
+    # in F5^*: a nontrivial class, so no psi exists
+    perms = sorted(itertools.permutations(range(4)))
+    odd = [sum(1 for i in range(4) for j in range(i + 1, 4) if p[i] > p[j]) % 2 for p in perms]
+    g1 = {(a, b): 2 if odd[a] and odd[b] else 1 for a in G.elements() for b in G.elements()}
+    sign_pair = KappaPair(g1, ())
+    assert pairs_equivalent(ctx, sign_pair, base) is None
+
+
 def test_pairs_equivalent_over_rationals():
     G = cyclic_group(2)
     Q = RationalField()
