@@ -35,7 +35,7 @@ import os
 import sys
 
 from .cochains import is_cocycle, is_normalized
-from .cohomology import DEFAULT_ENUM_CAP, cohomology_group
+from .cohomology import cohomology_group
 from .constructions import build_simple, coboundary_transform, extract_kappa_pair
 from .errors import (
     DegreeOutOfRange,
@@ -47,6 +47,7 @@ from .errors import (
     TooLarge,
 )
 from .fields import PrimeField
+from .gmodule import DEFAULT_ENUM_CAP
 from .pairs import classify_simple, pairs_equivalent
 from .serialize import (
     dump_json,

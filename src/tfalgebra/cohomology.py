@@ -6,12 +6,13 @@ Two independent computations of H^n = ker(d^n) / im(d^{n-1}) for n <= 3:
   The coboundary becomes an integer matrix acting modulo the cyclic factor
   moduli.  The cocycles are its kernel modulo the moduli and the coboundaries
   an image plus the moduli relations, both found by modular Hermite
-  elimination; the quotient between them comes from a small Smith form.
+  elimination; :func:`intmat.quotient` reads off the quotient between them.
 
 * :func:`brute_force_cohomology` enumerates every cochain below a size cap,
-  filters cocycles pointwise, and reads off the group structure by counting
-  solutions of d*x = 0.  It exists to validate the normal-form path and
-  shares none of its linear algebra.
+  filters cocycles pointwise, and hands the explicit lists to
+  :mod:`abelian`, which reads off the group structure by counting and picks
+  generators.  It exists to validate the normal-form path and shares none of
+  its linear algebra.
 
 Both return invariant factors in increasing divisibility order together with
 representative cocycles, one per factor, canonicalized to the
@@ -24,15 +25,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import lcm, prod
-from operator import add, mod
 
-from . import intmat
+from . import abelian, intmat
 from .cochains import Cochain, coboundary, is_cocycle
 from .errors import DegreeOutOfRange, NotACocycle, TooLarge
-from .gmodule import GModule
-
-DEFAULT_ENUM_CAP = 1 << 16
-DEFAULT_COSET_CAP = 1 << 12
+from .gmodule import DEFAULT_ENUM_CAP, GModule
 
 
 @dataclass(frozen=True)
@@ -121,36 +118,19 @@ def _boundary_lattice(module: GModule, degree: int) -> list[list[int]]:
     return intmat.hermite_mod(gens, N, e)
 
 
-def _lex_min_in_coset(vec, subgroup, mvec):
-    v = tuple(x % m for x, m in zip(vec, mvec))
-    return min(tuple(map(mod, map(add, v, s), mvec)) for s in subgroup)
-
-
-def cohomology_group(
-    module: GModule, degree: int, coset_cap: int = DEFAULT_COSET_CAP
-) -> CohomologyGroup:
+def cohomology_group(module: GModule, degree: int) -> CohomologyGroup:
     """H^degree via integer normal forms; degree <= 3."""
     if not (0 <= degree <= 3):
         raise DegreeOutOfRange(f"cohomology implemented for degrees 0..3 (got {degree})")
     mvec = _moduli_vector(module, degree)
-    N = len(mvec)
-    if N == 0:
+    if not mvec:
         # coefficients are trivial: every group vanishes
         return CohomologyGroup(module, degree, (), (), 1, 1)
     Z = _cocycle_lattice(module, degree)
     B = _boundary_lattice(module, degree)
-    factors, reps = intmat.quotient_structure(Z, B, N)
-    ambient = prod(mvec)
-    z_order = ambient // intmat.lattice_index(Z, N)
-    b_order = ambient // intmat.lattice_index(B, N)
-
-    subgroup = intmat.lattice_residues(B, mvec, coset_cap)
+    factors, reps, z_order, b_order = intmat.quotient(Z, B, mvec)
     cochains = []
-    for rep in reps:
-        if subgroup is not None:
-            vec = _lex_min_in_coset(rep, subgroup, mvec)
-        else:
-            vec = tuple(x % m for x, m in zip(rep, mvec))
+    for vec in reps:
         c = Cochain.from_vector(module, degree, vec)
         ok, witness = is_cocycle(c)
         if not ok:
@@ -183,10 +163,7 @@ def _pointwise_terms(module: GModule, degree: int):
 
 
 def brute_force_cohomology(
-    module: GModule,
-    degree: int,
-    cap: int = DEFAULT_ENUM_CAP,
-    coset_cap: int = DEFAULT_COSET_CAP,
+    module: GModule, degree: int, cap: int = DEFAULT_ENUM_CAP
 ) -> CohomologyGroup:
     """H^degree by full enumeration; the oracle for :func:`cohomology_group`."""
     if not (0 <= degree <= 3):
@@ -232,105 +209,9 @@ def brute_force_cohomology(
             c = Cochain.from_vector(module, degree - 1, vec)
             bset.add(tuple(coboundary(c).to_vector()))
 
-    q_order = len(cocycles) // len(bset)
-    factors = _factors_by_counting(cocycles, bset, mvec, q_order)
-
-    reps = _pick_generators(cocycles, bset, mvec, factors, coset_cap)
+    factors = abelian.factors_by_counting(cocycles, bset, mvec)
+    reps = abelian.canonical_generators(cocycles, bset, mvec, factors)
     cochains = tuple(Cochain.from_vector(module, degree, r) for r in reps)
     return CohomologyGroup(
         module, degree, tuple(factors), cochains, len(cocycles), len(bset)
     )
-
-
-def _factors_by_counting(cocycles, bset, mvec, q_order) -> list[int]:
-    """Invariant factors of (cocycles)/(bset) from annihilator counts alone.
-
-    For each prime p the numbers a_i = log_p #{q : p^i q = 0} determine the
-    multiplicity of every cyclic p-power factor; factors are then aligned
-    largest-with-largest across primes.
-    """
-    from .fields import factorize
-
-    if q_order == 1:
-        return []
-    by_prime: dict[int, list[int]] = {}
-    for p, e_top in factorize(q_order).items():
-        counts = [0]  # counts[i] = log_p #{q in quotient : p^i q = 0}
-        while True:
-            d = p ** len(counts)
-            killed = sum(
-                1
-                for z in cocycles
-                if tuple((d * x) % m for x, m in zip(z, mvec)) in bset
-            )
-            assert killed % len(bset) == 0
-            a_i = killed // len(bset)
-            e = 0
-            while p**e < a_i:
-                e += 1
-            assert p**e == a_i, "annihilator count is not a power of p"
-            counts.append(e)
-            if e == counts[-2] or len(counts) > e_top + 1:
-                break
-        # r_i = number of cyclic p-factors of order >= p^i
-        rs = [counts[i] - counts[i - 1] for i in range(1, len(counts))]
-        exps = []
-        for i, r in enumerate(rs, start=1):
-            nxt = rs[i] if i < len(rs) else 0
-            exps.extend([i] * (r - nxt))
-        by_prime[p] = sorted(exps, reverse=True)
-    # align largest-with-largest across primes to get invariant factors
-    width = max(len(v) for v in by_prime.values())
-    descending = []
-    for i in range(width):
-        d = 1
-        for p, exps in by_prime.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        descending.append(d)
-    return sorted(descending)
-
-
-def _pick_generators(cocycles, bset, mvec, factors, coset_cap):
-    """Lexicographically canonical generators matching the invariant factors."""
-    if not factors:
-        return []
-    sub = set(bset)
-    reps = []
-    for d in sorted(factors, reverse=True):
-        chosen = None
-        for z in cocycles:
-            if z in sub:
-                continue
-            # order of z in the current quotient must be exactly d
-            t = 1
-            w = z
-            while w not in sub:
-                w = tuple((a + b) % m for a, b, m in zip(w, z, mvec))
-                t += 1
-            if t == d:
-                chosen = z
-                break
-        assert chosen is not None, "no generator of the required order found"
-        reps.append(chosen)
-        sub = _close_subgroup(sub, chosen, mvec)
-    # ascending order to match the normal-form path; canonicalize in B-coset
-    reps.reverse()
-    if len(bset) <= coset_cap:
-        reps = [
-            min(tuple((a + b) % m for a, b, m in zip(r, s, mvec)) for s in bset)
-            for r in reps
-        ]
-    return reps
-
-
-def _close_subgroup(sub, new_gen, mvec):
-    """<sub, new_gen> for a subgroup ``sub`` given as a set of residue tuples."""
-    out = set(sub)
-    shift = new_gen
-    while shift not in sub:
-        out.update(
-            tuple((a + b) % m for a, b, m in zip(s, shift, mvec)) for s in sub
-        )
-        shift = tuple((a + b) % m for a, b, m in zip(shift, new_gen, mvec))
-    return out

@@ -11,8 +11,12 @@ of its coefficients, so the heavy lifting is modular Hermite elimination:
 time and :func:`hermite_mod` returns the canonical basis of such a lattice,
 both keeping every entry reduced modulo ``e`` (Domich, Kannan and Trotter
 1987; Storjohann and Mulders 1998).  :func:`lattice_residues` lists a
-lattice's residues in mixed radix.  The Smith form remains for the small
-quotient step and for exact solves over Z.
+lattice's residues in mixed radix.  :func:`quotient` is the one quotient
+routine of the fast routes: invariant factors and lifts from a small Smith
+form (:func:`quotient_structure`), the two lattice orders, and
+representatives reduced to the smallest residue of their coset.  The Smith
+form also serves exact solves over Z.  The brute-force oracles do the same
+job on explicit element lists in :mod:`abelian`, which uses nothing from here.
 
 Conventions: matrices are lists of row lists; lattices are given by generator
 rows and normalized to a row-style Hermite basis (row echelon, positive
@@ -25,6 +29,9 @@ from math import gcd, lcm, prod
 from operator import add, mod
 
 from .errors import NoSolution, ShapeMismatch
+
+# Cosets with at most this many elements are searched for their smallest residue.
+COSET_CAP = 1 << 12
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -454,6 +461,29 @@ def quotient_structure(
         reps.append(vec)
     order = sorted(range(len(factors)), key=lambda i: factors[i])
     return [factors[i] for i in order], [reps[i] for i in order]
+
+
+def quotient(
+    big: list[list[int]], small: list[list[int]], moduli: list[int]
+) -> tuple[list[int], list[tuple[int, ...]], int, int]:
+    """Structure of (lattice big)/(lattice small), both containing diag(moduli) Z^n.
+
+    ``big`` and ``small`` are full-rank Hermite bases with ``small`` inside
+    ``big``.  Returns ``(factors, reps, big_order, small_order)``: the
+    invariant factors of :func:`quotient_structure`, one representative per
+    factor, and the orders of both lattices modulo ``diag(moduli)``.  Each
+    representative is reduced modulo ``moduli`` and, when ``small`` has at
+    most :data:`COSET_CAP` residues, replaced by the lexicographically
+    smallest residue of its coset.
+    """
+    n = len(moduli)
+    factors, lifts = quotient_structure(big, small, n)
+    reps = [tuple(x % m for x, m in zip(lift, moduli)) for lift in lifts]
+    subgroup = lattice_residues(small, moduli, COSET_CAP)
+    if subgroup is not None:
+        reps = [min(tuple(map(mod, map(add, v, s), moduli)) for s in subgroup) for v in reps]
+    ambient = prod(moduli)
+    return factors, reps, ambient // lattice_index(big, n), ambient // lattice_index(small, n)
 
 
 def _unimodular_inverse(V: list[list[int]], n: int) -> list[list[int]]:

@@ -14,9 +14,13 @@ order p-1):
 * ``normal-form``: transport everything along discrete logs, cut the pair
   group out of Z^N as the kernel of one integer system mod p-1 and span the
   coboundary pairs, both by modular Hermite elimination, then read off the
-  quotient from a small Smith form;
+  quotient with :func:`intmat.quotient`; when the pair group is small
+  enough to list, :func:`abelian.canonical_generators` picks the
+  representatives, as the oracle does;
 * ``brute-force``: enumerate characters and normalized tables outright and
-  filter pointwise -- the oracle for the first route.
+  filter pointwise -- the oracle for the first route.  Its pairs go to
+  discrete-log vectors and :mod:`abelian` counts the quotient and picks the
+  generators on them.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from . import intmat
+from . import abelian, intmat
 from .algebra import AlgebraContext
 from .errors import (
     InvalidPair,
@@ -35,9 +39,7 @@ from .errors import (
     TooLarge,
 )
 from .fields import PrimeField
-
-DEFAULT_ENUM_CAP = 1 << 16
-DEFAULT_COSET_CAP = 1 << 12
+from .gmodule import DEFAULT_ENUM_CAP
 
 
 @dataclass
@@ -295,20 +297,18 @@ def _coboundary_lattice(context: AlgebraContext, m: int) -> list[list[int]]:
     return intmat.hermite_mod(gens, N, m)
 
 
-def _lex_min_pair_vector(vec, subgroup, m):
-    v = tuple(x % m for x in vec)
-    return min(tuple((a + b) % m for a, b in zip(v, s)) for s in subgroup)
+def _value_key(F: PrimeField):
+    """Sort key on dlog vectors: their field values, which order pairs like ``KappaPair.key``."""
+    values = [F.unit_exp(i) for i in range(F.unit_order)]
+    return lambda vec: tuple(map(values.__getitem__, vec))
 
 
 def enumerate_pairs(
-    context: AlgebraContext,
-    method: str = "normal-form",
-    cap: int = DEFAULT_ENUM_CAP,
-    coset_cap: int = DEFAULT_COSET_CAP,
+    context: AlgebraContext, method: str = "normal-form", cap: int = DEFAULT_ENUM_CAP
 ) -> PairEnumeration:
     """Solve for the pair group, its coboundary subgroup, and the quotient."""
     if method == "brute-force":
-        return _enumerate_brute(context, cap, coset_cap)
+        return _enumerate_brute(context, cap)
     if method != "normal-form":
         raise ValueError(f"unknown enumeration method {method!r}")
     F = _require_prime_field(context)
@@ -325,47 +325,22 @@ def enumerate_pairs(
 
     rows = _constraint_matrix(context)
     H = intmat.kernel_mod(rows, [m] * len(rows), N)
-    h_order = (m**N) // intmat.lattice_index(H, N)
     B = _coboundary_lattice(context, m)
-    b_order = (m**N) // intmat.lattice_index(B, N)
-    factors, reps = intmat.quotient_structure(H, B, N)
     moduli = [m] * N
+    factors, reps, h_order, b_order = intmat.quotient(H, B, moduli)
 
     explicit = None
     cob_explicit = None
     if h_order <= cap:
-        elems = intmat.lattice_residues(H, moduli, cap)
-        explicit = tuple(
-            sorted(
-                (_pair_from_vector(context, v) for v in elems),
-                key=lambda p: p.key(G),
-            )
-        )
-        cob = intmat.lattice_residues(B, moduli, cap)
-        cob_explicit = tuple(
-            sorted(
-                (_pair_from_vector(context, v) for v in cob),
-                key=lambda p: p.key(G),
-            )
-        )
-
-    if explicit is not None:
         # canonical generators: lexicographically minimal in (g2, g1) value
         # order, exactly as the brute-force route picks them
-        cob_keys = frozenset(p.key(G) for p in cob_explicit)
-        rep_pairs = _pick_pair_generators(
-            context, list(explicit), list(cob_explicit), cob_keys, factors, coset_cap
-        )
-    else:
-        subgroup = intmat.lattice_residues(B, moduli, coset_cap)
-        rep_pairs = []
-        for rep in reps:
-            vec = (
-                _lex_min_pair_vector(rep, subgroup, m)
-                if subgroup is not None
-                else tuple(x % m for x in rep)
-            )
-            rep_pairs.append(_pair_from_vector(context, vec))
+        key = _value_key(F)
+        elems = sorted(intmat.lattice_residues(H, moduli, cap), key=key)
+        cob = sorted(intmat.lattice_residues(B, moduli, cap), key=key)
+        reps = abelian.canonical_generators(elems, cob, moduli, factors, key)
+        explicit = tuple(_pair_from_vector(context, v) for v in elems)
+        cob_explicit = tuple(_pair_from_vector(context, v) for v in cob)
+    rep_pairs = [_pair_from_vector(context, v) for v in reps]
     for pair in rep_pairs:
         require_kappa_pair(context, pair)
     cg = PairClassGroup(tuple(factors), tuple(rep_pairs), h_order, b_order)
@@ -377,7 +352,7 @@ def enumerate_pairs(
 # ---------------------------------------------------------------------------
 
 
-def _enumerate_brute(context: AlgebraContext, cap: int, coset_cap: int) -> PairEnumeration:
+def _enumerate_brute(context: AlgebraContext, cap: int) -> PairEnumeration:
     F = _require_prime_field(context)
     G, A = context.group, context.module
     e = G.identity
@@ -415,118 +390,29 @@ def _enumerate_brute(context: AlgebraContext, cap: int, coset_cap: int) -> PairE
             if ok:
                 pairs.append(cand)
 
-    cob = []
-    seen = set()
+    # the quotient, on discrete-log vectors (dlog: F_p* -> Z/(p-1) is exact)
+    def dlogs(pair):
+        flat = (pair.g1[(a, b)] for a in G.elements() for b in G.elements())
+        return tuple(map(F.dlog, itertools.chain(pair.g2, flat)))
+
+    pair_by_vec = {dlogs(p): p for p in pairs}
+    cob_by_vec = {}
+    rest = [a for a in G.elements() if a != e]
     for values in itertools.product(F.units(), repeat=n - 1):
-        psi = {e: F.one}
-        rest = [a for a in G.elements() if a != e]
-        for a, v in zip(rest, values):
-            psi[a] = v
-        bp = coboundary_pair(context, psi)
-        key = bp.key(G)
-        if key not in seen:
-            seen.add(key)
-            cob.append(bp)
-
-    pair_by_key = {p.key(G): p for p in pairs}
-    cob_keys = frozenset(p.key(G) for p in cob)
-    assert cob_keys <= set(pair_by_key), "coboundary pairs must be pairs"
-
-    q_order = len(pairs) // len(cob)
-    factors = _pair_factors_by_counting(context, pairs, cob_keys, q_order)
-    reps = _pick_pair_generators(context, pairs, cob, cob_keys, factors, coset_cap)
+        bp = coboundary_pair(context, {e: F.one, **dict(zip(rest, values))})
+        cob_by_vec.setdefault(dlogs(bp), bp)
+    if not cob_by_vec.keys() <= pair_by_vec.keys():
+        raise InvalidPair("coboundary pairs must be pairs")
+    elems = list(pair_by_vec)
+    moduli = [F.unit_order] * (A.rank + n * n)
+    factors = abelian.factors_by_counting(elems, cob_by_vec.keys(), moduli)
+    reps = abelian.canonical_generators(elems, cob_by_vec.keys(), moduli, factors, _value_key(F))
     cg = PairClassGroup(
-        tuple(factors), tuple(reps), len(pairs), len(cob)
+        tuple(factors), tuple(pair_by_vec[v] for v in reps), len(pairs), len(cob_by_vec)
     )
     ordered = tuple(sorted(pairs, key=lambda p: p.key(G)))
-    cob_ordered = tuple(sorted(cob, key=lambda p: p.key(G)))
+    cob_ordered = tuple(sorted(cob_by_vec.values(), key=lambda p: p.key(G)))
     return PairEnumeration(cg, ordered, cob_ordered)
-
-
-def _pair_factors_by_counting(context, pairs, cob_keys, q_order):
-    from .fields import factorize
-
-    G = context.group
-    if q_order == 1:
-        return []
-    by_prime = {}
-    for p, e_top in factorize(q_order).items():
-        counts = [0]
-        while True:
-            d = p ** len(counts)
-            killed = sum(
-                1 for h in pairs if pair_power(context, h, d).key(G) in cob_keys
-            )
-            assert killed % len(cob_keys) == 0
-            a_i = killed // len(cob_keys)
-            ex = 0
-            while p**ex < a_i:
-                ex += 1
-            assert p**ex == a_i
-            counts.append(ex)
-            if ex == counts[-2] or len(counts) > e_top + 1:
-                break
-        rs = [counts[i] - counts[i - 1] for i in range(1, len(counts))]
-        exps = []
-        for i, r in enumerate(rs, start=1):
-            nxt = rs[i] if i < len(rs) else 0
-            exps.extend([i] * (r - nxt))
-        by_prime[p] = sorted(exps, reverse=True)
-    width = max(len(v) for v in by_prime.values())
-    descending = []
-    for i in range(width):
-        d = 1
-        for p, exps in by_prime.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        descending.append(d)
-    return sorted(descending)
-
-
-def _pick_pair_generators(context, pairs, cob, cob_keys, factors, coset_cap):
-    G = context.group
-    if not factors:
-        return []
-    ordered = sorted(pairs, key=lambda p: p.key(G))
-    sub = set(cob_keys)
-    sub_pairs = list(cob)
-    reps = []
-    for d in sorted(factors, reverse=True):
-        chosen = None
-        for z in ordered:
-            if z.key(G) in sub:
-                continue
-            t, w = 1, z
-            while w.key(G) not in sub:
-                w = pair_mul(context, w, z)
-                t += 1
-            if t == d:
-                chosen = z
-                break
-        assert chosen is not None, "no generator of the required order"
-        reps.append(chosen)
-        # close the subgroup under the new generator: union of its cosets
-        base_keys = frozenset(sub)
-        base_pairs = list(sub_pairs)
-        shift = chosen
-        while shift.key(G) not in base_keys:
-            for s in base_pairs:
-                q = pair_mul(context, s, shift)
-                kq = q.key(G)
-                if kq not in sub:
-                    sub.add(kq)
-                    sub_pairs.append(q)
-            shift = pair_mul(context, shift, chosen)
-    reps.reverse()
-    if len(cob) <= coset_cap:
-        canon = []
-        for r in reps:
-            best = min(
-                (pair_mul(context, r, s) for s in cob), key=lambda p: p.key(G)
-            )
-            canon.append(best)
-        reps = canon
-    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -663,14 +549,11 @@ def classify_simple(
     # all products of representative powers, one per quotient element
     class_pairs = [trivial_pair(context)]
     for d, rep in zip(cg.invariant_factors, cg.representatives):
-        powers = []
-        for t in range(1, d):
-            powers.append(pair_power(context, rep, t))
-        class_pairs = [
-            pair_mul(context, base, extra)
-            for base in class_pairs
-            for extra in [trivial_pair(context)] + powers
-        ]
-    assert len(class_pairs) == cg.order
+        powers = [pair_power(context, rep, t) for t in range(d)]
+        class_pairs = [pair_mul(context, base, extra) for base in class_pairs for extra in powers]
+    if len(class_pairs) != cg.order:
+        raise InvalidPair(
+            f"{len(cg.representatives)} representatives for the factors {cg.invariant_factors}"
+        )
     algebras = tuple(build_simple(context, p) for p in class_pairs)
     return Classification(cg, tuple(class_pairs), algebras, F.unit_order)

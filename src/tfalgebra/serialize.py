@@ -52,12 +52,23 @@ class Instance:
 # -- scalars -----------------------------------------------------------------
 
 
+def _integer(raw, key: str) -> int:
+    """``raw`` if it is a JSON integer; ``true``/``false`` are not integers."""
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        raise SchemaError(f"{key}: expected an integer, got {raw!r}", key=key)
+    return raw
+
+
+def _list(raw, key: str) -> list:
+    if not isinstance(raw, list):
+        raise SchemaError(f"{key}: expected a list, got {raw!r}", key=key)
+    return raw
+
+
 def parse_scalar(field: Field, raw, key: str):
     if isinstance(field, PrimeField):
-        if not isinstance(raw, int):
-            raise SchemaError(f"{key}: expected an integer scalar, got {raw!r}", key=key)
-        return raw % field.p
-    if isinstance(raw, int):
+        return _integer(raw, key) % field.p
+    if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
     if isinstance(raw, str):
         try:
@@ -131,8 +142,9 @@ def parse_instance(obj: dict) -> Instance:
     if not isinstance(fobj, dict):
         raise SchemaError("missing or malformed 'field'", key="field")
     if "prime" in fobj:
+        prime = _integer(fobj["prime"], "field.prime")
         try:
-            field: Field = PrimeField(int(fobj["prime"]))
+            field: Field = PrimeField(prime)
         except TFAError as err:
             raise SchemaError(f"field: {err}", key="field")
     elif fobj.get("rational"):
@@ -140,9 +152,9 @@ def parse_instance(obj: dict) -> Instance:
     else:
         raise SchemaError("field must give 'prime' or 'rational'", key="field")
 
-    gobj = obj.get("group")
-    if not isinstance(gobj, list):
+    if not isinstance(obj.get("group"), list):
         raise SchemaError("missing or malformed 'group'", key="group")
+    gobj = [[_integer(x, "group") for x in _list(row, "group")] for row in obj["group"]]
     try:
         group = FiniteGroup(gobj)
     except TFAError as err:
@@ -154,6 +166,7 @@ def parse_instance(obj: dict) -> Instance:
     factors = mobj["factors"]
     if not isinstance(factors, list):
         raise SchemaError("module.factors must be a list", key="module")
+    factors = [_integer(m, "module.factors") for m in factors]
     action = None
     if "action" in mobj:
         if not isinstance(mobj["action"], dict):
@@ -198,7 +211,7 @@ def parse_algebra(context: AlgebraContext, obj) -> TFAlgebra:
     dims_raw = obj["dims"]
     if not isinstance(dims_raw, list) or len(dims_raw) != n:
         raise SchemaError("algebra.dims must list one dimension per element", key="algebra.dims")
-    dims = {g: int(dims_raw[g]) for g in G.elements()}
+    dims = {g: _integer(dims_raw[g], "algebra.dims") for g in G.elements()}
 
     def scal(raw, key):
         return parse_scalar(F, raw, key)
@@ -241,7 +254,7 @@ def parse_algebra(context: AlgebraContext, obj) -> TFAlgebra:
             except (TypeError, AssertionError):
                 raise SchemaError(f"{key}: malformed matrix", key=key)
 
-    unit = [scal(v, "algebra.unit") for v in obj["unit"]]
+    unit = [scal(v, "algebra.unit") for v in _list(obj["unit"], "algebra.unit")]
     eta_rows = obj["eta"]
     try:
         eta = Matrix(F, [[scal(v, "algebra.eta") for v in r] for r in eta_rows])
@@ -280,7 +293,7 @@ def parse_pair(context: AlgebraContext, obj) -> KappaPair:
     raw_g1 = obj["g1"]
     g1 = {}
     if isinstance(raw_g1, list):
-        if len(raw_g1) != n or any(len(r) != n for r in raw_g1):
+        if len(raw_g1) != n or any(len(_list(r, "pair.g1")) != n for r in raw_g1):
             raise SchemaError("pair.g1 must be an n x n scalar table", key="pair.g1")
         for a in G.elements():
             for b in G.elements():

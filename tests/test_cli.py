@@ -230,3 +230,42 @@ def test_malformed_json_is_input_error(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json", encoding="utf-8")
     assert main(["verify", str(path)]) == 2
+
+
+def _flatten_group(doc):
+    doc["group"] = [x for row in doc["group"] for x in row]
+
+
+@pytest.mark.parametrize(
+    "command, key, mutate",
+    [
+        ("verify", "field.prime", lambda d: d["field"].update(prime="5")),
+        ("verify", "field.prime", lambda d: d["field"].update(prime=5.25)),
+        ("verify", "group", _flatten_group),
+        ("verify", "module.factors", lambda d: d["module"].update(factors=["two"])),
+        ("verify", "module.factors", lambda d: d["module"].update(factors=[2.5])),
+        ("verify", "module.factors", lambda d: d["module"].update(factors=[True])),
+        ("verify", "algebra.dims", lambda d: d["algebra"]["dims"].__setitem__(0, "x")),
+        ("verify", "algebra.unit", lambda d: d["algebra"].update(unit=1)),
+        ("build-simple", "pair.g1", lambda d: d["pair"].update(g1=d["pair"]["g1"][0])),
+    ],
+    ids=[
+        "prime-string",
+        "prime-float",
+        "group-flat",
+        "factors-string",
+        "factors-float",
+        "factors-bool",
+        "dims-string",
+        "unit-scalar",
+        "g1-flat",
+    ],
+)
+def test_malformed_values_are_input_errors(tmp_path, capsys, command, key, mutate):
+    ctx = context_I1()
+    pair = trivial_pair(ctx)
+    doc = emit_instance(ctx, algebra=build_simple(ctx, pair), pair=pair)
+    mutate(doc)
+    path = write(tmp_path, "bad.json", doc)
+    assert main([command, path, "-o", str(tmp_path / "out.json")]) == 2
+    assert f"(at {key})" in capsys.readouterr().err
