@@ -12,7 +12,7 @@ Graded maps elsewhere in the library use the row-as-image convention
 
 from __future__ import annotations
 
-from .errors import NoSolution
+from .errors import NoSolution, ShapeMismatch
 from .fields import Field
 
 
@@ -29,7 +29,8 @@ class Matrix:
         # cannot speak for itself
         self.ncols = len(self.rows[0]) if self.rows else (ncols or 0)
         for r in self.rows:
-            assert len(r) == self.ncols, "ragged matrix"
+            if len(r) != self.ncols:
+                raise ShapeMismatch("ragged matrix")
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -66,12 +67,14 @@ class Matrix:
 
     def add(self, other: "Matrix") -> "Matrix":
         F = self.field
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ShapeMismatch("matrix shapes disagree")
         return Matrix(F, [[F.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
     def mul(self, other: "Matrix") -> "Matrix":
         F = self.field
-        assert self.ncols == other.nrows, "inner dimensions disagree"
+        if self.ncols != other.nrows:
+            raise ShapeMismatch("inner dimensions disagree")
         out = []
         for i in range(self.nrows):
             row = []
@@ -83,20 +86,13 @@ class Matrix:
             out.append(row)
         return Matrix(F, out, ncols=other.ncols)
 
-    def is_symmetric(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
-
     # -- elimination ----------------------------------------------------------
     def _echelon(self):
         """Row echelon form (copy) and pivot column list."""
         F = self.field
-        M = [list(r) for r in self.rows]
+        # reduce each entry first, so that an entry stored unreduced but zero
+        # in the field (5 over F_5) is never taken for a pivot
+        M = [[F.add(F.zero, x) for x in r] for r in self.rows]
         pivots = []
         r = 0
         for c in range(self.ncols):
@@ -142,7 +138,8 @@ class Matrix:
         solution space is positive-dimensional the free coordinates are 0.
         """
         F = self.field
-        assert len(rhs) == self.nrows
+        if len(rhs) != self.nrows:
+            raise ShapeMismatch("right-hand side length != number of rows")
         aug = Matrix(F, [list(row) + [b] for row, b in zip(self.rows, rhs)])
         M, pivots = aug._echelon()
         for i in range(len(pivots), self.nrows):
@@ -175,7 +172,8 @@ class Matrix:
 def apply_map(block: Matrix, vec: list) -> list:
     """Image of ``vec`` under a block whose row i is the image of basis i."""
     F = block.field
-    assert len(vec) == block.nrows
+    if len(vec) != block.nrows:
+        raise ShapeMismatch("vector length != number of block rows")
     out = [F.zero] * block.ncols
     for i, c in enumerate(vec):
         if F.is_zero(c):
@@ -193,7 +191,8 @@ def compose_maps(first: Matrix, second: Matrix) -> Matrix:
 
 def map_trace(block: Matrix):
     F = block.field
-    assert block.nrows == block.ncols
+    if block.nrows != block.ncols:
+        raise ShapeMismatch("trace of a non-square block")
     acc = F.zero
     for i in range(block.nrows):
         acc = F.add(acc, block.rows[i][i])

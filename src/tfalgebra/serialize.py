@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraContext, TFAlgebra
 from .cochains import Cochain
-from .errors import SchemaError, TFAError
+from .errors import SchemaError, ShapeMismatch, TFAError
 from .fields import Field, PrimeField, RationalField
 from .gmodule import GModule
 from .groups import FiniteGroup
@@ -107,10 +107,7 @@ def _parse_module_element(module: GModule, raw, key: str) -> tuple[int, ...]:
         raise SchemaError(
             f"{key}: expected an exponent vector of length {module.rank}", key=key
         )
-    try:
-        return tuple(int(x) % m for x, m in zip(raw, module.moduli))
-    except (TypeError, ValueError):
-        raise SchemaError(f"{key}: bad exponent vector {raw!r}", key=key)
+    return tuple(_integer(x, key) % m for x, m in zip(raw, module.moduli))
 
 
 def parse_cochain_table(module: GModule, obj, degree: int, key: str) -> Cochain:
@@ -177,7 +174,8 @@ def parse_instance(obj: dict) -> Instance:
                 g = int(raw_key)
             except ValueError:
                 raise SchemaError(f"module.action key {raw_key!r} not an index", key="module")
-            action[g] = mat
+            rows = _list(mat, "module.action")
+            action[g] = [[_integer(x, "module.action") for x in _list(r, "module.action")] for r in rows]
     try:
         module = GModule(group, factors, action=action)
     except TFAError as err:
@@ -251,14 +249,14 @@ def parse_algebra(context: AlgebraContext, obj) -> TFAlgebra:
                 a_action[(a, x)] = Matrix(
                     F, [[scal(v, key) for v in r] for r in row[xi]], ncols=dims[a]
                 )
-            except (TypeError, AssertionError):
+            except (TypeError, ShapeMismatch):
                 raise SchemaError(f"{key}: malformed matrix", key=key)
 
     unit = [scal(v, "algebra.unit") for v in _list(obj["unit"], "algebra.unit")]
     eta_rows = obj["eta"]
     try:
         eta = Matrix(F, [[scal(v, "algebra.eta") for v in r] for r in eta_rows])
-    except (TypeError, AssertionError):
+    except (TypeError, ShapeMismatch):
         raise SchemaError("algebra.eta: malformed matrix", key="algebra.eta")
 
     phi_raw = obj["phi"]
@@ -276,7 +274,7 @@ def parse_algebra(context: AlgebraContext, obj) -> TFAlgebra:
                     [[scal(v, key) for v in r] for r in phi_raw[b][a]],
                     ncols=dims[G.conj(b, a)],
                 )
-            except (TypeError, AssertionError):
+            except (TypeError, ShapeMismatch):
                 raise SchemaError(f"{key}: malformed block", key=key)
 
     try:

@@ -27,6 +27,13 @@ follow from the axioms: module bilinearity of multiplication, triviality of
 the identity conjugation, and the scalar form of phi on inverse components.
 A failed consequence with all primary axioms green indicates an internal
 inconsistency of the verifier or the data, and is flagged as such.
+
+Each call first builds private index tables (group and module products,
+inverses and actions as lists, kappa as an index cube, the stored blocks and
+tensors as row lists), so that a product with a basis vector is a row read
+and a kappa-scalar three lookups.  The tables live for that call only.  The
+checks still run every quantifier in full.  Vector identities compare entries
+with ``F.sub``; block identities compare the stored rows as they are.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import TFAlgebra
-from .linalg import Matrix, apply_map, map_trace
+from .linalg import Matrix
 
 PRIMARY_TAGS = (
     "bimodule",
@@ -160,422 +167,415 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# scalar helpers
+# per-call index tables and row-list arithmetic
 # ---------------------------------------------------------------------------
 
 
-def _l_value(V: TFAlgebra, b: int, a: int, g: int) -> tuple:
-    """The A-element by which conjugation fails to be multiplicative.
+class _Tables:
+    """Everything one ``verify`` call reads, as lists indexed by integers.
 
-    For u in V_a, v in V_g:  phi_b(u) phi_b(v) = l . phi_b(u v).
+    Module elements become positions in ``el`` (the order of ``A.elements()``)
+    with product, inverse, action and kappa tables over them.  Blocks and
+    tensors are the stored row lists, read in place: ``mult[a][b][i][j]`` is
+    e_i e_j and ``mcol[a][b][t][s]`` is e_s e_t.  Derived: ``mk[a][b][x][i][j]``
+    is x.(e_i e_j), ``pk[b][a][x]`` the block of v -> x.phi_b(v) on V_a, and
+    ``pm[a][i][j]`` the pairing eta(e_i e_j, unit) of V_a with V_{a^-1}.
     """
-    G, A = V.context.group, V.context.module
-    kap = V.context.kappa_value
-    ca, cg = G.conj(b, a), G.conj(b, g)
-    t1 = kap(ca, cg, b)
-    t2 = A.inv(kap(ca, b, g))
-    t3 = kap(b, a, g)
-    return A.mul(A.mul(t1, t2), t3)
+
+    def __init__(self, V: TFAlgebra):
+        G, A, F = V.context.group, V.context.module, V.context.field
+        Gs, dims, mul = G.elements(), V.dims, G.table
+        self.F, self.dims, self.e, self.G = F, dims, G.identity, Gs
+        self.mul, self.inv = mul, G.inverse
+        self.conj = conj = [[G.conj(b, a) for a in Gs] for b in Gs]
+        self.el = el = list(A.elements())
+        pos = {x: k for k, x in enumerate(el)}
+        self.one, self.ainv = pos[A.one()], [pos[A.inv(x)] for x in el]
+        self.amul = [[pos[A.mul(x, y)] for y in el] for x in el]
+        self.aact = [[pos[A.act(g, x)] for x in el] for g in Gs]
+        kap = V.context.kappa.table
+        self.kap = [[[pos[kap[(a, b, c)]] for c in Gs] for b in Gs] for a in Gs]
+        self.act = act = [[V.a_action[(a, x)].rows for x in el] for a in Gs]
+        self.phi = phi = [[V.phi[(b, a)].rows for a in Gs] for b in Gs]
+        self.mult = mult = [[V.mult[(a, b)] for b in Gs] for a in Gs]
+        self.mcol = [[[[r[t] for r in mult[a][b]] for t in range(dims[b])] for b in Gs] for a in Gs]
+        # x.(e_i e_j) and x.phi_b(e_i), one block per module element x
+        self.mk = [[[[_matmul(F, r, K, dims[ab]) for r in mult[a][b]] for K in act[ab]]
+                    for b, ab in zip(Gs, mul[a])] for a in Gs]
+        self.pk = [[[_matmul(F, phi[b][a], K, dims[c]) for K in act[c]] for a, c in zip(Gs, conj[b])]
+                   for b in Gs]
+        self.ident = {d: Matrix.identity(F, d).rows for d in set(dims)}
+        etau = [_dot(F, V.unit, row) for row in V.eta.rows]
+        self.pm = [[[_dot(F, w, etau) for w in row] for row in mult[a][G.inv(a)]] for a in Gs]
+        self.blocks, self.inverses = V.phi, {}
 
 
-def _h_value(V: TFAlgebra, c: int, b: int, a: int) -> tuple:
+def _phi_inverse(T: _Tables, b: int, a: int):
+    """Rows of the inverse of the block phi_b on V_a, or None if it has none."""
+    if (b, a) not in T.inverses:
+        M = T.blocks[(b, a)].inverse()
+        T.inverses[(b, a)] = None if M is None else M.rows
+    return T.inverses[(b, a)]
+
+
+def _l_value(T: _Tables, b: int, a: int, g: int) -> int:
+    """The A-element l with phi_b(u) phi_b(v) = l . phi_b(u v) for u in V_a, v in V_g."""
+    kap, m, ca, cg = T.kap, T.amul, T.conj[b][a], T.conj[b][g]
+    return m[m[kap[ca][cg][b]][T.ainv[kap[ca][b][g]]]][kap[b][a][g]]
+
+
+def _h_value(T: _Tables, c: int, b: int, a: int) -> int:
     """The A-element relating phi_{cb} with phi_c . phi_b on V_a."""
-    G, A = V.context.group, V.context.module
-    kap = V.context.kappa_value
-    cb = G.mul(c, b)
-    t1 = kap(G.conj(cb, a), c, b)
-    t2 = A.inv(kap(c, G.conj(b, a), b))
-    t3 = kap(c, b, a)
-    return A.mul(A.mul(t1, t2), t3)
+    kap, m, cb = T.kap, T.amul, T.mul[c][b]
+    return m[m[kap[T.conj[cb][a]][c][b]][T.ainv[kap[c][T.conj[b][a]][b]]]][kap[c][b][a]]
 
 
-def _vec_eq(F, u, v) -> bool:
-    return all(F.sub(x, y) == F.zero for x, y in zip(u, v))
+def _comb(F, coeffs, rows, n: int) -> list:
+    """sum_k coeffs[k] rows[k], of length n: the image of coeffs under rows."""
+    add, mul = F.add, F.mul
+    out = [F.zero] * n
+    for c, row in zip(coeffs, rows):
+        t = 0
+        for w in row:
+            out[t] = add(out[t], mul(c, w))
+            t += 1
+    return out
+
+
+def _product(F, u, v, tensor, n: int) -> list:
+    """sum_{k,l} u_k v_l tensor[k][l], of length n: the product of u and v."""
+    add, mul = F.add, F.mul
+    out = [F.zero] * n
+    for x, row in zip(u, tensor):
+        for y, w in zip(v, row):
+            c, t = mul(x, y), 0
+            for z in w:
+                out[t] = add(out[t], mul(c, z))
+                t += 1
+    return out
+
+
+def _dot(F, u, v):
+    acc = F.zero
+    for x, y in zip(u, v):
+        acc = F.add(acc, F.mul(x, y))
+    return acc
+
+
+def _matmul(F, X, Y, n: int) -> list:
+    """Rows of X Y, where n is the width of Y (Y may have no rows)."""
+    return [_comb(F, row, Y, n) for row in X]
+
+
+def _is_image(F, vec, coeffs, rows) -> bool:
+    """Whether vec = sum_k coeffs[k] rows[k], compared by F.sub (unreduced entries match)."""
+    sub, zero = F.sub, F.zero
+    for x, y in zip(vec, _comb(F, coeffs, rows, len(vec))):
+        if sub(x, y) != zero:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
-# individual checks; each yields CheckResult entries (one per tag)
+# individual checks; each returns the CheckResult of one tag
 # ---------------------------------------------------------------------------
 
 
-def _check_bimodule(V: TFAlgebra) -> CheckResult:
+def _check_bimodule(V: TFAlgebra, T: _Tables) -> CheckResult:
     """Module action: rho_a(1)=id, homomorphism, invertible, grading law."""
-    G, A, F = V.context.group, V.context.module, V.context.field
-    one = A.one()
-    for a in G.elements():
-        d = V.dims[a]
-        if V.a_action[(a, one)] != Matrix.identity(F, d):
-            return CheckResult("bimodule", False, (a, one), "identity of A must act as id")
-        for x in A.elements():
-            M = V.a_action[(a, x)]
-            if d and M.rank() != d:
-                return CheckResult("bimodule", False, (a, x), "module action not invertible")
+    F, el = T.F, T.el
+    for a in T.G:
+        d, acts = T.dims[a], T.act[a]
+        if acts[T.one] != T.ident[d]:
+            return CheckResult("bimodule", False, (a, el[T.one]), "identity of A must act as id")
+        for x, M in enumerate(acts):
+            if d and V.a_action[(a, el[x])].rank() != d:
+                return CheckResult("bimodule", False, (a, el[x]), "module action not invertible")
             # grading law: x acts as its a-twist on component a
-            if M != V.a_action[(a, A.act(a, x))]:
-                return CheckResult(
-                    "bimodule", False, (a, x), "action of x and of (a.x) differ on V_a"
-                )
-            for y in A.elements():
-                if M.mul(V.a_action[(a, y)]) != V.a_action[(a, A.mul(x, y))]:
-                    return CheckResult(
-                        "bimodule", False, (a, x, y), "action is not a homomorphism"
-                    )
+            if M != acts[T.aact[a][x]]:
+                return CheckResult("bimodule", False, (a, el[x]), "action of x and of (a.x) differ on V_a")
+            for y, N in enumerate(acts):
+                if _matmul(F, M, N, d) != acts[T.amul[x][y]]:
+                    return CheckResult("bimodule", False, (a, el[x], el[y]), "action is not a homomorphism")
     return CheckResult("bimodule", True)
 
 
-def _check_associativity(V: TFAlgebra) -> CheckResult:
-    G, A, F = V.context.group, V.context.module, V.context.field
-    for a in G.elements():
-        for b in G.elements():
-            ab = G.mul(a, b)
-            for c in G.elements():
-                abc = G.mul(ab, c)
-                kap = V.context.kappa_value(a, b, c)
-                for i, u in enumerate(V.basis(a)):
-                    for j, v in enumerate(V.basis(b)):
-                        uv = V.multiply(a, u, b, v)
-                        for t, w in enumerate(V.basis(c)):
-                            left = V.multiply(ab, uv, c, w)
-                            vw = V.multiply(b, v, c, w)
-                            right = V.multiply(a, u, G.mul(b, c), vw)
-                            right = V.act(abc, kap, right)
-                            if not _vec_eq(F, left, right):
-                                return CheckResult(
-                                    "associativity", False, (a, b, c, i, j, t)
-                                )
+def _check_associativity(V: TFAlgebra, T: _Tables) -> CheckResult:
+    F, G, dims, mul, mult, mcol, mk, kap = T.F, T.G, T.dims, T.mul, T.mult, T.mcol, T.mk, T.kap
+    for a in G:
+        for b in G:
+            ab, uvs, kab = mul[a][b], mult[a][b], kap[a][b]
+            for c in G:
+                n, bc = dims[mul[ab][c]], mul[b][c]
+                # (u v) w  against  kappa . (u (v w))
+                cols, vws, kus = mcol[ab][c], mult[b][c], mk[a][bc][kab[c]]
+                for i, uvrow in enumerate(uvs):
+                    for j, uv in enumerate(uvrow):
+                        for t, vw in enumerate(vws[j]):
+                            if not _is_image(F, _comb(F, uv, cols[t], n), vw, kus[i]):
+                                return CheckResult("associativity", False, (a, b, c, i, j, t))
     return CheckResult("associativity", True)
 
 
-def _check_unit(V: TFAlgebra) -> CheckResult:
-    G, F = V.context.group, V.context.field
-    e = G.identity
-    for a in G.elements():
-        for i, u in enumerate(V.basis(a)):
-            if not _vec_eq(F, V.multiply(e, V.unit, a, u), u):
+def _check_unit(V: TFAlgebra, T: _Tables) -> CheckResult:
+    F, e = T.F, T.e
+    for a in T.G:
+        d = T.dims[a]
+        for i, u in enumerate(T.ident[d]):
+            if not _is_image(F, u, V.unit, T.mcol[e][a][i]):
                 return CheckResult("unit", False, (a, i), "left unit fails")
-            if not _vec_eq(F, V.multiply(a, u, e, V.unit), u):
+            if not _is_image(F, u, V.unit, T.mult[a][e][i]):
                 return CheckResult("unit", False, (a, i), "right unit fails")
     return CheckResult("unit", True)
 
 
-def _check_eta_symmetric(V: TFAlgebra) -> CheckResult:
-    if not V.eta.is_symmetric():
-        n = V.eta.nrows
-        for i in range(n):
-            for j in range(n):
-                if V.eta.rows[i][j] != V.eta.rows[j][i]:
-                    return CheckResult("eta-symmetric", False, (i, j))
+def _check_eta_symmetric(V: TFAlgebra, T: _Tables) -> CheckResult:
+    rows = V.eta.rows
+    for i in range(V.eta.nrows):
+        for j in range(V.eta.nrows):
+            if rows[i][j] != rows[j][i]:
+                return CheckResult("eta-symmetric", False, (i, j))
     return CheckResult("eta-symmetric", True)
 
 
-def _check_eta_nondegenerate(V: TFAlgebra) -> CheckResult:
+def _check_eta_nondegenerate(V: TFAlgebra, T: _Tables) -> CheckResult:
     d = V.dims[V.context.identity]
     if V.eta.rank() != d:
-        return CheckResult(
-            "eta-nondegenerate", False, (), f"rank {V.eta.rank()} < {d}"
-        )
+        return CheckResult("eta-nondegenerate", False, (), f"rank {V.eta.rank()} < {d}")
     return CheckResult("eta-nondegenerate", True)
 
 
-def _check_pairing(V: TFAlgebra) -> CheckResult:
-    G = V.context.group
-    for a in G.elements():
-        ainv = G.inv(a)
-        if V.dims[a] != V.dims[ainv]:
-            return CheckResult(
-                "pairing-nondegenerate",
-                False,
-                (a,),
-                f"dims {V.dims[a]} != {V.dims[ainv]} on inverse components",
-            )
-        P = V.pairing_matrix(a)
-        if P.rank() != V.dims[a]:
-            return CheckResult(
-                "pairing-nondegenerate", False, (a,), f"pairing rank {P.rank()} < {V.dims[a]}"
-            )
+def _check_pairing(V: TFAlgebra, T: _Tables) -> CheckResult:
+    dims = T.dims
+    for a in T.G:
+        ainv = T.inv[a]
+        if dims[a] != dims[ainv]:
+            detail = f"dims {dims[a]} != {dims[ainv]} on inverse components"
+            return CheckResult("pairing-nondegenerate", False, (a,), detail)
+        rank = Matrix(T.F, T.pm[a], ncols=dims[ainv]).rank()
+        if rank != dims[a]:
+            return CheckResult("pairing-nondegenerate", False, (a,), f"pairing rank {rank} < {dims[a]}")
     return CheckResult("pairing-nondegenerate", True)
 
 
-def _check_phi_module(V: TFAlgebra) -> CheckResult:
+def _check_phi_module(V: TFAlgebra, T: _Tables) -> CheckResult:
     """phi_b (x v) = (b.x) phi_b(v): block identity per (b, a, x)."""
-    G, A = V.context.group, V.context.module
-    for b in G.elements():
-        for a in G.elements():
-            blk = V.phi[(b, a)]
-            tgt = G.conj(b, a)
-            for x in A.elements():
-                left = V.a_action[(a, x)].mul(blk)  # act by x, then conjugate
-                right = blk.mul(V.a_action[(tgt, A.act(b, x))])
-                if left != right:
-                    return CheckResult("phi-module", False, (b, a, x))
+    F = T.F
+    for b in T.G:
+        for a in T.G:
+            blk, n, pk = T.phi[b][a], T.dims[T.conj[b][a]], T.pk[b][a]
+            for x, M in enumerate(T.act[a]):
+                # act by x, then conjugate
+                if _matmul(F, M, blk, n) != pk[T.aact[b][x]]:
+                    return CheckResult("phi-module", False, (b, a, T.el[x]))
     return CheckResult("phi-module", True)
 
 
-def _check_phi_fix(V: TFAlgebra) -> CheckResult:
-    G, F = V.context.group, V.context.field
-    for b in G.elements():
-        if V.phi[(b, b)] != Matrix.identity(F, V.dims[b]):
+def _check_phi_fix(V: TFAlgebra, T: _Tables) -> CheckResult:
+    for b in T.G:
+        if T.phi[b][b] != T.ident[T.dims[b]]:
             return CheckResult("phi-fix", False, (b,))
     return CheckResult("phi-fix", True)
 
 
-def _check_phi_unit(V: TFAlgebra) -> CheckResult:
-    G, F = V.context.group, V.context.field
-    e = G.identity
-    for b in G.elements():
-        if not _vec_eq(F, V.conjugate(b, e, V.unit), V.unit):
+def _check_phi_unit(V: TFAlgebra, T: _Tables) -> CheckResult:
+    for b in T.G:
+        if not _is_image(T.F, V.unit, V.unit, T.phi[b][T.e]):
             return CheckResult("phi-unit", False, (b,))
     return CheckResult("phi-unit", True)
 
 
-def _check_phi_commute(V: TFAlgebra) -> CheckResult:
+def _check_phi_commute(V: TFAlgebra, T: _Tables) -> CheckResult:
     """v u = phi_b(u) v for v in V_b, u anywhere."""
-    G, F = V.context.group, V.context.field
-    for b in G.elements():
-        for a in G.elements():
-            for j, v in enumerate(V.basis(b)):
-                for i, u in enumerate(V.basis(a)):
-                    left = V.multiply(b, v, a, u)
-                    w = V.conjugate(b, a, u)
-                    right = V.multiply(G.conj(b, a), w, b, v)
-                    if not _vec_eq(F, left, right):
+    F = T.F
+    for b in T.G:
+        for a in T.G:
+            n, blk = T.dims[T.mul[b][a]], T.phi[b][a]
+            vus, cols = T.mult[b][a], T.mcol[T.conj[b][a]][b]
+            for j, vu in enumerate(vus):
+                for i, pu in enumerate(blk):
+                    if not _is_image(F, vu[i], pu, cols[j]):
                         return CheckResult("phi-commute", False, (b, a, j, i))
     return CheckResult("phi-commute", True)
 
 
-def _check_phi_isometry(V: TFAlgebra) -> CheckResult:
-    G = V.context.group
-    e = G.identity
-    for b in G.elements():
-        blk = V.phi[(b, e)]
+def _check_phi_isometry(V: TFAlgebra, T: _Tables) -> CheckResult:
+    F, eta, d = T.F, V.eta.rows, T.dims[T.e]
+    for b in T.G:
+        blk = T.phi[b][T.e]
         # eta(phi u, phi v) == eta(u, v) as a matrix identity
-        if blk.mul(V.eta).mul(blk.transpose()) != V.eta:
+        if _matmul(F, _matmul(F, blk, eta, d), [list(col) for col in zip(*blk)], d) != eta:
             return CheckResult("phi-isometry", False, (b,))
     return CheckResult("phi-isometry", True)
 
 
-def _check_phi_mult(V: TFAlgebra) -> CheckResult:
-    G, F = V.context.group, V.context.field
-    for b in G.elements():
-        for a in G.elements():
-            for g in G.elements():
-                lval = _l_value(V, b, a, g)
-                tgt = G.conj(b, G.mul(a, g))
-                for i, u in enumerate(V.basis(a)):
-                    pu = V.conjugate(b, a, u)
-                    for j, v in enumerate(V.basis(g)):
-                        pv = V.conjugate(b, g, v)
-                        left = V.multiply(G.conj(b, a), pu, G.conj(b, g), pv)
-                        uv = V.multiply(a, u, g, v)
-                        right = V.act(tgt, lval, V.conjugate(b, G.mul(a, g), uv))
-                        if not _vec_eq(F, left, right):
+def _check_phi_mult(V: TFAlgebra, T: _Tables) -> CheckResult:
+    F, G, dims, mul, mult = T.F, T.G, T.dims, T.mul, T.mult
+    for b in G:
+        cb, Pb, pkb = T.conj[b], T.phi[b], T.pk[b]
+        for a in G:
+            for g in G:
+                ag = mul[a][g]
+                # phi_b(u) phi_b(v)  against  l . phi_b(u v)
+                n, pp, uvs = dims[cb[ag]], mult[cb[a]][cb[g]], mult[a][g]
+                lpk = pkb[ag][_l_value(T, b, a, g)]
+                for i, pu in enumerate(Pb[a]):
+                    for j, pv in enumerate(Pb[g]):
+                        if not _is_image(F, _product(F, pu, pv, pp, n), uvs[i][j], lpk):
                             return CheckResult("phi-mult", False, (b, a, g, i, j))
     return CheckResult("phi-mult", True)
 
 
-def _check_phi_compose(V: TFAlgebra) -> CheckResult:
-    G = V.context.group
+def _check_phi_compose(V: TFAlgebra, T: _Tables) -> CheckResult:
+    F, dims = T.F, T.dims
     # invertibility first: the composition law forces it
-    for b in G.elements():
-        for a in G.elements():
-            blk = V.phi[(b, a)]
-            if blk.nrows != blk.ncols:
-                return CheckResult(
-                    "phi-compose", False, (b, a), "conjugation block is not square"
-                )
-            if blk.nrows and blk.rank() != blk.nrows:
-                return CheckResult(
-                    "phi-compose", False, (b, a), "conjugation block is singular"
-                )
-    for c in G.elements():
-        for b in G.elements():
-            cb = G.mul(c, b)
-            for a in G.elements():
-                hval = _h_value(V, c, b, a)
-                left = V.phi[(cb, a)]
-                mid = V.phi[(b, a)].mul(V.phi[(c, G.conj(b, a))])
-                right = mid.mul(V.a_action[(G.conj(cb, a), hval)])
-                if left != right:
+    for b in T.G:
+        for a in T.G:
+            if dims[a] != dims[T.conj[b][a]]:
+                return CheckResult("phi-compose", False, (b, a), "conjugation block is not square")
+            if dims[a] and _phi_inverse(T, b, a) is None:
+                return CheckResult("phi-compose", False, (b, a), "conjugation block is singular")
+    G, phi, conj = T.G, T.phi, T.conj
+    for c in G:
+        pkc = T.pk[c]
+        for b in G:
+            cb, cjb = T.mul[c][b], conj[b]
+            for a in G:
+                # phi_{cb}  against  phi_b then phi_c then the h-scalar
+                hpk = pkc[cjb[a]][_h_value(T, c, b, a)]
+                if phi[cb][a] != _matmul(F, phi[b][a], hpk, dims[conj[cb][a]]):
                     return CheckResult("phi-compose", False, (c, b, a))
     return CheckResult("phi-compose", True)
 
 
-def _check_trace(V: TFAlgebra) -> CheckResult:
+def _check_trace(V: TFAlgebra, T: _Tables) -> CheckResult:
     """Two twisted traces agree for every homogeneous left multiplier."""
-    G, F = V.context.group, V.context.field
-    for a in G.elements():
-        for b in G.elements():
-            comm = G.commutator(a, b)
-            kap1 = V.context.kappa_value(comm, b, a)
-            kap2 = V.context.kappa_value(comm, G.conj(b, a), b)
-            phi_ab = V.phi[(a, b)]
-            inv = phi_ab.inverse() if phi_ab.nrows else Matrix(F, [], ncols=0)
-            for t, cvec in enumerate(V.basis(comm)):
+    F, dims, mul, inv = T.F, T.dims, T.mul, T.inv
+    for a in T.G:
+        for b in T.G:
+            comm, ba, da, db = mul[mul[a][b]][mul[inv[a]][inv[b]]], T.conj[b][a], dims[a], dims[b]
+            kappa_c = T.mk[comm][ba][T.kap[comm][b][a]]
+            K2 = T.act[b][T.kap[comm][ba][b]]
+            unconj = _phi_inverse(T, a, b) if db else []
+            for t in range(dims[comm]):
                 # left side: V_a -> V_a, conjugate by b, multiply by c, act by kappa
-                left_block = V.phi[(b, a)]
-                rows = [
-                    V.act(a, kap1, V.multiply(comm, cvec, G.conj(b, a), apply_map(left_block, u)))
-                    for u in V.basis(a)
-                ]
-                lhs = map_trace(Matrix(F, rows, ncols=V.dims[a])) if V.dims[a] else F.zero
+                lhs = F.zero
+                for i, pu in enumerate(T.phi[b][a]):
+                    lhs = F.add(lhs, _comb(F, pu, kappa_c[t], da)[i])
                 # right side: V_b -> V_b, multiply by c, un-conjugate by a, act by kappa
-                if inv is None:
-                    return CheckResult(
-                        "trace", False, (a, b, t), "conjugation block is singular"
-                    )
-                rows = [
-                    V.act(b, kap2, apply_map(inv, V.multiply(comm, cvec, b, u)))
-                    for u in V.basis(b)
-                ]
-                rhs = map_trace(Matrix(F, rows, ncols=V.dims[b])) if V.dims[b] else F.zero
+                if unconj is None:
+                    return CheckResult("trace", False, (a, b, t), "conjugation block is singular")
+                rhs = F.zero
+                for j, cv in enumerate(T.mult[comm][b][t]):
+                    rhs = F.add(rhs, _comb(F, _comb(F, cv, unconj, db), K2, db)[j])
                 if lhs != rhs:
                     return CheckResult("trace", False, (a, b, t))
     return CheckResult("trace", True)
 
 
-def _check_lemma_a(V: TFAlgebra) -> CheckResult:
-    G, A, F = V.context.group, V.context.module, V.context.field
-    for a in G.elements():
-        ainv = G.inv(a)
-        for x in A.elements():
-            for i, u in enumerate(V.basis(a)):
-                xu = V.act(a, x, u)
-                for j, v in enumerate(V.basis(ainv)):
-                    xv = V.act(ainv, x, v)
-                    if V.eta_pair(a, xu, ainv, v) != V.eta_pair(a, u, ainv, xv):
-                        return CheckResult("lemma-1.1-a", False, (a, x, i, j))
+def _check_lemma_a(V: TFAlgebra, T: _Tables) -> CheckResult:
+    F, dims = T.F, T.dims
+    for a in T.G:
+        ainv, P = T.inv[a], T.pm[a]
+        for x in range(len(T.el)):
+            # eta(x u, v) against eta(u, x v)
+            xu, xv = _matmul(F, T.act[a][x], P, dims[ainv]), T.act[ainv][x]
+            for i in range(dims[a]):
+                for j in range(dims[ainv]):
+                    if xu[i][j] != _dot(F, xv[j], P[i]):
+                        return CheckResult("lemma-1.1-a", False, (a, T.el[x], i, j))
     return CheckResult("lemma-1.1-a", True)
 
 
-def _check_lemma_b(V: TFAlgebra) -> CheckResult:
-    G = V.context.group
-    for a in G.elements():
-        ainv = G.inv(a)
-        kap = V.context.kappa_value(ainv, a, ainv)
-        for i, u in enumerate(V.basis(a)):
-            for j, v in enumerate(V.basis(ainv)):
-                left = V.eta_pair(a, u, ainv, v)
-                tv = V.act(ainv, V.context.module.inv(kap), v)
-                right = V.eta_pair(ainv, tv, a, u)
-                if left != right:
+def _check_lemma_b(V: TFAlgebra, T: _Tables) -> CheckResult:
+    F, dims = T.F, T.dims
+    for a in T.G:
+        ainv = T.inv[a]
+        # eta(u v) against eta(t v, u) with t the inverse kappa-scalar
+        tv, cols = T.act[ainv][T.ainv[T.kap[ainv][a][ainv]]], [list(c) for c in zip(*T.pm[ainv])]
+        for i in range(dims[a]):
+            for j in range(dims[ainv]):
+                if T.pm[a][i][j] != _dot(F, tv[j], cols[i]):
                     return CheckResult("lemma-1.1-b", False, (a, i, j))
     return CheckResult("lemma-1.1-b", True)
 
 
-def _check_lemma_c(V: TFAlgebra) -> CheckResult:
-    G = V.context.group
-    for b in G.elements():
-        for a in G.elements():
-            ainv = G.inv(a)
-            lval = _l_value(V, b, a, ainv)
-            ca, cainv = G.conj(b, a), G.conj(b, ainv)
-            for i, u in enumerate(V.basis(a)):
-                pu = V.conjugate(b, a, u)
-                lu = V.act(a, lval, u)
-                for j, v in enumerate(V.basis(ainv)):
-                    pv = V.conjugate(b, ainv, v)
-                    left = V.eta_pair(ca, pu, cainv, pv)
-                    right = V.eta_pair(a, lu, ainv, v)
-                    if left != right:
+def _check_lemma_c(V: TFAlgebra, T: _Tables) -> CheckResult:
+    F, dims = T.F, T.dims
+    for b in T.G:
+        for a in T.G:
+            ainv, ca = T.inv[a], T.conj[b][a]
+            # eta(phi_b u, phi_b v) against eta(l u, v)
+            pu = _matmul(F, T.phi[b][a], T.pm[ca], dims[T.inv[ca]])
+            lu = _matmul(F, T.act[a][_l_value(T, b, a, ainv)], T.pm[a], dims[ainv])
+            for i in range(dims[a]):
+                for j, pv in enumerate(T.phi[b][ainv]):
+                    if _dot(F, pv, pu[i]) != lu[i][j]:
                         return CheckResult("lemma-1.1-c", False, (b, a, i, j))
     return CheckResult("lemma-1.1-c", True)
 
 
-def _check_lemma_d(V: TFAlgebra) -> CheckResult:
-    G = V.context.group
-    for a in G.elements():
-        for b in G.elements():
-            ab = G.mul(a, b)
-            abinv = G.inv(ab)
-            kap = V.context.kappa_value(a, b, abinv)
-            for i, u in enumerate(V.basis(a)):
-                ku = V.act(a, kap, u)
-                for j, v in enumerate(V.basis(b)):
-                    uv = V.multiply(a, u, b, v)
-                    for t, w in enumerate(V.basis(abinv)):
-                        left = V.eta_pair(ab, uv, abinv, w)
-                        vw = V.multiply(b, v, abinv, w)
-                        right = V.eta_pair(a, ku, G.inv(a), vw)
-                        if left != right:
+def _check_lemma_d(V: TFAlgebra, T: _Tables) -> CheckResult:
+    F, dims = T.F, T.dims
+    for a in T.G:
+        for b in T.G:
+            ab, abinv = T.mul[a][b], T.inv[T.mul[a][b]]
+            # eta(u v, w) against eta(kappa u, v w)
+            ku = _matmul(F, T.act[a][T.kap[a][b][abinv]], T.pm[a], dims[T.inv[a]])
+            for i, uvrow in enumerate(T.mult[a][b]):
+                for j, vws in enumerate(T.mult[b][abinv]):
+                    left = _comb(F, uvrow[j], T.pm[ab], dims[abinv])
+                    for t, vw in enumerate(vws):
+                        if left[t] != _dot(F, vw, ku[i]):
                             return CheckResult("lemma-1.1-d", False, (a, b, i, j, t))
     return CheckResult("lemma-1.1-d", True)
 
 
-def _check_bilinearity(V: TFAlgebra) -> CheckResult:
+def _check_bilinearity(V: TFAlgebra, T: _Tables) -> CheckResult:
     """x(uv) = (xu)v = u(xv): the module acts by central scalars on products."""
-    G, A, F = V.context.group, V.context.module, V.context.field
-    for a in G.elements():
-        for b in G.elements():
-            ab = G.mul(a, b)
-            for x in A.elements():
-                for i, u in enumerate(V.basis(a)):
-                    xu = V.act(a, x, u)
-                    for j, v in enumerate(V.basis(b)):
-                        uv = V.multiply(a, u, b, v)
-                        whole = V.act(ab, x, uv)
-                        left = V.multiply(a, xu, b, v)
-                        if not _vec_eq(F, whole, left):
-                            return CheckResult(
-                                "internal-bilinearity", False, (a, b, x, i, j), "x(uv) != (xu)v"
-                            )
-                        xv = V.act(b, x, v)
-                        right = V.multiply(a, u, b, xv)
-                        if not _vec_eq(F, whole, right):
-                            return CheckResult(
-                                "internal-bilinearity", False, (a, b, x, i, j), "x(uv) != u(xv)"
-                            )
+    F, dims = T.F, T.dims
+    for a in T.G:
+        for b in T.G:
+            n, uvs, cols = dims[T.mul[a][b]], T.mult[a][b], T.mcol[a][b]
+            for x, wholes in enumerate(T.mk[a][b]):
+                xus, xvs = T.act[a][x], T.act[b][x]
+                for i, whole_row in enumerate(wholes):
+                    for j, whole in enumerate(whole_row):
+                        if not _is_image(F, whole, xus[i], cols[j]):
+                            witness = (a, b, T.el[x], i, j)
+                            return CheckResult("internal-bilinearity", False, witness, "x(uv) != (xu)v")
+                        if not _is_image(F, whole, xvs[j], uvs[i]):
+                            witness = (a, b, T.el[x], i, j)
+                            return CheckResult("internal-bilinearity", False, witness, "x(uv) != u(xv)")
     return CheckResult("internal-bilinearity", True)
 
 
-def _check_phi_identity(V: TFAlgebra) -> CheckResult:
-    G, F = V.context.group, V.context.field
-    e = G.identity
-    for a in G.elements():
-        if V.phi[(e, a)] != Matrix.identity(F, V.dims[a]):
+def _check_phi_identity(V: TFAlgebra, T: _Tables) -> CheckResult:
+    for a in T.G:
+        if T.phi[T.e][a] != T.ident[T.dims[a]]:
             return CheckResult("internal-phi-identity", False, (a,))
     return CheckResult("internal-phi-identity", True)
 
 
-def _check_phi_inverse_scalar(V: TFAlgebra) -> CheckResult:
+def _check_phi_inverse_scalar(V: TFAlgebra, T: _Tables) -> CheckResult:
     """On V_{a^-1}, phi_a acts by the inverse kappa(a^-1, a, a^-1)-scalar."""
-    G, A, F = V.context.group, V.context.module, V.context.field
-    for a in G.elements():
-        ainv = G.inv(a)
-        kap = A.inv(V.context.kappa_value(ainv, a, ainv))
-        expected = V.a_action[(ainv, kap)]
-        if V.phi[(a, ainv)] != expected:
+    for a in T.G:
+        ainv = T.inv[a]
+        if T.phi[a][ainv] != T.act[ainv][T.ainv[T.kap[ainv][a][ainv]]]:
             return CheckResult("internal-phi-inverse-scalar", False, (a,))
     return CheckResult("internal-phi-inverse-scalar", True)
 
 
 _CHECKS = (
-    _check_bimodule,
-    _check_associativity,
-    _check_unit,
-    _check_eta_symmetric,
-    _check_eta_nondegenerate,
-    _check_pairing,
-    _check_phi_module,
-    _check_phi_fix,
-    _check_phi_unit,
-    _check_phi_commute,
-    _check_phi_isometry,
-    _check_phi_mult,
-    _check_phi_compose,
-    _check_trace,
-    _check_lemma_a,
-    _check_lemma_b,
-    _check_lemma_c,
-    _check_lemma_d,
-    _check_bilinearity,
-    _check_phi_identity,
-    _check_phi_inverse_scalar,
+    _check_bimodule, _check_associativity, _check_unit, _check_eta_symmetric,
+    _check_eta_nondegenerate, _check_pairing, _check_phi_module, _check_phi_fix,
+    _check_phi_unit, _check_phi_commute, _check_phi_isometry, _check_phi_mult,
+    _check_phi_compose, _check_trace, _check_lemma_a, _check_lemma_b, _check_lemma_c,
+    _check_lemma_d, _check_bilinearity, _check_phi_identity, _check_phi_inverse_scalar,
 )
 
 
 def verify(V: TFAlgebra) -> VerificationReport:
     """Run every axiom and consequence check; never raises on bad data."""
-    report = VerificationReport()
-    for check in _CHECKS:
-        report.checks.append(check(V))
-    return report
+    T = _Tables(V)
+    return VerificationReport([check(V, T) for check in _CHECKS])

@@ -2,13 +2,19 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tfalgebra
 from tfalgebra.cli import main
+from tfalgebra.cochains import Cochain
 from tfalgebra.fields import PrimeField
 from tfalgebra.pairs import trivial_pair
 from tfalgebra.constructions import build_simple
+from tfalgebra.samples import truncated_polynomial_algebra
 from tfalgebra.serialize import dump_json, emit_instance, emit_pair
 
 from test_constructions import context_I1, context_I3
@@ -269,3 +275,50 @@ def test_malformed_values_are_input_errors(tmp_path, capsys, command, key, mutat
     path = write(tmp_path, "bad.json", doc)
     assert main([command, path, "-o", str(tmp_path / "out.json")]) == 2
     assert f"(at {key})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key, mutate",
+    [
+        ("check-cocycle", "module.action", lambda d: d["module"].update(action={"0": [[1]], "1": [["x"]]})),
+        ("check-cocycle", "module.action", lambda d: d["module"].update(action={"0": [[1]], "1": [[1.5]]})),
+        ("check-cocycle", "module.action", lambda d: d["module"].update(action={"0": [[1]], "1": [[True]]})),
+        ("check-cocycle", "cocycle[1,1,1]", lambda d: d["cocycle"].update({"1,1,1": [1.5]})),
+        ("check-cocycle", "cocycle[1,1,1]", lambda d: d["cocycle"].update({"1,1,1": [True]})),
+        ("check-cocycle", "cocycle[1,1,1]", lambda d: d["cocycle"].update({"1,1,1": ["1"]})),
+        ("transform", "omega[1,1]", lambda d: d["omega"].update({"1,1": [1.5]})),
+    ],
+    ids=[
+        "action-string",
+        "action-float",
+        "action-bool",
+        "cocycle-float",
+        "cocycle-bool",
+        "cocycle-string",
+        "omega-float",
+    ],
+)
+def test_module_entries_must_be_integers(tmp_path, capsys, command, key, mutate):
+    # a float or a bool is not read as the integer it truncates to
+    ctx = context_I3()
+    omega = Cochain(ctx.module, 2, {(1, 1): (1,)})
+    doc = emit_instance(ctx, algebra=build_simple(ctx, trivial_pair(ctx)), omega=omega)
+    mutate(doc)
+    path = write(tmp_path, "bad.json", doc)
+    assert main([command, path, "-o", str(tmp_path / "out.json")]) == 2
+    assert f"(at {key})" in capsys.readouterr().err
+
+
+def test_ragged_block_is_an_input_error_under_optimize(tmp_path):
+    # python -O strips asserts: the shape check must still name the key
+    V = truncated_polynomial_algebra(F5, 3)
+    doc = emit_instance(V.context, algebra=V)
+    doc["algebra"]["a_action"][0][0] = [[1, 0, 0], [0, 1, 0], [0, 1]]
+    path = write(tmp_path, "ragged.json", doc)
+    env = dict(os.environ, PYTHONPATH=str(Path(tfalgebra.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "tfalgebra.cli", "verify", path],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 2, out.stderr
+    assert "(at algebra.a_action[0][0])" in out.stderr

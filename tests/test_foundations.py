@@ -220,6 +220,14 @@ def test_matrix_inverse_and_solve_f5():
     assert I2.solve([3, 1]) == [3, 1]
 
 
+def test_unreduced_zero_is_never_a_pivot():
+    # 5 is zero in F_5 although the stored integer is not
+    F = PrimeField(5)
+    assert Matrix(F, [[5]]).rank() == 0
+    assert Matrix(F, [[5]]).inverse() is None
+    assert Matrix(F, [[5, 1], [1, 0]]).inverse() == Matrix(F, [[0, 1], [1, 0]])
+
+
 def test_matrix_inverse_exact_rationals():
     Q = RationalField()
     rng = random.Random(3)

@@ -1,4 +1,4 @@
-"""No check in the quotient machinery may rest on ``assert``.
+"""No check in the quotient machinery, the linear algebra or the verifier may rest on ``assert``.
 
 ``python -O`` strips assert statements, so a check written as one silently
 disappears.  These modules raise ``TFAError`` subclasses instead.
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import tfalgebra
 
-GUARDED = ("intmat.py", "cohomology.py", "pairs.py", "abelian.py")
+GUARDED = ("intmat.py", "cohomology.py", "pairs.py", "abelian.py", "linalg.py", "verify.py")
 
 
 def test_guarded_modules_have_no_assert_statements():

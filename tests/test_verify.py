@@ -121,6 +121,16 @@ def test_shape_mismatch_raises():
         V.replace(dims={0: 1, 1: 2})
 
 
+def test_unreduced_zero_entries_do_not_raise():
+    # the constructor keeps entries as stored, and a stored 5 is zero in F_5:
+    # the verifier's rank must not take it for a pivot
+    V = truncated_polynomial_algebra(F5, 3)
+    eta = [list(r) for r in V.eta.rows]
+    eta[0][0] = 5
+    report = verify(V.replace(eta=Matrix(F5, eta)))
+    assert report.result("eta-nondegenerate").passed
+
+
 def test_verifier_scales_to_s3():
     ctx = trivial_context(symmetric_group(3), trivial_module(symmetric_group(3)), F3)
     V = build_simple(ctx, trivial_pair(ctx))
