@@ -172,28 +172,11 @@ class TFAlgebra:
         """The module element x acting on v in V_a."""
         return apply_map(self.a_action[(a, x)], v)
 
-    def conjugate(self, b: int, a: int, v: list) -> list:
-        """phi_b applied to v in V_a."""
-        return apply_map(self.phi[(b, a)], v)
-
     def basis(self, a: int):
         F = self.context.field
         d = self.dims[a]
         for i in range(d):
             yield [F.one if j == i else F.zero for j in range(d)]
-
-    def pairing_matrix(self, a: int) -> Matrix:
-        """The form V_a x V_{a^-1} -> K, (u, v) -> eta(u v, unit)."""
-        F = self.context.field
-        G = self.context.group
-        ainv = G.inv(a)
-        rows = []
-        for u in self.basis(a):
-            row = []
-            for v in self.basis(ainv):
-                row.append(self.eta_pair(a, u, ainv, v))
-            rows.append(row)
-        return Matrix(F, rows, ncols=self.dims[ainv])
 
     def eta_pair(self, a: int, u: list, ainv: int, v: list):
         """eta(u v tensor unit) for u in V_a, v in V_{a^-1}."""

@@ -184,21 +184,6 @@ def apply_map(block: Matrix, vec: list) -> list:
     return out
 
 
-def compose_maps(first: Matrix, second: Matrix) -> Matrix:
-    """The map 'first then second' in the row-as-image convention."""
-    return first.mul(second)
-
-
-def map_trace(block: Matrix):
-    F = block.field
-    if block.nrows != block.ncols:
-        raise ShapeMismatch("trace of a non-square block")
-    acc = F.zero
-    for i in range(block.nrows):
-        acc = F.add(acc, block.rows[i][i])
-    return acc
-
-
 def bilinear_value(form: Matrix, u: list, v: list):
     """u^T * form * v."""
     F = form.field

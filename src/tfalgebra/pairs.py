@@ -13,12 +13,10 @@ order p-1):
 
 * ``normal-form``: transport everything along discrete logs, cut the pair
   group out of Z^N as the kernel of one integer system mod p-1 and span the
-  coboundary pairs, both by modular Hermite elimination.  When the pair
-  group is small enough to list, the invariant factors come from
-  :func:`intmat.quotient_structure`, the orders from the listings, and
-  :func:`abelian.canonical_generators` picks the representatives, as the
-  oracle does; beyond the cap :func:`intmat.quotient` reads off the
-  quotient with its coset-minimal representatives;
+  coboundary pairs, both by modular Hermite elimination, then read off the
+  quotient with :func:`intmat.quotient`; when the pair group is small
+  enough to list, :func:`abelian.canonical_generators` picks the
+  representatives, as the oracle does;
 * ``brute-force``: enumerate characters and normalized tables outright and
   filter pointwise -- the oracle for the first route.  Its pairs go to
   discrete-log vectors and :mod:`abelian` counts the quotient and picks the
@@ -329,22 +327,17 @@ def enumerate_pairs(
     H = intmat.kernel_mod(rows, [m] * len(rows), N)
     B = _coboundary_lattice(context, m)
     moduli = [m] * N
+    factors, reps, h_order, b_order = intmat.quotient(H, B, moduli)
 
     explicit = None
     cob_explicit = None
-    elems = intmat.lattice_residues(H, moduli, cap)
-    if elems is None:
-        # |H| beyond the cap: the quotient's coset-minimal representatives
-        factors, reps, h_order, b_order = intmat.quotient(H, B, moduli)
-    else:
+    if h_order <= cap:
         # canonical generators: lexicographically minimal in (g2, g1) value
         # order, exactly as the brute-force route picks them
         key = _value_key(F)
-        elems = sorted(elems, key=key)
+        elems = sorted(intmat.lattice_residues(H, moduli, cap), key=key)
         cob = sorted(intmat.lattice_residues(B, moduli, cap), key=key)
-        factors, _ = intmat.quotient_structure(H, B, N)
         reps = abelian.canonical_generators(elems, cob, moduli, factors, key)
-        h_order, b_order = len(elems), len(cob)
         explicit = tuple(_pair_from_vector(context, v) for v in elems)
         cob_explicit = tuple(_pair_from_vector(context, v) for v in cob)
     rep_pairs = [_pair_from_vector(context, v) for v in reps]

@@ -202,20 +202,14 @@ class _Tables:
         # x.(e_i e_j) and x.phi_b(e_i), one block per module element x
         self.mk = [[[[_matmul(F, r, K, dims[ab]) for r in mult[a][b]] for K in act[ab]]
                     for b, ab in zip(Gs, mul[a])] for a in Gs]
-        self.pk = [[[_matmul(F, phi[b][a], K, dims[c]) for K in act[c]] for a, c in zip(Gs, conj[b])]
-                   for b in Gs]
+        self.pk = [[[_matmul(F, phi[b][a], K, dims[c]) for K in act[c]]
+                    for a, c in zip(Gs, conj[b])] for b in Gs]
         self.ident = {d: Matrix.identity(F, d).rows for d in set(dims)}
         etau = [_dot(F, V.unit, row) for row in V.eta.rows]
         self.pm = [[[_dot(F, w, etau) for w in row] for row in mult[a][G.inv(a)]] for a in Gs]
-        self.blocks, self.inverses = V.phi, {}
-
-
-def _phi_inverse(T: _Tables, b: int, a: int):
-    """Rows of the inverse of the block phi_b on V_a, or None if it has none."""
-    if (b, a) not in T.inverses:
-        M = T.blocks[(b, a)].inverse()
-        T.inverses[(b, a)] = None if M is None else M.rows
-    return T.inverses[(b, a)]
+        # rows of the inverse of each nonempty conjugation block, None where it has none
+        inverses = {k: M.inverse() for k, M in V.phi.items() if M.nrows}
+        self.phinv = {k: None if M is None else M.rows for k, M in inverses.items()}
 
 
 def _l_value(T: _Tables, b: int, a: int, g: int) -> int:
@@ -293,10 +287,14 @@ def _check_bimodule(V: TFAlgebra, T: _Tables) -> CheckResult:
                 return CheckResult("bimodule", False, (a, el[x]), "module action not invertible")
             # grading law: x acts as its a-twist on component a
             if M != acts[T.aact[a][x]]:
-                return CheckResult("bimodule", False, (a, el[x]), "action of x and of (a.x) differ on V_a")
+                return CheckResult(
+                    "bimodule", False, (a, el[x]), "action of x and of (a.x) differ on V_a"
+                )
             for y, N in enumerate(acts):
                 if _matmul(F, M, N, d) != acts[T.amul[x][y]]:
-                    return CheckResult("bimodule", False, (a, el[x], el[y]), "action is not a homomorphism")
+                    return CheckResult(
+                        "bimodule", False, (a, el[x], el[y]), "action is not a homomorphism"
+                    )
     return CheckResult("bimodule", True)
 
 
@@ -341,7 +339,9 @@ def _check_eta_symmetric(V: TFAlgebra, T: _Tables) -> CheckResult:
 def _check_eta_nondegenerate(V: TFAlgebra, T: _Tables) -> CheckResult:
     d = V.dims[V.context.identity]
     if V.eta.rank() != d:
-        return CheckResult("eta-nondegenerate", False, (), f"rank {V.eta.rank()} < {d}")
+        return CheckResult(
+            "eta-nondegenerate", False, (), f"rank {V.eta.rank()} < {d}"
+        )
     return CheckResult("eta-nondegenerate", True)
 
 
@@ -354,7 +354,9 @@ def _check_pairing(V: TFAlgebra, T: _Tables) -> CheckResult:
             return CheckResult("pairing-nondegenerate", False, (a,), detail)
         rank = Matrix(T.F, T.pm[a], ncols=dims[ainv]).rank()
         if rank != dims[a]:
-            return CheckResult("pairing-nondegenerate", False, (a,), f"pairing rank {rank} < {dims[a]}")
+            return CheckResult(
+                "pairing-nondegenerate", False, (a,), f"pairing rank {rank} < {dims[a]}"
+            )
     return CheckResult("pairing-nondegenerate", True)
 
 
@@ -433,7 +435,7 @@ def _check_phi_compose(V: TFAlgebra, T: _Tables) -> CheckResult:
         for a in T.G:
             if dims[a] != dims[T.conj[b][a]]:
                 return CheckResult("phi-compose", False, (b, a), "conjugation block is not square")
-            if dims[a] and _phi_inverse(T, b, a) is None:
+            if dims[a] and T.phinv[(b, a)] is None:
                 return CheckResult("phi-compose", False, (b, a), "conjugation block is singular")
     G, phi, conj = T.G, T.phi, T.conj
     for c in G:
@@ -456,7 +458,7 @@ def _check_trace(V: TFAlgebra, T: _Tables) -> CheckResult:
             comm, ba, da, db = mul[mul[a][b]][mul[inv[a]][inv[b]]], T.conj[b][a], dims[a], dims[b]
             kappa_c = T.mk[comm][ba][T.kap[comm][b][a]]
             K2 = T.act[b][T.kap[comm][ba][b]]
-            unconj = _phi_inverse(T, a, b) if db else []
+            unconj = T.phinv[(a, b)] if db else []
             for t in range(dims[comm]):
                 # left side: V_a -> V_a, conjugate by b, multiply by c, act by kappa
                 lhs = F.zero
@@ -538,15 +540,17 @@ def _check_bilinearity(V: TFAlgebra, T: _Tables) -> CheckResult:
         for b in T.G:
             n, uvs, cols = dims[T.mul[a][b]], T.mult[a][b], T.mcol[a][b]
             for x, wholes in enumerate(T.mk[a][b]):
-                xus, xvs = T.act[a][x], T.act[b][x]
+                xus, xvs, xe = T.act[a][x], T.act[b][x], T.el[x]
                 for i, whole_row in enumerate(wholes):
                     for j, whole in enumerate(whole_row):
                         if not _is_image(F, whole, xus[i], cols[j]):
-                            witness = (a, b, T.el[x], i, j)
-                            return CheckResult("internal-bilinearity", False, witness, "x(uv) != (xu)v")
+                            return CheckResult(
+                                "internal-bilinearity", False, (a, b, xe, i, j), "x(uv) != (xu)v"
+                            )
                         if not _is_image(F, whole, xvs[j], uvs[i]):
-                            witness = (a, b, T.el[x], i, j)
-                            return CheckResult("internal-bilinearity", False, witness, "x(uv) != u(xv)")
+                            return CheckResult(
+                                "internal-bilinearity", False, (a, b, xe, i, j), "x(uv) != u(xv)"
+                            )
     return CheckResult("internal-bilinearity", True)
 
 
@@ -567,11 +571,27 @@ def _check_phi_inverse_scalar(V: TFAlgebra, T: _Tables) -> CheckResult:
 
 
 _CHECKS = (
-    _check_bimodule, _check_associativity, _check_unit, _check_eta_symmetric,
-    _check_eta_nondegenerate, _check_pairing, _check_phi_module, _check_phi_fix,
-    _check_phi_unit, _check_phi_commute, _check_phi_isometry, _check_phi_mult,
-    _check_phi_compose, _check_trace, _check_lemma_a, _check_lemma_b, _check_lemma_c,
-    _check_lemma_d, _check_bilinearity, _check_phi_identity, _check_phi_inverse_scalar,
+    _check_bimodule,
+    _check_associativity,
+    _check_unit,
+    _check_eta_symmetric,
+    _check_eta_nondegenerate,
+    _check_pairing,
+    _check_phi_module,
+    _check_phi_fix,
+    _check_phi_unit,
+    _check_phi_commute,
+    _check_phi_isometry,
+    _check_phi_mult,
+    _check_phi_compose,
+    _check_trace,
+    _check_lemma_a,
+    _check_lemma_b,
+    _check_lemma_c,
+    _check_lemma_d,
+    _check_bilinearity,
+    _check_phi_identity,
+    _check_phi_inverse_scalar,
 )
 
 

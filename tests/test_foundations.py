@@ -21,7 +21,7 @@ from tfalgebra.groups import (
     symmetric_group,
     trivial_group,
 )
-from tfalgebra.linalg import Matrix, apply_map, bilinear_value, map_trace
+from tfalgebra.linalg import Matrix, apply_map, bilinear_value
 
 
 # -- fields -------------------------------------------------------------------
@@ -258,7 +258,6 @@ def test_row_as_image_helpers():
     F = PrimeField(7)
     swap = Matrix(F, [[0, 1], [1, 0]])
     assert apply_map(swap, [2, 3]) == [3, 2]
-    assert map_trace(swap) == 0
     form = Matrix.identity(F, 2)
     assert bilinear_value(form, [1, 2], [3, 4]) == (1 * 3 + 2 * 4) % 7
 
