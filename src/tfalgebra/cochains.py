@@ -17,7 +17,7 @@ group action on the leading slot:
 
 from __future__ import annotations
 
-from .errors import DegreeOutOfRange, NotNormalized
+from .errors import ContextMismatch, DegreeOutOfRange, NotACocycle, NotNormalized, ShapeMismatch
 from .gmodule import GModule
 
 MAX_DEGREE = 4
@@ -56,11 +56,17 @@ class Cochain:
 
     # -- pointwise group structure ----------------------------------------------
     def value(self, *args) -> tuple[int, ...]:
-        assert len(args) == self.degree
+        if len(args) != self.degree:
+            raise ShapeMismatch(
+                f"a {self.degree}-cochain takes {self.degree} arguments, not {len(args)}"
+            )
         return self.table[tuple(args)]
 
     def mul(self, other: "Cochain") -> "Cochain":
-        assert other.module == self.module and other.degree == self.degree
+        if other.module != self.module:
+            raise ContextMismatch("cochains over different modules")
+        if other.degree != self.degree:
+            raise ShapeMismatch(f"cochains of degrees {self.degree} and {other.degree}")
         A = self.module
         return Cochain(
             A, self.degree, {k: A.mul(v, other.table[k]) for k, v in self.table.items()}
@@ -203,7 +209,10 @@ def normalize_cocycle(kappa: Cochain) -> tuple[Cochain, Cochain]:
 
     omega = w1.mul(w2)
     ok, witness = is_cocycle(k2)
-    assert ok, f"normalization broke the cocycle condition at {witness}"
-    assert is_normalized(k2), "normalization did not reach a normalized cocycle"
-    assert k2 == coboundary(omega).mul(kappa)
+    if not ok:
+        raise NotACocycle(f"normalization broke the cocycle condition at {witness}", witness)
+    if not is_normalized(k2):
+        raise NotNormalized("normalization did not reach a normalized cocycle")
+    if k2 != coboundary(omega).mul(kappa):
+        raise NotACocycle("the normalized cocycle is not the input times the coboundary of omega")
     return k2, omega

@@ -31,7 +31,7 @@ class NotAModule(TFAError):
 
 
 class NoSolution(TFAError):
-    """An exact linear system has no solution."""
+    """An exact equation has no solution: a linear system, or a factorization of n < 1."""
 
 
 class DegreeOutOfRange(TFAError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonCyclicUnits, TFAError
+from .errors import NonCyclicUnits, NoSolution, TFAError
 
 
 def is_prime(n: int) -> bool:
@@ -34,7 +34,8 @@ def is_prime(n: int) -> bool:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization as {prime: exponent}; n must be >= 1."""
-    assert n >= 1
+    if n < 1:
+        raise NoSolution(f"{n} has no prime factorization")
     out: dict[int, int] = {}
     p = 2
     while p * p <= n:

@@ -122,7 +122,10 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n on the lexicographically ordered permutation tuples (n <= 4)."""
-    assert 1 <= n <= 4, "symmetric groups beyond S4 exceed the table cap"
+    if n > 4:
+        raise TooLarge(f"S{n}: symmetric groups beyond S4 exceed the table cap")
+    if n < 1:
+        raise NotAGroup(f"S{n}: a symmetric group needs n >= 1")
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     # (p * q)(x) = p(q(x))

@@ -16,7 +16,10 @@ order p-1):
   coboundary pairs, both by modular Hermite elimination, then read off the
   quotient with :func:`intmat.quotient`; when the pair group is small
   enough to list, :func:`abelian.canonical_generators` picks the
-  representatives, as the oracle does;
+  representatives on the listed discrete-log vectors, as the oracle does.
+  The listing stays in vectors: the ``KappaPair`` tuples of
+  ``PairEnumeration.pairs`` and ``.coboundary_pairs`` are built when they
+  are first read, and ``classify_simple`` never reads them;
 * ``brute-force``: enumerate characters and normalized tables outright and
   filter pointwise -- the oracle for the first route.  Its pairs go to
   discrete-log vectors and :mod:`abelian` counts the quotient and picks the
@@ -95,13 +98,39 @@ class PairClassGroup:
         return " x ".join(f"Z/{d}" for d in self.invariant_factors)
 
 
-@dataclass(frozen=True)
 class PairEnumeration:
-    """Everything an enumeration pass learns about the pair group."""
+    """Everything an enumeration pass learns about the pair group.
 
-    class_group: PairClassGroup
-    pairs: tuple[KappaPair, ...] | None = None
-    coboundary_pairs: tuple[KappaPair, ...] | None = None
+    ``pairs`` and ``coboundary_pairs`` list the pair group and its coboundary
+    subgroup in ``KappaPair.key`` order, or are None when the pair group
+    exceeds the enumeration cap.  Given a ``context``, the listings are held
+    as discrete-log vectors of it and the ``KappaPair`` tuples are built when
+    first read (once; ``classify_simple`` never reads them); without one they
+    are the ``KappaPair`` tuples themselves.
+    """
+
+    def __init__(
+        self, class_group: PairClassGroup, pairs=None, coboundary_pairs=None, context=None
+    ):
+        self.class_group = class_group
+        self._context = context
+        given, unread = [pairs, coboundary_pairs], [None, None]
+        self._listed, self._vectors = (given, unread) if context is None else (unread, given)
+
+    def _listing(self, i: int) -> tuple[KappaPair, ...] | None:
+        vectors = self._vectors[i]
+        if vectors is not None:
+            self._listed[i] = _pairs_from_vectors(self._context, vectors, sort=True)
+            self._vectors[i] = None
+        return self._listed[i]
+
+    @property
+    def pairs(self) -> tuple[KappaPair, ...] | None:
+        return self._listing(0)
+
+    @property
+    def coboundary_pairs(self) -> tuple[KappaPair, ...] | None:
+        return self._listing(1)
 
 
 # ---------------------------------------------------------------------------
@@ -209,18 +238,20 @@ def _require_prime_field(context: AlgebraContext) -> PrimeField:
     return F
 
 
-def _pair_from_vector(context: AlgebraContext, vec) -> KappaPair:
-    """Coordinates are [g2 dlogs | g1 dlogs in lexicographic pair order]."""
-    G = context.group
-    F: PrimeField = context.field  # type: ignore[assignment]
-    k = context.module.rank
-    n = G.order
-    g2 = tuple(F.unit_exp(vec[i]) for i in range(k))
-    g1 = {}
-    for a in G.elements():
-        for b in G.elements():
-            g1[(a, b)] = F.unit_exp(vec[k + a * n + b])
-    return KappaPair(g1, g2)
+def _pairs_from_vectors(
+    context: AlgebraContext, vectors, sort: bool = False
+) -> tuple[KappaPair, ...]:
+    """Pairs of reduced dlog vectors [g2 | g1 in lexicographic pair order].
+
+    One exponent table serves every coordinate.  With ``sort`` the pairs come
+    in ``KappaPair.key`` order.
+    """
+    G, k = context.group, context.module.rank
+    keys = [(a, b) for a in G.elements() for b in G.elements()]
+    rows = list(map(_value_key(context.field), vectors))
+    if sort:
+        rows.sort()
+    return tuple(KappaPair(dict(zip(keys, row[k:])), row[:k]) for row in rows)
 
 
 def _constraint_matrix(context: AlgebraContext) -> list[list[int]]:
@@ -298,7 +329,11 @@ def _coboundary_lattice(context: AlgebraContext, m: int) -> list[list[int]]:
 
 
 def _value_key(F: PrimeField):
-    """Sort key on dlog vectors: their field values, which order pairs like ``KappaPair.key``."""
+    """Dlog vectors to their field values, through one exponent table.
+
+    The value tuples also serve as a sort key: they order pairs like
+    ``KappaPair.key``, since every g2 has the same length.
+    """
     values = [F.unit_exp(i) for i in range(F.unit_order)]
     return lambda vec: tuple(map(values.__getitem__, vec))
 
@@ -329,22 +364,18 @@ def enumerate_pairs(
     moduli = [m] * N
     factors, reps, h_order, b_order = intmat.quotient(H, B, moduli)
 
-    explicit = None
-    cob_explicit = None
+    elems = cob = None
     if h_order <= cap:
         # canonical generators: lexicographically minimal in (g2, g1) value
         # order, exactly as the brute-force route picks them
-        key = _value_key(F)
-        elems = sorted(intmat.lattice_residues(H, moduli, cap), key=key)
-        cob = sorted(intmat.lattice_residues(B, moduli, cap), key=key)
-        reps = abelian.canonical_generators(elems, cob, moduli, factors, key)
-        explicit = tuple(_pair_from_vector(context, v) for v in elems)
-        cob_explicit = tuple(_pair_from_vector(context, v) for v in cob)
-    rep_pairs = [_pair_from_vector(context, v) for v in reps]
+        elems = intmat.lattice_residues(H, moduli, cap)
+        cob = intmat.lattice_residues(B, moduli, cap)
+        reps = abelian.canonical_generators(elems, cob, moduli, factors, _value_key(F))
+    rep_pairs = _pairs_from_vectors(context, reps)
     for pair in rep_pairs:
         require_kappa_pair(context, pair)
-    cg = PairClassGroup(tuple(factors), tuple(rep_pairs), h_order, b_order)
-    return PairEnumeration(cg, explicit, cob_explicit)
+    cg = PairClassGroup(tuple(factors), rep_pairs, h_order, b_order)
+    return PairEnumeration(cg, elems, cob, context)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ accepts.  They double as worked examples of the data layout.
 from __future__ import annotations
 
 from .algebra import AlgebraContext, TFAlgebra, trivial_context
+from .errors import ShapeMismatch
 from .fields import Field
 from .gmodule import GModule, trivial_module
 from .groups import FiniteGroup, cyclic_group, trivial_group
@@ -31,7 +32,8 @@ def scalar_field_algebra(field: Field) -> TFAlgebra:
 
 def truncated_polynomial_algebra(field: Field, n: int) -> TFAlgebra:
     """K[t]/t^n with the top-coefficient Frobenius form, over the trivial group."""
-    assert n >= 1
+    if n < 1:
+        raise ShapeMismatch(f"K[t]/t^{n} needs n >= 1")
     G = trivial_group()
     A = trivial_module(G)
     context = trivial_context(G, A, field)

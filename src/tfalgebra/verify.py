@@ -32,8 +32,9 @@ Each call first builds private index tables (group and module products,
 inverses and actions as lists, kappa as an index cube, the stored blocks and
 tensors as row lists), so that a product with a basis vector is a row read
 and a kappa-scalar three lookups.  The tables live for that call only.  The
-checks still run every quantifier in full.  Vector identities compare entries
-with ``F.sub``; block identities compare the stored rows as they are.
+checks still run every quantifier in full.  Every stored entry is reduced in
+the field as the tables are built, so an entry stored unreduced (6 over F5)
+compares as its residue in vector and block identities alike.
 """
 
 from __future__ import annotations
@@ -176,16 +177,22 @@ class _Tables:
 
     Module elements become positions in ``el`` (the order of ``A.elements()``)
     with product, inverse, action and kappa tables over them.  Blocks and
-    tensors are the stored row lists, read in place: ``mult[a][b][i][j]`` is
-    e_i e_j and ``mcol[a][b][t][s]`` is e_s e_t.  Derived: ``mk[a][b][x][i][j]``
-    is x.(e_i e_j), ``pk[b][a][x]`` the block of v -> x.phi_b(v) on V_a, and
-    ``pm[a][i][j]`` the pairing eta(e_i e_j, unit) of V_a with V_{a^-1}.
+    tensors are the stored row lists with every entry reduced in the field:
+    ``mult[a][b][i][j]`` is e_i e_j and ``mcol[a][b][t][s]`` is e_s e_t.
+    Derived: ``mk[a][b][x][i][j]`` is x.(e_i e_j), ``pk[b][a][x]`` the block
+    of v -> x.phi_b(v) on V_a, and ``pm[a][i][j]`` the pairing
+    eta(e_i e_j, unit) of V_a with V_{a^-1}.
     """
 
     def __init__(self, V: TFAlgebra):
         G, A, F = V.context.group, V.context.module, V.context.field
         Gs, dims, mul = G.elements(), V.dims, G.table
         self.F, self.dims, self.e, self.G = F, dims, G.identity, Gs
+        add, zero = F.add, F.zero
+
+        def reduced(rows):
+            return [[add(zero, x) for x in row] for row in rows]
+
         self.mul, self.inv = mul, G.inverse
         self.conj = conj = [[G.conj(b, a) for a in Gs] for b in Gs]
         self.el = el = list(A.elements())
@@ -195,9 +202,10 @@ class _Tables:
         self.aact = [[pos[A.act(g, x)] for x in el] for g in Gs]
         kap = V.context.kappa.table
         self.kap = [[[pos[kap[(a, b, c)]] for c in Gs] for b in Gs] for a in Gs]
-        self.act = act = [[V.a_action[(a, x)].rows for x in el] for a in Gs]
-        self.phi = phi = [[V.phi[(b, a)].rows for a in Gs] for b in Gs]
-        self.mult = mult = [[V.mult[(a, b)] for b in Gs] for a in Gs]
+        self.act = act = [[reduced(V.a_action[(a, x)].rows) for x in el] for a in Gs]
+        self.phi = phi = [[reduced(V.phi[(b, a)].rows) for a in Gs] for b in Gs]
+        self.mult = mult = [[[reduced(uvs) for uvs in V.mult[(a, b)]] for b in Gs] for a in Gs]
+        self.eta, self.unit = reduced(V.eta.rows), [add(zero, x) for x in V.unit]
         self.mcol = [[[[r[t] for r in mult[a][b]] for t in range(dims[b])] for b in Gs] for a in Gs]
         # x.(e_i e_j) and x.phi_b(e_i), one block per module element x
         self.mk = [[[[_matmul(F, r, K, dims[ab]) for r in mult[a][b]] for K in act[ab]]
@@ -205,7 +213,7 @@ class _Tables:
         self.pk = [[[_matmul(F, phi[b][a], K, dims[c]) for K in act[c]]
                     for a, c in zip(Gs, conj[b])] for b in Gs]
         self.ident = {d: Matrix.identity(F, d).rows for d in set(dims)}
-        etau = [_dot(F, V.unit, row) for row in V.eta.rows]
+        etau = [_dot(F, self.unit, row) for row in self.eta]
         self.pm = [[[_dot(F, w, etau) for w in row] for row in mult[a][G.inv(a)]] for a in Gs]
         # rows of the inverse of each nonempty conjugation block, None where it has none
         inverses = {k: M.inverse() for k, M in V.phi.items() if M.nrows}
@@ -262,12 +270,8 @@ def _matmul(F, X, Y, n: int) -> list:
 
 
 def _is_image(F, vec, coeffs, rows) -> bool:
-    """Whether vec = sum_k coeffs[k] rows[k], compared by F.sub (unreduced entries match)."""
-    sub, zero = F.sub, F.zero
-    for x, y in zip(vec, _comb(F, coeffs, rows, len(vec))):
-        if sub(x, y) != zero:
-            return False
-    return True
+    """Whether vec = sum_k coeffs[k] rows[k]; the table entries are reduced, so lists compare."""
+    return _comb(F, coeffs, rows, len(vec)) == vec
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +324,17 @@ def _check_unit(V: TFAlgebra, T: _Tables) -> CheckResult:
     for a in T.G:
         d = T.dims[a]
         for i, u in enumerate(T.ident[d]):
-            if not _is_image(F, u, V.unit, T.mcol[e][a][i]):
+            if not _is_image(F, u, T.unit, T.mcol[e][a][i]):
                 return CheckResult("unit", False, (a, i), "left unit fails")
-            if not _is_image(F, u, V.unit, T.mult[a][e][i]):
+            if not _is_image(F, u, T.unit, T.mult[a][e][i]):
                 return CheckResult("unit", False, (a, i), "right unit fails")
     return CheckResult("unit", True)
 
 
 def _check_eta_symmetric(V: TFAlgebra, T: _Tables) -> CheckResult:
-    rows = V.eta.rows
-    for i in range(V.eta.nrows):
-        for j in range(V.eta.nrows):
+    rows = T.eta
+    for i in range(len(rows)):
+        for j in range(len(rows)):
             if rows[i][j] != rows[j][i]:
                 return CheckResult("eta-symmetric", False, (i, j))
     return CheckResult("eta-symmetric", True)
@@ -382,7 +386,7 @@ def _check_phi_fix(V: TFAlgebra, T: _Tables) -> CheckResult:
 
 def _check_phi_unit(V: TFAlgebra, T: _Tables) -> CheckResult:
     for b in T.G:
-        if not _is_image(T.F, V.unit, V.unit, T.phi[b][T.e]):
+        if not _is_image(T.F, T.unit, T.unit, T.phi[b][T.e]):
             return CheckResult("phi-unit", False, (b,))
     return CheckResult("phi-unit", True)
 
@@ -402,7 +406,7 @@ def _check_phi_commute(V: TFAlgebra, T: _Tables) -> CheckResult:
 
 
 def _check_phi_isometry(V: TFAlgebra, T: _Tables) -> CheckResult:
-    F, eta, d = T.F, V.eta.rows, T.dims[T.e]
+    F, eta, d = T.F, T.eta, T.dims[T.e]
     for b in T.G:
         blk = T.phi[b][T.e]
         # eta(phi u, phi v) == eta(u, v) as a matrix identity

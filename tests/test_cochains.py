@@ -11,7 +11,7 @@ from tfalgebra.cochains import (
     is_normalized,
     normalize_cocycle,
 )
-from tfalgebra.errors import DegreeOutOfRange
+from tfalgebra.errors import ContextMismatch, DegreeOutOfRange, ShapeMismatch
 from tfalgebra.gmodule import GModule, cyclic_module
 from tfalgebra.groups import cyclic_group, symmetric_group
 
@@ -98,6 +98,17 @@ def test_degree_cap():
     top = Cochain.trivial(A, 4)
     with pytest.raises(DegreeOutOfRange):
         coboundary(top)
+
+
+def test_mismatched_cochains_raise_library_errors():
+    G = cyclic_group(2)
+    c2 = Cochain.trivial(cyclic_module(G, 2), 2)
+    with pytest.raises(ShapeMismatch):
+        c2.value(1, 1, 1)
+    with pytest.raises(ShapeMismatch):
+        c2.mul(Cochain.trivial(cyclic_module(G, 2), 3))
+    with pytest.raises(ContextMismatch):
+        c2.mul(Cochain.trivial(cyclic_module(G, 4), 2))
 
 
 def test_is_cocycle_nontrivial_example():

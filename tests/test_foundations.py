@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from tfalgebra import intmat
-from tfalgebra.errors import NoSolution, NotAGroup, NotAModule, ShapeMismatch
+from tfalgebra.errors import NoSolution, NotAGroup, NotAModule, ShapeMismatch, TooLarge
 from tfalgebra.fields import PrimeField, RationalField, factorize, is_prime
 from tfalgebra.gmodule import GModule, trivial_module
 from tfalgebra.groups import (
@@ -281,6 +281,19 @@ def test_group_axioms_exhaustive():
             for b in G.elements():
                 for c in G.elements():
                     assert G.mul(G.mul(a, b), c) == G.mul(a, G.mul(b, c))
+
+
+def test_out_of_range_arguments_raise_library_errors():
+    from tfalgebra.samples import truncated_polynomial_algebra
+
+    with pytest.raises(NoSolution):
+        factorize(0)
+    with pytest.raises(TooLarge):
+        symmetric_group(5)
+    with pytest.raises(NotAGroup):
+        symmetric_group(0)
+    with pytest.raises(ShapeMismatch):
+        truncated_polynomial_algebra(PrimeField(5), 0)
 
 
 def test_symmetric_group_structure():

@@ -131,6 +131,29 @@ def test_unreduced_zero_entries_do_not_raise():
     assert report.result("eta-nondegenerate").passed
 
 
+def test_unreduced_entries_compare_as_their_residues():
+    # 6 is 1 in F_5: storing it unreduced must not change any verdict,
+    # whether the check compares vectors or whole blocks
+    V = truncated_polynomial_algebra(F5, 3)
+    assert V.eta.rows[0][2] == 1
+    eta = [list(r) for r in V.eta.rows]
+    eta[0][2] = 6
+    report = verify(V.replace(eta=Matrix(F5, eta)))
+    assert report.result("eta-symmetric").passed
+    assert report.result("phi-isometry").passed
+    assert report.passed
+
+    key = (V.context.identity, ())  # the identity of A acting on V_e
+    act = dict(V.a_action)
+    rows = [list(r) for r in act[key].rows]
+    assert rows[0][0] == 1
+    rows[0][0] = 6
+    act[key] = Matrix(F5, rows)
+    report = verify(V.replace(a_action=act))
+    assert report.result("bimodule").passed
+    assert report.passed
+
+
 def test_verifier_scales_to_s3():
     ctx = trivial_context(symmetric_group(3), trivial_module(symmetric_group(3)), F3)
     V = build_simple(ctx, trivial_pair(ctx))

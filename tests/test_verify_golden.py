@@ -15,8 +15,9 @@ The fixture ``verify_golden.json`` holds ``verify(V).to_summary()`` for
   and rational entries.
 
 Perturbed values include unreduced representatives (``p``, ``p + 1``,
-``-1``), so the reports also pin how the verifier compares entries that are
-equal in the field but not as integers.
+``-1``), so the reports also pin that the verifier compares entries as
+residues: every report equals the report of the same algebra with each
+stored entry reduced.
 
 Regenerate the fixture only from a verifier whose reports are trusted::
 
@@ -291,6 +292,30 @@ def test_fixture_covers_every_case():
 @pytest.mark.parametrize("name,V", CASES, ids=[name for name, _ in CASES])
 def test_report_matches_golden(name, V):
     assert _summary(V) == _golden()[name]
+
+
+def _reduced(V):
+    """V with every stored entry replaced by its residue in the field."""
+    F = V.context.field
+
+    def reduced(rows):
+        return [[F.add(F.zero, x) for x in row] for row in rows]
+
+    def block(M):
+        return Matrix(F, reduced(M.rows), ncols=M.ncols)
+
+    return V.replace(
+        mult={k: [reduced(row) for row in t] for k, t in V.mult.items()},
+        a_action={k: block(M) for k, M in V.a_action.items()},
+        phi={k: block(M) for k, M in V.phi.items()},
+        eta=block(V.eta),
+        unit=reduced([V.unit])[0],
+    )
+
+
+def test_reports_do_not_depend_on_stored_representatives():
+    changed = [name for name, V in CASES if _summary(V) != _summary(_reduced(V))]
+    assert not changed
 
 
 def _write_fixture():
