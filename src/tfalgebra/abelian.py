@@ -5,7 +5,9 @@ of residue vectors modulo ``moduli`` in full, together with a subgroup, and
 read the structure of the quotient off by counting alone.  This module is
 their shared engine.  It deliberately uses no normal forms and nothing of
 :mod:`intmat`, so an oracle built on it stays independent of the route it
-checks.
+checks.  :func:`canonical_generators` is the one rule for representatives:
+:func:`intmat.quotient` applies it to the listed class group, keyed by
+coset minima, so both routes pick the same generators.
 """
 
 from __future__ import annotations
@@ -69,13 +71,18 @@ def factors_by_counting(elements, subgroup, moduli) -> list[int]:
 def canonical_generators(elements, subgroup, moduli, factors, key=None) -> list[tuple]:
     """Canonical generators of (elements)/(subgroup), one per invariant factor.
 
-    The largest factor is served first: its generator is the smallest element
-    by ``key`` whose order modulo the current subgroup is exactly that factor,
-    and the subgroup is then closed under it.  The order modulo the subgroup
-    is the same on a whole coset, so each generator is the minimum by ``key``
-    of its coset of ``subgroup``.  Returned in increasing factor order.
+    The largest factor d is served first: its generator is the smallest
+    element by ``key`` whose order is exactly d both modulo the current
+    subgroup and modulo ``subgroup`` itself, and the current subgroup is then
+    closed under it.  The second condition makes the generators a direct-sum
+    basis of the quotient, each of exactly its factor's order; such an
+    element always exists, because a cyclic subgroup of the largest order
+    is a direct summand.  Orders are the same on a whole coset, so each
+    generator is the minimum by ``key`` of its coset of ``subgroup``.
+    Returned in increasing factor order.
     """
-    sub = set(subgroup)
+    base = set(subgroup)
+    sub = base
     ordered = sorted(elements, key=key)
     reps = []
     for d in sorted(factors, reverse=True):
@@ -87,7 +94,7 @@ def canonical_generators(elements, subgroup, moduli, factors, key=None) -> list[
             while w not in sub:
                 w = _add(w, z, moduli)
                 t += 1
-            if t == d:
+            if t == d and w in base:
                 break
         else:
             raise NotAGroup(f"no element of order {d} modulo the subgroup")

@@ -38,7 +38,7 @@ class Cochain:
         for key in G.tuples(degree):
             value = table.get(key, module.one()) if isinstance(table, dict) else table(key)
             if not module.check(value):
-                raise ValueError(f"cochain value {value!r} at {key} is not in the module")
+                raise ShapeMismatch(f"cochain value {value!r} at {key} is not in the module")
             full[key] = value
         self.table = full
 
@@ -170,11 +170,6 @@ def is_normalized(c: Cochain) -> bool:
     return all(v == one for k, v in c.table.items() if e in k)
 
 
-def require_normalized(c: Cochain) -> None:
-    if not is_normalized(c):
-        raise NotNormalized("cochain has a nontrivial value on a unit slot")
-
-
 def normalize_cocycle(kappa: Cochain) -> tuple[Cochain, Cochain]:
     """Normalize a 3-cocycle within its class.
 
@@ -190,7 +185,7 @@ def normalize_cocycle(kappa: Cochain) -> tuple[Cochain, Cochain]:
         raise DegreeOutOfRange("normalization input must be a 3-cochain")
     ok, witness = is_cocycle(kappa)
     if not ok:
-        raise ValueError(f"input is not a cocycle (violated at {witness})")
+        raise NotACocycle(f"input is not a cocycle (violated at {witness})", witness)
     A = kappa.module
     G = A.group
     e = G.identity

@@ -15,9 +15,9 @@ Two independent computations of H^n = ker(d^n) / im(d^{n-1}) for n <= 3:
   its linear algebra.
 
 Both return invariant factors in increasing divisibility order together with
-representative cocycles, one per factor, canonicalized to the
-lexicographically smallest table in their class when the coboundary subgroup
-is small enough to enumerate.
+representative cocycles, one per factor: the canonical generators of
+:func:`abelian.canonical_generators`, each of exactly its factor's order and
+the lexicographically smallest table in its class.
 """
 
 from __future__ import annotations

@@ -83,10 +83,6 @@ class FiniteGroup:
         """b * a * b^-1."""
         return self.mul(self.mul(b, a), self.inverse[b])
 
-    def commutator(self, a: int, b: int) -> int:
-        """a * b * a^-1 * b^-1."""
-        return self.mul(self.mul(a, b), self.mul(self.inverse[a], self.inverse[b]))
-
     def elements(self) -> range:
         return range(self.order)
 

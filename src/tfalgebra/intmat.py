@@ -13,10 +13,12 @@ both keeping every entry reduced modulo ``e`` (Domich, Kannan and Trotter
 1987; Storjohann and Mulders 1998).  :func:`lattice_residues` lists a
 lattice's residues in mixed radix.  :func:`quotient` is the one quotient
 routine of the fast routes: invariant factors and lifts from a small Smith
-form (:func:`quotient_structure`), the two lattice orders, and
-representatives reduced to the smallest residue of their coset.  The Smith
-form also serves exact solves over Z.  The brute-force oracles do the same
-job on explicit element lists in :mod:`abelian`, which uses nothing from here.
+form (:func:`quotient_structure`), the two lattice orders, and the canonical
+generators of :func:`abelian.canonical_generators`, each the
+:func:`coset_minimum` of its coset against the subgroup's Hermite basis.
+The Smith form also serves exact solves over Z.  The brute-force oracles
+count and pick generators on explicit element lists in :mod:`abelian`,
+which uses nothing from here.
 
 Conventions: matrices are lists of row lists; lattices are given by generator
 rows and normalized to a row-style Hermite basis (row echelon, positive
@@ -28,10 +30,8 @@ from __future__ import annotations
 from math import gcd, lcm, prod
 from operator import add, mod
 
+from . import abelian
 from .errors import NoSolution, ShapeMismatch
-
-# Cosets with at most this many elements are searched for their smallest residue.
-COSET_CAP = 1 << 12
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -463,25 +463,60 @@ def quotient_structure(
     return [factors[i] for i in order], [reps[i] for i in order]
 
 
+def coset_minimum(
+    basis: list[list[int]], vec, moduli: list[int], values: list | None = None
+) -> tuple[int, ...]:
+    """The smallest residue of ``vec + lattice`` modulo ``diag(moduli)``.
+
+    ``basis`` is the full-rank Hermite basis of a lattice containing
+    ``diag(moduli) * Z^n``.  Coordinates are fixed left to right: once the
+    columns before ``j`` are fixed, only multiples of row ``j`` still move
+    column ``j``, through the residues ``vec[j] + c * pivot_j``.  Residues
+    compare as integers, or by ``values[residue]`` when a table is given.
+    """
+    out = [x % m for x, m in zip(vec, moduli)]
+    for j, (row, m) in enumerate(zip(basis, moduli)):
+        p, x = row[j], out[j]
+        if values is None:
+            c = -(x // p)
+        else:
+            c = min(range(m // p), key=lambda c: values[(x + c * p) % m])
+        if c:
+            out[j:] = [(a + c * b) % mm for a, b, mm in zip(out[j:], row[j:], moduli[j:])]
+    return tuple(out)
+
+
 def quotient(
-    big: list[list[int]], small: list[list[int]], moduli: list[int]
+    big: list[list[int]], small: list[list[int]], moduli: list[int], values: list | None = None
 ) -> tuple[list[int], list[tuple[int, ...]], int, int]:
     """Structure of (lattice big)/(lattice small), both containing diag(moduli) Z^n.
 
     ``big`` and ``small`` are full-rank Hermite bases with ``small`` inside
     ``big``.  Returns ``(factors, reps, big_order, small_order)``: the
     invariant factors of :func:`quotient_structure`, one representative per
-    factor, and the orders of both lattices modulo ``diag(moduli)``.  Each
-    representative is reduced modulo ``moduli`` and, when ``small`` has at
-    most :data:`COSET_CAP` residues, replaced by the lexicographically
-    smallest residue of its coset.
+    factor, and the orders of both lattices modulo ``diag(moduli)``.
+
+    The representatives are the canonical generators of ``big`` modulo
+    ``small`` (:func:`abelian.canonical_generators`), each the
+    :func:`coset_minimum` of its coset, with residues ordered by ``values``
+    when given.  Only the quotient is listed, once, in Smith coordinates,
+    each element keyed by the coset minimum of its lift.
     """
     n = len(moduli)
     factors, lifts = quotient_structure(big, small, n)
-    reps = [tuple(x % m for x, m in zip(lift, moduli)) for lift in lifts]
-    subgroup = lattice_residues(small, moduli, COSET_CAP)
-    if subgroup is not None:
-        reps = [min(tuple(map(mod, map(add, v, s), moduli)) for s in subgroup) for v in reps]
+    # the quotient in Smith coordinates, each element with its lift
+    elements = [((), [0] * n)]
+    for d, lift in zip(factors, lifts):
+        elements = [
+            (q + (c,), [(x + c * y) % m for x, y, m in zip(v, lift, moduli)])
+            for q, v in elements
+            for c in range(d)
+        ]
+    minima = {q: coset_minimum(small, v, moduli, values) for q, v in elements}
+    rank = minima.__getitem__ if values is None else lambda q: [values[x] for x in minima[q]]
+    zero = tuple(0 for _ in factors)
+    gens = abelian.canonical_generators(list(minima), [zero], factors, factors, rank)
+    reps = [minima[g] for g in gens]
     ambient = prod(moduli)
     return factors, reps, ambient // lattice_index(big, n), ambient // lattice_index(small, n)
 

@@ -37,10 +37,6 @@ class Matrix:
     def identity(cls, field: Field, n: int) -> "Matrix":
         return cls(field, [[field.one if i == j else field.zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, [[field.zero] * ncols for _ in range(nrows)], ncols=ncols)
-
     # -- basic algebra --------------------------------------------------------
     def __eq__(self, other):
         return (

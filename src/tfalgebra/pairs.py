@@ -14,12 +14,11 @@ order p-1):
 * ``normal-form``: transport everything along discrete logs, cut the pair
   group out of Z^N as the kernel of one integer system mod p-1 and span the
   coboundary pairs, both by modular Hermite elimination, then read off the
-  quotient with :func:`intmat.quotient`; when the pair group is small
-  enough to list, :func:`abelian.canonical_generators` picks the
-  representatives on the listed discrete-log vectors, as the oracle does.
-  The listing stays in vectors: the ``KappaPair`` tuples of
-  ``PairEnumeration.pairs`` and ``.coboundary_pairs`` are built when they
-  are first read, and ``classify_simple`` never reads them;
+  quotient with :func:`intmat.quotient`, which orders residues by their
+  field values and so picks the oracle's representatives.  The
+  ``KappaPair`` tuples of ``PairEnumeration.pairs`` and
+  ``.coboundary_pairs`` are listed when they are first read, and
+  ``classify_simple`` never reads them;
 * ``brute-force``: enumerate characters and normalized tables outright and
   filter pointwise -- the oracle for the first route.  Its pairs go to
   discrete-log vectors and :mod:`abelian` counts the quotient and picks the
@@ -103,26 +102,19 @@ class PairEnumeration:
 
     ``pairs`` and ``coboundary_pairs`` list the pair group and its coboundary
     subgroup in ``KappaPair.key`` order, or are None when the pair group
-    exceeds the enumeration cap.  Given a ``context``, the listings are held
-    as discrete-log vectors of it and the ``KappaPair`` tuples are built when
-    first read (once; ``classify_simple`` never reads them); without one they
-    are the ``KappaPair`` tuples themselves.
+    exceeds the enumeration cap.  Either may be given as a function that
+    builds the listing; it is called when the listing is first read, and
+    ``classify_simple`` never reads one.
     """
 
-    def __init__(
-        self, class_group: PairClassGroup, pairs=None, coboundary_pairs=None, context=None
-    ):
+    def __init__(self, class_group: PairClassGroup, pairs=None, coboundary_pairs=None):
         self.class_group = class_group
-        self._context = context
-        given, unread = [pairs, coboundary_pairs], [None, None]
-        self._listed, self._vectors = (given, unread) if context is None else (unread, given)
+        self._listings = [pairs, coboundary_pairs]
 
     def _listing(self, i: int) -> tuple[KappaPair, ...] | None:
-        vectors = self._vectors[i]
-        if vectors is not None:
-            self._listed[i] = _pairs_from_vectors(self._context, vectors, sort=True)
-            self._vectors[i] = None
-        return self._listed[i]
+        if callable(self._listings[i]):
+            self._listings[i] = self._listings[i]()
+        return self._listings[i]
 
     @property
     def pairs(self) -> tuple[KappaPair, ...] | None:
@@ -328,13 +320,18 @@ def _coboundary_lattice(context: AlgebraContext, m: int) -> list[list[int]]:
     return intmat.hermite_mod(gens, N, m)
 
 
+def _unit_values(F: PrimeField) -> list:
+    """The field value of every discrete log: one exponent table."""
+    return [F.unit_exp(i) for i in range(F.unit_order)]
+
+
 def _value_key(F: PrimeField):
     """Dlog vectors to their field values, through one exponent table.
 
     The value tuples also serve as a sort key: they order pairs like
     ``KappaPair.key``, since every g2 has the same length.
     """
-    values = [F.unit_exp(i) for i in range(F.unit_order)]
+    values = _unit_values(F)
     return lambda vec: tuple(map(values.__getitem__, vec))
 
 
@@ -362,20 +359,20 @@ def enumerate_pairs(
     H = intmat.kernel_mod(rows, [m] * len(rows), N)
     B = _coboundary_lattice(context, m)
     moduli = [m] * N
-    factors, reps, h_order, b_order = intmat.quotient(H, B, moduli)
-
-    elems = cob = None
-    if h_order <= cap:
-        # canonical generators: lexicographically minimal in (g2, g1) value
-        # order, exactly as the brute-force route picks them
-        elems = intmat.lattice_residues(H, moduli, cap)
-        cob = intmat.lattice_residues(B, moduli, cap)
-        reps = abelian.canonical_generators(elems, cob, moduli, factors, _value_key(F))
+    # canonical generators: lexicographically minimal in (g2, g1) value
+    # order, exactly as the brute-force route picks them
+    factors, reps, h_order, b_order = intmat.quotient(H, B, moduli, _unit_values(F))
     rep_pairs = _pairs_from_vectors(context, reps)
     for pair in rep_pairs:
         require_kappa_pair(context, pair)
     cg = PairClassGroup(tuple(factors), rep_pairs, h_order, b_order)
-    return PairEnumeration(cg, elems, cob, context)
+
+    def listing(lattice):
+        if h_order > cap:
+            return None
+        return _pairs_from_vectors(context, intmat.lattice_residues(lattice, moduli, cap), sort=True)
+
+    return PairEnumeration(cg, lambda: listing(H), lambda: listing(B))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,14 @@ def test_missing_generator_order_raises():
         abelian.canonical_generators(Z4, [(0,)], (4,), [8])
 
 
+def _order_modulo(vec, subgroup, moduli):
+    """The least t >= 1 with t * vec in ``subgroup``."""
+    t = 1
+    while tuple((t * x) % m for x, m in zip(vec, moduli)) not in subgroup:
+        t += 1
+    return t
+
+
 def test_explicit_quotient_agrees_with_intmat():
     moduli = [4, 2, 4]
     # both lattices contain diag(moduli) Z^3, which (0, 2, 0) completes
@@ -62,14 +70,27 @@ def test_explicit_quotient_agrees_with_intmat():
     assert (big_order, small_order) == (len(elements), len(subgroup))
     assert abelian.factors_by_counting(elements, subgroup, moduli) == factors == [2, 4]
     explicit = abelian.canonical_generators(elements, subgroup, moduli, factors)
+    # one rule: the fast route picks exactly the explicit generators
+    assert reps == explicit
     span = set(subgroup)
     for gen in explicit:
         span = {tuple((a + t * b) % m for a, b, m in zip(v, gen, moduli)) for v in span for t in range(4)}
     assert span == set(elements)
-    for v in reps + explicit:
-        # each representative is the smallest residue of its coset
+    for v in explicit:
+        # each generator is the smallest residue of its coset
         assert v == min(tuple((a + b) % m for a, b, m in zip(v, s, moduli)) for s in subgroup)
-    for d, rep in zip(factors, reps):
-        # and the fast route's has exactly its factor's order in the quotient
-        orders = [t for t in range(1, d + 1) if tuple((t * x) % m for x, m in zip(rep, moduli)) in subgroup]
-        assert orders[:1] == [d]
+    # and has exactly its factor's order modulo the original subgroup, so
+    # the generators form a direct-sum basis of the quotient
+    assert [_order_modulo(v, set(subgroup), moduli) for v in explicit] == factors
+
+
+def test_generators_have_exact_orders_in_a_product():
+    # Z/2 x Z/4 modulo nothing, with (1, 1) sorted before (1, 0): (1, 1) has
+    # order 2 modulo <(0, 1)>, the generator of the factor 4, but order 4 itself
+    moduli = (2, 4)
+    elements = [(a, b) for a in range(2) for b in range(4)]
+    gens = abelian.canonical_generators(
+        elements, [(0, 0)], moduli, [2, 4], key=lambda v: (v[0], v[1] != 1, v[1])
+    )
+    assert gens == [(1, 0), (0, 1)]
+    assert [_order_modulo(g, {(0, 0)}, moduli) for g in gens] == [2, 4]

@@ -11,7 +11,13 @@ from tfalgebra.cochains import (
     is_normalized,
     normalize_cocycle,
 )
-from tfalgebra.errors import ContextMismatch, DegreeOutOfRange, ShapeMismatch
+from tfalgebra.errors import (
+    ContextMismatch,
+    DegreeOutOfRange,
+    NotACocycle,
+    ShapeMismatch,
+    TFAError,
+)
 from tfalgebra.gmodule import GModule, cyclic_module
 from tfalgebra.groups import cyclic_group, symmetric_group
 
@@ -109,6 +115,19 @@ def test_mismatched_cochains_raise_library_errors():
         c2.mul(Cochain.trivial(cyclic_module(G, 2), 3))
     with pytest.raises(ContextMismatch):
         c2.mul(Cochain.trivial(cyclic_module(G, 4), 2))
+
+
+def test_bad_cochain_input_raises_library_errors():
+    # both are bad mathematical input, so ``except TFAError`` must catch them
+    A = cyclic_module(cyclic_group(2), 2)
+    bad = Cochain(A, 3, {(1, 1, 0): (1,)})
+    with pytest.raises(TFAError) as err:
+        normalize_cocycle(bad)
+    assert isinstance(err.value, NotACocycle)
+    assert err.value.witness == is_cocycle(bad)[1]
+    with pytest.raises(TFAError) as err:
+        Cochain(A, 2, {(1, 1): (2,)})
+    assert isinstance(err.value, ShapeMismatch)
 
 
 def test_is_cocycle_nontrivial_example():

@@ -82,9 +82,9 @@ def test_known_cyclic_group_values():
             assert H.invariant_factors == (m,), (m, n)
 
 
-def test_oracle_agreement_suite():
-    cap = 1 << 16
-    modules = [
+def suite_modules():
+    """The coefficient modules of the oracle agreement suite."""
+    return [
         cyclic_module(cyclic_group(2), 2),
         cyclic_module(cyclic_group(2), 4),
         GModule(cyclic_group(2), (2, 2), action={0: [[1, 0], [0, 1]], 1: [[0, 1], [1, 0]]}),
@@ -93,8 +93,12 @@ def test_oracle_agreement_suite():
         s3_sign_module(2),
         cyclic_module(trivial_group(), 8),
     ]
+
+
+def test_oracle_agreement_suite():
+    cap = 1 << 16
     checked = 0
-    for A in modules:
+    for A in suite_modules():
         for n in range(4):
             if n > 3 or A.size ** (A.group.order**n) > cap:
                 continue
@@ -150,16 +154,27 @@ def test_h2_s3_sign_z3_odd_acts_by_2():
 
 
 def test_representatives_agree_between_paths():
-    # with lexicographic canonicalization both paths give identical tables
-    for A in (cyclic_module(cyclic_group(2), 2), cyclic_module(cyclic_group(2), 4)):
-        for n in (1, 2, 3):
-            if A.size ** (A.group.order**n) > (1 << 16):
+    # one rule picks the representatives on both routes, so the tables are
+    # identical on every module and degree within the enumeration cap
+    cap = 1 << 16
+    modules = suite_modules() + [
+        cyclic_module(cyclic_group(4), 2),
+        cyclic_module(cyclic_group(4), 4),
+        GModule(cyclic_group(2), (2, 4)),
+    ]
+    checked = 0
+    for A in modules:
+        for n in range(4):
+            if A.size ** (A.group.order**n) > cap:
                 continue
             fast = cohomology_group(A, n)
-            slow = brute_force_cohomology(A, n)
+            slow = brute_force_cohomology(A, n, cap=cap)
+            assert fast.invariant_factors == slow.invariant_factors, (A, n)
             assert [r.table for r in fast.representatives] == [
                 r.table for r in slow.representatives
-            ]
+            ], (A, n)
+            checked += 1
+    assert checked == 33
 
 
 def test_degree_and_size_caps():

@@ -1,11 +1,11 @@
 """The explicit pair listing of the normal-form route: built only when read.
 
 ``classify_simple`` needs the quotient of the pair group by its coboundary
-pairs, not the pairs themselves, so ``enumerate_pairs`` keeps the listed
-pair group and coboundary subgroup as discrete-log vectors and builds the
-``KappaPair`` tuples when ``pairs`` or ``coboundary_pairs`` is first read.
-These tests count ``KappaPair`` constructions to pin that, and compare the
-listings with the frozen digests in ``pairs_listing_golden.json`` on every
+pairs, not the pairs themselves, so ``enumerate_pairs`` lists the pair
+group and its coboundary subgroup only when ``pairs`` or
+``coboundary_pairs`` is first read.  These tests count ``KappaPair``
+constructions and ``intmat.lattice_residues`` calls to pin that, and compare
+the listings with the frozen digests in ``pairs_listing_golden.json`` on every
 in-cap context of ``test_pairs.py`` and of the ``pairs-classify``
 benchmark (the one out-of-cap benchmark context pins ``None``).
 
@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from tfalgebra import intmat
 from tfalgebra.algebra import AlgebraContext, trivial_context
 from tfalgebra.cochains import Cochain
 from tfalgebra.fields import PrimeField
@@ -143,6 +144,31 @@ def test_listing_is_built_once_when_read(constructions):
     assert constructions[0] == 15552 + 3888
     with pytest.raises(AttributeError):
         enum.pairs = ()
+
+
+@pytest.fixture
+def residue_listings(monkeypatch):
+    """A one-element list counting intmat.lattice_residues calls while the test runs."""
+    count = [0]
+    listing = intmat.lattice_residues
+
+    def counting_listing(*args, **kwargs):
+        count[0] += 1
+        return listing(*args, **kwargs)
+
+    monkeypatch.setattr(intmat, "lattice_residues", counting_listing)
+    return count
+
+
+def test_classify_lists_no_lattice(residue_listings):
+    # the representatives come from the class group alone, at every size
+    for ctx in (s3_z2_f7(), dict(CASES)["benchmark/Z4xZ2,Z/4,F5"]):
+        classify_simple(ctx)
+    assert residue_listings[0] == 0
+    enum = enumerate_pairs(s3_z2_f7())
+    assert residue_listings[0] == 0
+    assert len(enum.pairs) == 15552 and len(enum.coboundary_pairs) == 3888
+    assert residue_listings[0] == 2
 
 
 def _write_fixture():

@@ -1,0 +1,152 @@
+"""One rule for quotient representatives, checked without listing a lattice.
+
+``intmat.quotient`` keys every class of ``big / small`` by the smallest
+residue of its coset (``intmat.coset_minimum``) and picks the canonical
+generators of ``abelian.canonical_generators`` among them.  Here
+``coset_minimum`` is compared with a brute-force coset minimum, and the
+representatives of every cohomology ladder rung and every pair benchmark
+context are checked through Hermite bases alone: each is its own coset
+minimum, a cocycle or a valid pair, of exactly its factor's order modulo the
+coboundaries, and together they span the quotient.  Exact orders whose
+product is the quotient order and which span it form a direct-sum basis.
+The cases include coboundary groups far beyond any listing, such as the
+2^30 residues of H^3(S3, Z/2), and the pair group of Z4 x Z2 over F5,
+which exceeds the enumeration cap.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from math import lcm, prod
+
+import pytest
+
+from tfalgebra import cohomology, intmat, pairs
+from tfalgebra.cochains import is_cocycle
+from tfalgebra.fields import factorize
+from tfalgebra.gmodule import GModule, cyclic_module
+from tfalgebra.groups import cyclic_group, direct_product, symmetric_group
+
+from test_cochains import s3_sign_module
+from test_pairs_listing import listing_contexts
+
+# -- coset_minimum against a brute-force minimum ----------------------------------
+
+
+def _closure(gens, moduli):
+    """Every residue of the subgroup generated by ``gens``, by depth-first search."""
+    zero = tuple(0 for _ in moduli)
+    seen, todo = {zero}, [zero]
+    while todo:
+        v = todo.pop()
+        for g in gens:
+            w = tuple((a + b) % m for a, b, m in zip(v, g, moduli))
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+@pytest.mark.parametrize("moduli", [(2, 2, 2, 2), (3, 3, 3), (4, 4, 4), (2, 4, 3), (4, 2, 4, 2)])
+def test_coset_minimum_matches_brute_force(moduli):
+    rng = random.Random(20 + len(moduli))
+    n, e = len(moduli), lcm(*moduli)
+    relations = [[m if i == j else 0 for j in range(n)] for i, m in enumerate(moduli) if m != e]
+    for _ in range(6):
+        gens = relations + [[rng.randrange(e) for _ in range(n)] for _ in range(rng.randrange(3))]
+        basis = intmat.hermite_mod(gens, n, e)
+        subgroup = _closure(gens, moduli)
+        values = list(range(max(moduli)))
+        rng.shuffle(values)
+        for vec in itertools.product(*map(range, moduli)):
+            coset = [tuple((a + b) % m for a, b, m in zip(vec, s, moduli)) for s in subgroup]
+            assert intmat.coset_minimum(basis, vec, moduli) == min(coset)
+            by_value = min(coset, key=lambda v: [values[x] for x in v])
+            assert intmat.coset_minimum(basis, vec, moduli, values) == by_value
+
+
+# -- representatives of large quotients, through Hermite bases --------------------
+
+
+def _assert_direct_sum_basis(big, small, moduli, factors, reps, values=None):
+    n = len(moduli)
+    for d, rep in zip(factors, reps):
+        assert intmat.coset_minimum(small, rep, moduli, values) == tuple(rep)
+        assert intmat.solve_in_lattice(small, [d * x for x in rep]) is not None
+        for p in factorize(d):
+            assert intmat.solve_in_lattice(small, [(d // p) * x for x in rep]) is None
+    assert intmat.lattice_index(small, n) == prod(factors) * intmat.lattice_index(big, n)
+    spanned = intmat.hermite_mod(small + [list(r) for r in reps], n, lcm(*moduli))
+    assert spanned == big
+
+
+@pytest.fixture
+def no_listing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lattice was listed")
+
+    monkeypatch.setattr(intmat, "lattice_residues", refuse)
+
+
+def _s3_sign_minus_one():
+    perms = sorted(itertools.permutations(range(3)))
+    odd = [sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)) % 2 for p in perms]
+    return GModule(symmetric_group(3), (3,), action={g: [[-1 if odd[g] else 1]] for g in range(6)})
+
+
+def ladder_rungs():
+    """(name, module, degree) for the rungs of the cohomology benchmark ladder."""
+    Z2, Z4, S3 = cyclic_group(2), cyclic_group(4), symmetric_group(3)
+    Z2sq = direct_product(Z2, Z2)
+    Z2cube = direct_product(Z2sq, Z2)
+    return [
+        ("H2(Z4,Z/2)", cyclic_module(Z4, 2), 2),
+        ("H3(Z4,Z/2)", cyclic_module(Z4, 2), 3),
+        ("H2(Z4,Z/4)", cyclic_module(Z4, 4), 2),
+        ("H3(Z4,Z/4)", cyclic_module(Z4, 4), 3),
+        ("H2(Z2^2,Z/2)", cyclic_module(Z2sq, 2), 2),
+        ("H3(Z2^2,Z/2)", cyclic_module(Z2sq, 2), 3),
+        ("H2(Z2^2,Z/4)", cyclic_module(Z2sq, 4), 2),
+        ("H3(Z2^2,Z/4)", cyclic_module(Z2sq, 4), 3),
+        ("H2(S3,Z/2)", cyclic_module(S3, 2), 2),
+        ("H2(S3,Z/4)", cyclic_module(S3, 4), 2),
+        ("H2(S3,Z/3-sign[-1])", _s3_sign_minus_one(), 2),
+        ("H2(S3,Z/3-sign[2])", s3_sign_module(3), 2),
+        ("H2(Z2^3,Z/2)", cyclic_module(Z2cube, 2), 2),
+        ("H3(S3,Z/2)", cyclic_module(S3, 2), 3),
+    ]
+
+
+RUNGS = ladder_rungs()
+PAIR_CASES = [(name, ctx) for name, ctx in listing_contexts() if name.startswith("benchmark/")]
+
+
+@pytest.mark.parametrize("name,module,degree", RUNGS, ids=[name for name, _, _ in RUNGS])
+def test_rung_representatives_form_a_direct_sum_basis(name, module, degree, no_listing):
+    H = cohomology.cohomology_group(module, degree)
+    moduli = cohomology._moduli_vector(module, degree)
+    Z = cohomology._cocycle_lattice(module, degree)
+    B = cohomology._boundary_lattice(module, degree)
+    for rep in H.representatives:
+        assert is_cocycle(rep)[0]
+    reps = [rep.to_vector() for rep in H.representatives]
+    _assert_direct_sum_basis(Z, B, moduli, H.invariant_factors, reps)
+
+
+@pytest.mark.parametrize("name,ctx", PAIR_CASES, ids=[name for name, _ in PAIR_CASES])
+def test_pair_representatives_form_a_direct_sum_basis(name, ctx, no_listing):
+    F, G = ctx.field, ctx.group
+    cg = pairs.enumerate_pairs(ctx).class_group
+    m = F.unit_order
+    rows = pairs._constraint_matrix(ctx)
+    N = ctx.module.rank + G.order**2
+    H = intmat.kernel_mod(rows, [m] * len(rows), N)
+    B = pairs._coboundary_lattice(ctx, m)
+    reps = []
+    for rep in cg.representatives:
+        assert pairs.is_kappa_pair(ctx, rep)[0]
+        g1 = (rep.g1[(a, b)] for a in G.elements() for b in G.elements())
+        reps.append([F.dlog(v) for v in itertools.chain(rep.g2, g1)])
+    _assert_direct_sum_basis(H, B, [m] * N, cg.invariant_factors, reps, pairs._unit_values(F))
+
