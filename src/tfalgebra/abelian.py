@@ -7,7 +7,10 @@ their shared engine.  It deliberately uses no normal forms and nothing of
 :mod:`intmat`, so an oracle built on it stays independent of the route it
 checks.  :func:`canonical_generators` is the one rule for representatives:
 :func:`intmat.quotient` applies it to the listed class group, keyed by
-coset minima, so both routes pick the same generators.
+coset minima, so both routes pick the same generators.  That group is
+listed in digits whose sums carry, so both functions take an optional
+``canon`` that brings every sum and multiple back to its listed form; the
+oracles pass none.
 """
 
 from __future__ import annotations
@@ -18,19 +21,23 @@ from .errors import NotAGroup
 from .fields import factorize
 
 
-def _add(u, v, moduli):
-    return tuple((a + b) % m for a, b, m in zip(u, v, moduli))
+def _add(u, v, moduli, canon=None):
+    w = tuple((a + b) % m for a, b, m in zip(u, v, moduli))
+    return w if canon is None else canon(w)
 
 
-def factors_by_counting(elements, subgroup, moduli) -> list[int]:
+def factors_by_counting(elements, subgroup, moduli, canon=None) -> list[int]:
     """Invariant factors of (elements)/(subgroup) from annihilator counts alone.
 
     For each prime p the numbers a_i = log_p #{q : p^i q = 0} determine the
     multiplicity of every cyclic p-power factor; factors are then aligned
     largest-with-largest across primes.  Raises :class:`NotAGroup` when the
     counts are impossible, which happens when ``subgroup`` is not a subgroup
-    of ``elements``.
+    of ``elements``.  ``canon``, when given, is applied after every multiple,
+    for groups whose elements are not plain residues (see
+    :func:`canonical_generators`).
     """
+    norm = canon or (lambda w: w)
     sub = set(subgroup)
     q_order, rest = divmod(len(elements), len(sub))
     if rest:
@@ -43,7 +50,7 @@ def factors_by_counting(elements, subgroup, moduli) -> list[int]:
         while True:
             d = p ** len(counts)
             killed = sum(
-                1 for z in elements if tuple((d * x) % m for x, m in zip(z, moduli)) in sub
+                1 for z in elements if norm(tuple((d * x) % m for x, m in zip(z, moduli))) in sub
             )
             a_i, rest = divmod(killed, len(sub))
             if rest:
@@ -68,7 +75,7 @@ def factors_by_counting(elements, subgroup, moduli) -> list[int]:
     return sorted(descending)
 
 
-def canonical_generators(elements, subgroup, moduli, factors, key=None) -> list[tuple]:
+def canonical_generators(elements, subgroup, moduli, factors, key=None, canon=None) -> list[tuple]:
     """Canonical generators of (elements)/(subgroup), one per invariant factor.
 
     The largest factor d is served first: its generator is the smallest
@@ -80,6 +87,10 @@ def canonical_generators(elements, subgroup, moduli, factors, key=None) -> list[
     is a direct summand.  Orders are the same on a whole coset, so each
     generator is the minimum by ``key`` of its coset of ``subgroup``.
     Returned in increasing factor order.
+
+    ``canon``, when given, is applied after every sum: it brings a sum of
+    residues back to the one form the group's elements are listed in, as
+    for digit vectors whose sums carry.
     """
     base = set(subgroup)
     sub = base
@@ -92,7 +103,7 @@ def canonical_generators(elements, subgroup, moduli, factors, key=None) -> list[
             # order of z in the current quotient must be exactly d
             t, w = 1, z
             while w not in sub:
-                w = _add(w, z, moduli)
+                w = _add(w, z, moduli, canon)
                 t += 1
             if t == d and w in base:
                 break
@@ -103,8 +114,8 @@ def canonical_generators(elements, subgroup, moduli, factors, key=None) -> list[
         closed = set(sub)
         shift = z
         while shift not in sub:
-            closed.update(_add(s, shift, moduli) for s in sub)
-            shift = _add(shift, z, moduli)
+            closed.update(_add(s, shift, moduli, canon) for s in sub)
+            shift = _add(shift, z, moduli, canon)
         sub = closed
     reps.reverse()
     return reps

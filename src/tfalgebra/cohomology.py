@@ -6,7 +6,8 @@ Two independent computations of H^n = ker(d^n) / im(d^{n-1}) for n <= 3:
   The coboundary becomes an integer matrix acting modulo the cyclic factor
   moduli.  The cocycles are its kernel modulo the moduli and the coboundaries
   an image plus the moduli relations, both found by modular Hermite
-  elimination; :func:`intmat.quotient` reads off the quotient between them.
+  elimination; :func:`intmat.quotient` reads the quotient between them off
+  their two Hermite bases.
 
 * :func:`brute_force_cohomology` enumerates every cochain below a size cap,
   filters cocycles pointwise, and hands the explicit lists to

@@ -28,7 +28,8 @@ class GModule:
     ``action`` maps each group element index to a k x k integer matrix M;
     the action sends exponent vector a to (M @ a) mod moduli, i.e.
     result[i] = sum_j M[i][j] * a[j] mod m_i.  ``None`` means the trivial
-    action.
+    action.  Entries are stored reduced modulo their row's modulus, so
+    ``-1`` and ``2`` on Z/3 give the same module.
 
     >>> from .groups import cyclic_group
     >>> A = GModule(cyclic_group(2), (3,), action={0: [[1]], 1: [[2]]})
@@ -49,7 +50,7 @@ class GModule:
         self.size = prod(moduli) if moduli else 1
 
         k = self.rank
-        ident = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+        ident = self._identity()
         if action is None:
             mats = {g: ident for g in group.elements()}
         else:
@@ -60,6 +61,7 @@ class GModule:
                 M = tuple(tuple(int(x) for x in row) for row in action[g])
                 if len(M) != k or any(len(row) != k for row in M):
                     raise NotAModule(f"action matrix for element {g} is not {k}x{k}", witness=(g,))
+                M = tuple(tuple(x % m for x in row) for row, m in zip(M, moduli))
                 mats[g] = M
         self.action = mats
         self._validate(enum_cap)
@@ -67,9 +69,7 @@ class GModule:
     # -- validation ------------------------------------------------------------
     def _validate(self, enum_cap: int) -> None:
         G, k = self.group, self.rank
-        if self.action[G.identity] != tuple(
-            tuple(int(i == j) for j in range(k)) for i in range(k)
-        ):
+        if self.action[G.identity] != self._identity():
             raise NotAModule("identity element must act as the identity matrix", witness=(G.identity,))
         # well-definedness: column j is killed by m_j in every row's modulus
         for g in G.elements():
@@ -157,9 +157,13 @@ class GModule:
     def is_trivial(self) -> bool:
         return self.size == 1
 
-    def has_trivial_action(self) -> bool:
+    def _identity(self) -> tuple[tuple[int, ...], ...]:
+        """The identity matrix, reduced like every action matrix."""
         k = self.rank
-        ident = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+        return tuple(tuple(int(i == j) % m for j in range(k)) for i, m in enumerate(self.moduli))
+
+    def has_trivial_action(self) -> bool:
+        ident = self._identity()
         return all(self.action[g] == ident for g in self.group.elements())
 
     def __eq__(self, other):

@@ -1,4 +1,4 @@
-"""Exact integer matrix routines: Hermite and Smith normal forms.
+"""Exact integer lattices by modular Hermite elimination.
 
 These are the workhorses behind finite abelian quotients: cohomology groups
 and the classification group of scalar pairs both reduce to computing
@@ -6,19 +6,20 @@ and the classification group of scalar pairs both reduce to computing
 plain list-of-lists arithmetic over Python ints.
 
 Every lattice the library meets contains ``e * Z^n`` for the exponent ``e``
-of its coefficients, so the heavy lifting is modular Hermite elimination:
-:func:`kernel_mod` cuts out ``{x : A x == 0 mod m}`` one constraint at a
-time and :func:`hermite_mod` returns the canonical basis of such a lattice,
-both keeping every entry reduced modulo ``e`` (Domich, Kannan and Trotter
-1987; Storjohann and Mulders 1998).  :func:`lattice_residues` lists a
-lattice's residues in mixed radix.  :func:`quotient` is the one quotient
-routine of the fast routes: invariant factors and lifts from a small Smith
-form (:func:`quotient_structure`), the two lattice orders, and the canonical
-generators of :func:`abelian.canonical_generators`, each the
-:func:`coset_minimum` of its coset against the subgroup's Hermite basis.
-The Smith form also serves exact solves over Z.  The brute-force oracles
-count and pick generators on explicit element lists in :mod:`abelian`,
-which uses nothing from here.
+of its coefficients, so the one integer engine is modular Hermite
+elimination: :func:`kernel_mod` cuts out ``{x : A x == 0 mod m}`` one
+constraint at a time and :func:`hermite_mod` returns the canonical basis of
+such a lattice, both keeping every entry reduced modulo ``e`` (Domich,
+Kannan and Trotter 1987; Storjohann and Mulders 1998).
+:func:`lattice_residues` lists a lattice's residues in mixed radix.
+:func:`quotient` is the one quotient routine of the fast routes: it reads
+the quotient off the two Hermite bases, as digits in the columns where
+their pivots differ, and returns the invariant factors, the two lattice
+orders, and the canonical generators of
+:func:`abelian.canonical_generators`, each the :func:`coset_minimum` of its
+coset against the subgroup's Hermite basis.  The brute-force oracles count
+and pick generators on explicit element lists in :mod:`abelian`, which uses
+nothing from here.
 
 Conventions: matrices are lists of row lists; lattices are given by generator
 rows and normalized to a row-style Hermite basis (row echelon, positive
@@ -49,24 +50,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-def hermite_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Row-style Hermite normal form basis of the lattice spanned by ``rows``.
-
-    Returns echelon rows with positive pivots; zero rows are dropped.  The
-    result is a canonical basis of the row span, suitable for membership
-    tests and index computations.
-    """
-    work = [list(r) for r in rows if any(r)]
-    basis: list[list[int]] = []
-    pivot_col_of_row: list[int] = []
-    for vec in work:
-        vec = _reduce_against(vec, basis, pivot_col_of_row, ncols)
-        if vec is not None:
-            _insert_row(vec, basis, pivot_col_of_row, ncols)
-    _normalize(basis, pivot_col_of_row)
-    return basis
-
-
 def _leading(vec: list[int], start: int = 0) -> int:
     """Index of the first nonzero entry at or after ``start``, else len(vec)."""
     for j in range(start, len(vec)):
@@ -83,43 +66,6 @@ def _pivots(basis: list[list[int]]) -> list[int]:
         j = _leading(row, j)
         out.append(j)
     return out
-
-
-def _reduce_against(vec, basis, pivots, ncols):
-    """Eliminate vec against the current echelon basis; return residue or None."""
-    vec = list(vec)
-    i = 0
-    while True:
-        j = _leading(vec)
-        if j >= ncols:
-            return None
-        # find basis row with this pivot column, if any
-        try:
-            i = pivots.index(j)
-        except ValueError:
-            return vec
-        a = basis[i][j]
-        b = vec[j]
-        if b % a == 0:
-            q = b // a
-            for jj in range(j, ncols):
-                vec[jj] -= q * basis[i][jj]
-        else:
-            x, y, g = xgcd(a, b)
-            row_new = [x * basis[i][jj] + y * vec[jj] for jj in range(ncols)]
-            coeff_b, coeff_a = a // g, -(b // g)
-            vec = [coeff_a * basis[i][jj] + coeff_b * vec[jj] for jj in range(ncols)]
-            basis[i] = row_new
-        # loop: vec now has a later leading column (or is zero)
-
-
-def _insert_row(vec, basis, pivots, ncols):
-    j = _leading(vec)
-    pos = 0
-    while pos < len(pivots) and pivots[pos] < j:
-        pos += 1
-    basis.insert(pos, vec)
-    pivots.insert(pos, j)
 
 
 def _normalize(basis, pivots):
@@ -294,175 +240,6 @@ def lattice_residues(
     return out
 
 
-def smith_normal_form(A: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (S, U, V) with U*A*V == S diagonal, U and V unimodular.
-
-    Diagonal entries of S are nonnegative and satisfy s1 | s2 | ... .
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    S = [list(row) for row in A]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_op(i1, i2, x, y, z, w):
-        # (row i1, row i2) <- (x*r1 + y*r2, z*r1 + w*r2) on S and U
-        for M in (S, U):
-            r1, r2 = M[i1], M[i2]
-            for j in range(len(r1)):
-                a, b = r1[j], r2[j]
-                r1[j] = x * a + y * b
-                r2[j] = z * a + w * b
-
-    def col_op(j1, j2, x, y, z, w):
-        for M in (S, V):
-            for row in M:
-                a, b = row[j1], row[j2]
-                row[j1] = x * a + y * b
-                row[j2] = z * a + w * b
-
-    def clear_position(k):
-        # repeat until S[k][j] == 0 for j > k and S[i][k] == 0 for i > k
-        while True:
-            # bring a nonzero entry to (k, k) if needed
-            if S[k][k] == 0:
-                found = False
-                for i in range(k, m):
-                    for j in range(k, n):
-                        if S[i][j]:
-                            if i != k:
-                                row_op(k, i, 0, 1, 1, 0)
-                            if j != k:
-                                col_op(k, j, 0, 1, 1, 0)
-                            found = True
-                            break
-                    if found:
-                        break
-                if not found:
-                    return
-            for i in range(k + 1, m):
-                a, b = S[k][k], S[i][k]
-                if b == 0:
-                    continue
-                if b % a == 0:
-                    row_op(k, i, 1, 0, -(b // a), 1)
-                else:
-                    x, y, g = xgcd(a, b)
-                    row_op(k, i, x, y, -(b // g), a // g)
-            if all(S[k][j] == 0 for j in range(k + 1, n)):
-                if all(S[i][k] == 0 for i in range(k + 1, m)):
-                    return
-            for j in range(k + 1, n):
-                a, b = S[k][k], S[k][j]
-                if b == 0:
-                    continue
-                if b % a == 0:
-                    col_op(k, j, 1, 0, -(b // a), 1)
-                else:
-                    x, y, g = xgcd(a, b)
-                    col_op(k, j, x, y, -(b // g), a // g)
-            if all(S[i][k] == 0 for i in range(k + 1, m)):
-                if all(S[k][j] == 0 for j in range(k + 1, n)):
-                    return
-
-    r = min(m, n)
-    for k in range(r):
-        clear_position(k)
-
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for k in range(r - 1):
-            a, b = S[k][k], S[k + 1][k + 1]
-            if a and b and b % a != 0:
-                # bring b into column k (below the diagonal), then re-clear:
-                # the row gcd step leaves gcd(a, b) at position k
-                col_op(k, k + 1, 1, 1, 0, 1)
-                clear_position(k)
-                changed = True
-            elif a == 0 and b != 0:
-                col_op(k, k + 1, 0, 1, 1, 0)
-                row_op(k, k + 1, 0, 1, 1, 0)
-                changed = True
-    for k in range(r):
-        if S[k][k] < 0:
-            for M in (S, U):
-                M[k] = [-x for x in M[k]]
-    return S, U, V
-
-
-def solve_integer(A: list[list[int]], b: list[int]) -> list[int] | None:
-    """One integer solution x of A x == b, or None."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    S, U, V = smith_normal_form(A)
-    c = [sum(U[i][k] * b[k] for k in range(m)) for i in range(m)]
-    y = [0] * n
-    for i in range(min(m, n)):
-        d = S[i][i]
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    for i in range(n, m):
-        if c[i] != 0:
-            return None
-    for i in range(min(m, n), m):
-        if c[i] != 0:
-            return None
-    return [sum(V[i][k] * y[k] for k in range(n)) for i in range(n)]
-
-
-def quotient_structure(
-    big: list[list[int]], small_gens: list[list[int]], ncols: int
-) -> tuple[list[int], list[list[int]]]:
-    """Invariant factors and generator lifts of (lattice big)/(lattice small).
-
-    ``big`` must be a full-rank Hermite basis; ``small_gens`` generate a
-    finite-index sublattice of it.  Returns (factors, reps) where factors are
-    the invariant factors > 1 in increasing order and reps are vectors in the
-    ambient Z^ncols projecting to independent generators of the quotient,
-    rep[i] having order factors[i].
-    """
-    # express each generator of the sublattice in coordinates of ``big``
-    T = []
-    for g in small_gens:
-        c = solve_in_lattice(big, g)
-        if c is None:
-            raise NoSolution("small lattice is not contained in the big lattice")
-        T.append(c)
-    nb = len(big)
-    S, U, V = smith_normal_form(T) if T else ([], [], [[int(i == j) for j in range(nb)] for i in range(nb)])
-    diag = []
-    for k in range(nb):
-        d = S[k][k] if T and k < min(len(T), nb) else 0
-        diag.append(abs(d))
-    # quotient in transformed coordinates z = x V is prod Z/diag[k]
-    Vinv = _unimodular_inverse(V, nb)
-    factors: list[int] = []
-    reps: list[list[int]] = []
-    for k in range(nb):
-        d = diag[k]
-        if d == 0:
-            raise ShapeMismatch("small lattice has lower rank, so the quotient is not finite")
-        if d == 1:
-            continue
-        factors.append(d)
-        coeff = Vinv[k]  # row k of V^-1: coordinates w.r.t. ``big``
-        vec = [0] * ncols
-        for i, c in enumerate(coeff):
-            if c:
-                for j in range(ncols):
-                    vec[j] += c * big[i][j]
-        reps.append(vec)
-    order = sorted(range(len(factors)), key=lambda i: factors[i])
-    return [factors[i] for i in order], [reps[i] for i in order]
-
-
 def coset_minimum(
     basis: list[list[int]], vec, moduli: list[int], values: list | None = None
 ) -> tuple[int, ...]:
@@ -493,41 +270,70 @@ def quotient(
 
     ``big`` and ``small`` are full-rank Hermite bases with ``small`` inside
     ``big``.  Returns ``(factors, reps, big_order, small_order)``: the
-    invariant factors of :func:`quotient_structure`, one representative per
-    factor, and the orders of both lattices modulo ``diag(moduli)``.
+    invariant factors in increasing order, one representative per factor,
+    and the orders of both lattices modulo ``diag(moduli)``.
 
-    The representatives are the canonical generators of ``big`` modulo
-    ``small`` (:func:`abelian.canonical_generators`), each the
-    :func:`coset_minimum` of its coset, with residues ordered by ``values``
-    when given.  Only the quotient is listed, once, in Smith coordinates,
-    each element keyed by the coset minimum of its lift.
+    Only the columns ``J`` where the pivots differ carry the quotient.
+    Written in ``big``'s coordinates, ``small`` is triangular with diagonal
+    ``t_j = small[j][j] / big[j][j]``, so each class holds exactly one sum
+    ``sum(c_j * big_j)`` with digits ``0 <= c_j < t_j``.  Digits add like an
+    odometer: the carry row of ``j`` says which digits ``t_j * big_j``
+    leaves behind, and :func:`coset_minimum` against the carry rows brings
+    any digit vector back into range.  The class group is listed once in
+    digits, each class keyed by the :func:`coset_minimum` of its lift
+    against ``small`` (residues ordered by ``values`` when given), and the
+    representatives are its canonical generators
+    (:func:`abelian.canonical_generators`).
     """
     n = len(moduli)
-    factors, lifts = quotient_structure(big, small, n)
-    # the quotient in Smith coordinates, each element with its lift
+    ambient = prod(moduli)
+    big_order = ambient // lattice_index(big, n)
+    small_order = ambient // lattice_index(small, n)
+    e = lcm(*moduli)
+    ratio = []
+    for j, (b, s) in enumerate(zip(big, small)):
+        t, r = divmod(s[j], b[j])
+        if r:
+            raise NoSolution("small lattice is not contained in the big lattice")
+        ratio.append(t)
+    J = [j for j, t in enumerate(ratio) if t > 1]
+
+    def digits(vec):
+        """The digits of ``vec``'s class, reducing left to right against both bases."""
+        vec = [x % m for x, m in zip(vec, moduli)]
+        out = []
+        for j, (b, s, t) in enumerate(zip(big, small, ratio)):
+            a, r = divmod(vec[j], b[j])
+            if r:
+                raise NoSolution("small lattice is not contained in the big lattice")
+            q, c = divmod(a, t)
+            if a:
+                tail = zip(vec[j:], b[j:], s[j:], moduli[j:])
+                vec[j:] = [(x - c * y - q * z) % m for x, y, z, m in tail]
+            if t > 1:
+                out.append(c)
+        return out
+
+    carries = []
+    for i, j in enumerate(J):
+        rest = digits([ratio[j] * x for x in big[j]])
+        carries.append([0] * i + [ratio[j]] + [-c % e for c in rest[i + 1 :]])
+    ek = [e] * len(J)
+
+    def canon(c):
+        return coset_minimum(carries, c, ek)
+
+    # the quotient in digits, each class with its lift
     elements = [((), [0] * n)]
-    for d, lift in zip(factors, lifts):
+    for j in J:
         elements = [
-            (q + (c,), [(x + c * y) % m for x, y, m in zip(v, lift, moduli)])
+            (q + (c,), [(x + c * y) % m for x, y, m in zip(v, big[j], moduli)])
             for q, v in elements
-            for c in range(d)
+            for c in range(ratio[j])
         ]
     minima = {q: coset_minimum(small, v, moduli, values) for q, v in elements}
     rank = minima.__getitem__ if values is None else lambda q: [values[x] for x in minima[q]]
-    zero = tuple(0 for _ in factors)
-    gens = abelian.canonical_generators(list(minima), [zero], factors, factors, rank)
-    reps = [minima[g] for g in gens]
-    ambient = prod(moduli)
-    return factors, reps, ambient // lattice_index(big, n), ambient // lattice_index(small, n)
-
-
-def _unimodular_inverse(V: list[list[int]], n: int) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
-    if n == 0:
-        return []
-    aug = [list(V[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    basis = hermite_basis(aug, 2 * n)
-    # V unimodular => hermite of [V | I] is [I | V^-1]
-    if len(basis) != n or any(basis[i][i] != 1 for i in range(n)):
-        raise NoSolution("matrix is not unimodular")
-    return [row[n:] for row in basis]
+    zero = [tuple(0 for _ in J)]
+    factors = abelian.factors_by_counting(list(minima), zero, ek, canon)
+    gens = abelian.canonical_generators(list(minima), zero, ek, factors, rank, canon)
+    return factors, [minima[g] for g in gens], big_order, small_order

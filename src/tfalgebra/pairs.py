@@ -13,16 +13,21 @@ order p-1):
 
 * ``normal-form``: transport everything along discrete logs, cut the pair
   group out of Z^N as the kernel of one integer system mod p-1 and span the
-  coboundary pairs, both by modular Hermite elimination, then read off the
-  quotient with :func:`intmat.quotient`, which orders residues by their
-  field values and so picks the oracle's representatives.  The
-  ``KappaPair`` tuples of ``PairEnumeration.pairs`` and
-  ``.coboundary_pairs`` are listed when they are first read, and
+  coboundary pairs, both by modular Hermite elimination, then read the
+  quotient off the two Hermite bases with :func:`intmat.quotient`, which
+  orders residues by their field values and so picks the oracle's
+  representatives.  The ``KappaPair`` tuples of ``PairEnumeration.pairs``
+  and ``.coboundary_pairs`` are listed when they are first read, and
   ``classify_simple`` never reads them;
 * ``brute-force``: enumerate characters and normalized tables outright and
   filter pointwise -- the oracle for the first route.  Its pairs go to
   discrete-log vectors and :mod:`abelian` counts the quotient and picks the
   generators on them.
+
+:func:`pairs_equivalent` solves for the pointed map psi exactly: modulo
+p - 1 on discrete logs over F_p, and over Q by splitting psi into signs and
+prime exponents, each exponent system solved over Q and kept only when its
+unique solution is integral.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .errors import (
 )
 from .fields import PrimeField
 from .gmodule import DEFAULT_ENUM_CAP
+from .linalg import Matrix
 
 
 @dataclass
@@ -519,11 +525,16 @@ def _solve_pointed_coboundary(context: AlgebraContext, ratio) -> dict[int, objec
             den = v.denominator
             ep = factorize(num).get(prime, 0) - factorize(den).get(prime, 0)
             rhs.append(ep)
-        sol = intmat.solve_integer(rows, rhs)
-        if sol is None:
+        # x(a) + x(b) - x(ab) has kernel Hom(G, Z) = 0, so the solution over
+        # Q is unique, and an integral one exists exactly when it is integral
+        try:
+            sol = Matrix(F, rows).solve(rhs)
+        except NoSolution:
+            return None
+        if any(Fraction(x).denominator != 1 for x in sol):
             return None
         for a in unknowns:
-            exps[a][prime] = sol[col[a]]
+            exps[a][prime] = int(sol[col[a]])
     # signs mod 2
     sol = _solve_mod(rows, [0 if Fraction(ratio[k]) > 0 else 1 for k in keys], 2)
     if sol is None:

@@ -1,0 +1,165 @@
+"""Reference lattice routines: a general Hermite basis and the Smith form.
+
+The library computes every lattice by modular Hermite elimination
+(``intmat.hermite_mod`` and ``intmat.kernel_mod``) and every quotient from
+the two Hermite bases (``intmat.quotient``).  The general routines below
+work over Z without a modulus.  The tests compare the modular routines
+against them, so they live here and not in the package.
+"""
+
+from __future__ import annotations
+
+from tfalgebra.intmat import _leading, _normalize, xgcd
+
+
+def hermite_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Row-style Hermite normal form basis of the lattice spanned by ``rows``.
+
+    Returns echelon rows with positive pivots; zero rows are dropped.  The
+    result is a canonical basis of the row span, suitable for membership
+    tests and index computations.
+    """
+    work = [list(r) for r in rows if any(r)]
+    basis: list[list[int]] = []
+    pivot_col_of_row: list[int] = []
+    for vec in work:
+        vec = _reduce_against(vec, basis, pivot_col_of_row, ncols)
+        if vec is not None:
+            _insert_row(vec, basis, pivot_col_of_row, ncols)
+    _normalize(basis, pivot_col_of_row)
+    return basis
+
+
+def _reduce_against(vec, basis, pivots, ncols):
+    """Eliminate vec against the current echelon basis; return residue or None."""
+    vec = list(vec)
+    i = 0
+    while True:
+        j = _leading(vec)
+        if j >= ncols:
+            return None
+        # find basis row with this pivot column, if any
+        try:
+            i = pivots.index(j)
+        except ValueError:
+            return vec
+        a = basis[i][j]
+        b = vec[j]
+        if b % a == 0:
+            q = b // a
+            for jj in range(j, ncols):
+                vec[jj] -= q * basis[i][jj]
+        else:
+            x, y, g = xgcd(a, b)
+            row_new = [x * basis[i][jj] + y * vec[jj] for jj in range(ncols)]
+            coeff_b, coeff_a = a // g, -(b // g)
+            vec = [coeff_a * basis[i][jj] + coeff_b * vec[jj] for jj in range(ncols)]
+            basis[i] = row_new
+        # loop: vec now has a later leading column (or is zero)
+
+
+def _insert_row(vec, basis, pivots, ncols):
+    j = _leading(vec)
+    pos = 0
+    while pos < len(pivots) and pivots[pos] < j:
+        pos += 1
+    basis.insert(pos, vec)
+    pivots.insert(pos, j)
+
+
+def smith_normal_form(A: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Return (S, U, V) with U*A*V == S diagonal, U and V unimodular.
+
+    Diagonal entries of S are nonnegative and satisfy s1 | s2 | ... .
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    S = [list(row) for row in A]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_op(i1, i2, x, y, z, w):
+        # (row i1, row i2) <- (x*r1 + y*r2, z*r1 + w*r2) on S and U
+        for M in (S, U):
+            r1, r2 = M[i1], M[i2]
+            for j in range(len(r1)):
+                a, b = r1[j], r2[j]
+                r1[j] = x * a + y * b
+                r2[j] = z * a + w * b
+
+    def col_op(j1, j2, x, y, z, w):
+        for M in (S, V):
+            for row in M:
+                a, b = row[j1], row[j2]
+                row[j1] = x * a + y * b
+                row[j2] = z * a + w * b
+
+    def clear_position(k):
+        # repeat until S[k][j] == 0 for j > k and S[i][k] == 0 for i > k
+        while True:
+            # bring a nonzero entry to (k, k) if needed
+            if S[k][k] == 0:
+                found = False
+                for i in range(k, m):
+                    for j in range(k, n):
+                        if S[i][j]:
+                            if i != k:
+                                row_op(k, i, 0, 1, 1, 0)
+                            if j != k:
+                                col_op(k, j, 0, 1, 1, 0)
+                            found = True
+                            break
+                    if found:
+                        break
+                if not found:
+                    return
+            for i in range(k + 1, m):
+                a, b = S[k][k], S[i][k]
+                if b == 0:
+                    continue
+                if b % a == 0:
+                    row_op(k, i, 1, 0, -(b // a), 1)
+                else:
+                    x, y, g = xgcd(a, b)
+                    row_op(k, i, x, y, -(b // g), a // g)
+            if all(S[k][j] == 0 for j in range(k + 1, n)):
+                if all(S[i][k] == 0 for i in range(k + 1, m)):
+                    return
+            for j in range(k + 1, n):
+                a, b = S[k][k], S[k][j]
+                if b == 0:
+                    continue
+                if b % a == 0:
+                    col_op(k, j, 1, 0, -(b // a), 1)
+                else:
+                    x, y, g = xgcd(a, b)
+                    col_op(k, j, x, y, -(b // g), a // g)
+            if all(S[i][k] == 0 for i in range(k + 1, m)):
+                if all(S[k][j] == 0 for j in range(k + 1, n)):
+                    return
+
+    r = min(m, n)
+    for k in range(r):
+        clear_position(k)
+
+    # enforce the divisibility chain
+    changed = True
+    while changed:
+        changed = False
+        for k in range(r - 1):
+            a, b = S[k][k], S[k + 1][k + 1]
+            if a and b and b % a != 0:
+                # bring b into column k (below the diagonal), then re-clear:
+                # the row gcd step leaves gcd(a, b) at position k
+                col_op(k, k + 1, 1, 1, 0, 1)
+                clear_position(k)
+                changed = True
+            elif a == 0 and b != 0:
+                col_op(k, k + 1, 0, 1, 1, 0)
+                row_op(k, k + 1, 0, 1, 1, 0)
+                changed = True
+    for k in range(r):
+        if S[k][k] < 0:
+            for M in (S, U):
+                M[k] = [-x for x in M[k]]
+    return S, U, V

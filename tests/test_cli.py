@@ -221,6 +221,23 @@ def test_pairs_equal_command(tmp_path, capsys):
     assert main(["pairs-equal", p1]) == 2
 
 
+def test_pairs_equal_reads_action_entries_as_residues(tmp_path, capsys):
+    # the sign module of Z2 on Z/3, written once with 2 and once with -1
+    from tfalgebra.algebra import trivial_context
+    from tfalgebra.gmodule import GModule
+    from tfalgebra.groups import cyclic_group
+
+    G = cyclic_group(2)
+    ctx = trivial_context(G, GModule(G, (3,), action={0: [[1]], 1: [[2]]}), PrimeField(7))
+    doc = emit_instance(ctx, pair=trivial_pair(ctx))
+    assert doc["module"]["action"]["1"] == [[2]]
+    p1 = write(tmp_path, "two.json", doc)
+    doc["module"]["action"]["1"] = [[-1]]
+    p2 = write(tmp_path, "minus.json", doc)
+    assert main(["pairs-equal", p1, p2]) == 0
+    assert "equivalent" in capsys.readouterr().out
+
+
 def test_enum_cap_env(tmp_path, monkeypatch):
     ctx = context_I1()
     path = write(tmp_path, "c.json", emit_instance(ctx))

@@ -23,6 +23,8 @@ from tfalgebra.groups import (
 )
 from tfalgebra.linalg import Matrix, apply_map, bilinear_value
 
+from lattice_reference import hermite_basis, smith_normal_form
+
 
 # -- fields -------------------------------------------------------------------
 
@@ -69,7 +71,7 @@ def test_smith_normal_form_transforms():
     for _ in range(40):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        S, U, V = intmat.smith_normal_form(A)
+        S, U, V = smith_normal_form(A)
         UA = [[sum(U[i][k] * A[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
         UAV = [[sum(UA[i][k] * V[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
         assert UAV == S
@@ -93,13 +95,10 @@ def test_kernel_and_solve():
         assert all(sum(A[i][j] * v[j] for j in range(3)) % 6 == 0 for i in range(2))
     # x1 == -2 x2 - 3 x3 mod 6 is the only condition
     assert intmat.lattice_index(ker, 3) == 6
-    x = intmat.solve_integer([[2, 0], [0, 3]], [4, 9])
-    assert x == [2, 3]
-    assert intmat.solve_integer([[2]], [3]) is None
 
 
 def test_hermite_membership_and_index():
-    basis = intmat.hermite_basis([[2, 1], [0, 3]], 2)
+    basis = hermite_basis([[2, 1], [0, 3]], 2)
     assert intmat.lattice_index(basis, 2) == 6
     assert intmat.solve_in_lattice(basis, [2, 4]) is not None
     assert intmat.solve_in_lattice(basis, [1, 0]) is None
@@ -108,7 +107,7 @@ def test_hermite_membership_and_index():
 def _smith_route_kernel(A, moduli, ncols):
     """{x : A x == 0 mod moduli} from a Smith form of [A | diag(moduli)]."""
     aug = [list(r) + [moduli[i] if c == i else 0 for c in range(len(A))] for i, r in enumerate(A)]
-    S, U, V = intmat.smith_normal_form(aug)
+    S, U, V = smith_normal_form(aug)
     n = ncols + len(A)
     rank = sum(1 for k in range(min(len(aug), n)) if S[k][k])
     return [[V[i][j] for i in range(ncols)] for j in range(rank, n)]
@@ -128,12 +127,12 @@ def test_modular_routines_match_smith_route():
         else:
             moduli = [rng.choice((2, 3, 4, 6, 12))] * r
         e = math.lcm(*moduli)
-        smith = intmat.hermite_basis(_smith_route_kernel(A, moduli, n) + _scaled_identity(e, n), n)
+        smith = hermite_basis(_smith_route_kernel(A, moduli, n) + _scaled_identity(e, n), n)
         assert intmat.kernel_mod(A, moduli, n) == smith, (A, moduli)
 
         gens = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(rng.randint(0, 4))]
         e = rng.choice((2, 3, 4, 6, 12))
-        expected = intmat.hermite_basis(gens + _scaled_identity(e, n), n)
+        expected = hermite_basis(gens + _scaled_identity(e, n), n)
         assert intmat.hermite_mod(gens, n, e) == expected, (gens, e)
 
 
@@ -150,8 +149,8 @@ def test_hermite_basis_is_canonical():
             if i != j:
                 c = rng.randint(-3, 3)
                 other[i] = [x + c * y for x, y in zip(other[i], other[j])]
-        basis = intmat.hermite_basis(gens, n)
-        assert intmat.hermite_basis(other, n) == basis
+        basis = hermite_basis(gens, n)
+        assert hermite_basis(other, n) == basis
         for row in basis:
             p = next(j for j, x in enumerate(row) if x)
             assert row[p] > 0
@@ -196,15 +195,16 @@ def test_rank_deficient_basis_raises_without_asserts():
     with pytest.raises(ShapeMismatch):
         intmat.lattice_index([[1, 0]], 2)
     with pytest.raises(ShapeMismatch):
-        intmat.quotient_structure(intmat.hermite_basis([[1, 0], [0, 1]], 2), [[2, 0]], 2)
+        intmat.quotient([[1, 0], [0, 1]], [[2, 0]], [2, 2])
 
 
 def test_quotient_structure_z6():
     # Z^2 / <(2,0),(0,3)> = Z/2 x Z/3 = Z/6
-    big = intmat.hermite_basis([[1, 0], [0, 1]], 2)
-    factors, reps = intmat.quotient_structure(big, [[2, 0], [0, 3]], 2)
+    big = [[1, 0], [0, 1]]
+    factors, reps, big_order, small_order = intmat.quotient(big, [[2, 0], [0, 3]], [2, 3])
     assert factors == [6]
     assert len(reps) == 1
+    assert (big_order, small_order) == (6, 1)
 
 
 # -- field matrices -------------------------------------------------------------
@@ -339,6 +339,19 @@ def test_module_homomorphism_exhaustive():
         for x in A.elements():
             for y in A.elements():
                 assert A.act(g, A.mul(x, y)) == A.mul(A.act(g, x), A.act(g, y))
+
+
+def test_module_action_entries_compare_as_residues():
+    # -1 and 2 are the same automorphism of Z/3, 4 acts as 1 on Z/3, 3 as 1 on Z/2
+    G = cyclic_group(2)
+    minus = GModule(G, (3,), action={0: [[1]], 1: [[-1]]})
+    two = GModule(G, (3,), action={0: [[1]], 1: [[2]]})
+    assert minus == two and hash(minus) == hash(two)
+    assert minus.action[1] == ((2,),)
+    assert GModule(G, (3,), action={0: [[4]], 1: [[2]]}) == two
+    assert GModule(G, (2,), action={0: [[1]], 1: [[3]]}).has_trivial_action()
+    mixed = GModule(G, (2, 4), action={0: [[3, 0], [0, 5]], 1: [[1, 0], [2, -1]]})
+    assert mixed.action == {0: ((1, 0), (0, 1)), 1: ((1, 0), (2, 3))}
 
 
 def test_module_rejects_bad_action():

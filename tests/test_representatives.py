@@ -22,7 +22,7 @@ from math import lcm, prod
 
 import pytest
 
-from tfalgebra import cohomology, intmat, pairs
+from tfalgebra import abelian, cohomology, intmat, pairs
 from tfalgebra.cochains import is_cocycle
 from tfalgebra.fields import factorize
 from tfalgebra.gmodule import GModule, cyclic_module
@@ -64,6 +64,66 @@ def test_coset_minimum_matches_brute_force(moduli):
             assert intmat.coset_minimum(basis, vec, moduli) == min(coset)
             by_value = min(coset, key=lambda v: [values[x] for x in v])
             assert intmat.coset_minimum(basis, vec, moduli, values) == by_value
+
+
+# -- quotient against the counting oracle on listed residues ----------------------
+
+
+def _draw_lattices(rng, odd):
+    """A big lattice and a sublattice, both containing diag(moduli) Z^n.
+
+    The sublattice is spanned by one multiple of each generator of the big
+    one, so its Hermite basis is often not a multiple of the big basis row by
+    row, and the quotient's digits carry.
+    """
+    n = rng.randint(1, 4)
+    if odd:
+        moduli = [rng.choice((2, 3, 4, 6, 12)) for _ in range(n)]
+    else:
+        moduli = [rng.choice((2, 3, 4, 6, 12))] * n
+    e = lcm(*moduli)
+    relations = [[m if i == j else 0 for j in range(n)] for i, m in enumerate(moduli) if m != e]
+    gens = [[rng.randrange(e) for _ in range(n)] for _ in range(rng.randint(1, n + 1))]
+    coeffs = [rng.randrange(e) for _ in gens]
+    big = intmat.hermite_mod(relations + gens, n, e)
+    small = intmat.hermite_mod(relations + [[c * x for x in g] for c, g in zip(coeffs, gens)], n, e)
+    return big, small, moduli
+
+
+def test_quotient_matches_counting_on_residues():
+    nontrivial = carried = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        big, small, moduli = _draw_lattices(rng, seed % 2)
+        values = None
+        if seed % 2:
+            values = list(range(max(moduli)))
+            rng.shuffle(values)
+        factors, reps, big_order, small_order = intmat.quotient(big, small, moduli, values)
+
+        elements = intmat.lattice_residues(big, moduli, cap=1 << 16)
+        subgroup = intmat.lattice_residues(small, moduli, cap=1 << 16)
+        key = None if values is None else (lambda v: [values[x] for x in v])
+        expected = abelian.factors_by_counting(elements, subgroup, moduli)
+        assert factors == expected, (seed, big, small, moduli)
+        assert reps == abelian.canonical_generators(elements, subgroup, moduli, expected, key), seed
+        assert (big_order, small_order) == (len(elements), len(subgroup)), seed
+
+        nontrivial += bool(factors)
+        # the digits carry when t_j * big_j is not already in the sublattice
+        steps = [(s[j] // b[j], b) for j, (b, s) in enumerate(zip(big, small))]
+        carried += any(intmat.solve_in_lattice(small, [t * x for x in b]) is None for t, b in steps)
+    assert nontrivial >= 150
+    assert carried >= 15
+
+
+def test_quotient_carries_between_digits():
+    # Z^2 / <(2,1),(0,2)> = Z/4: twice (1, 0) is (2, 0) == (0, -1), which
+    # carries into the second digit
+    factors, reps, big_order, small_order = intmat.quotient([[1, 0], [0, 1]], [[2, 1], [0, 2]], [4, 4])
+    assert factors == [4]
+    assert reps == [(1, 0)]
+    assert (big_order, small_order) == (16, 4)
 
 
 # -- representatives of large quotients, through Hermite bases --------------------
