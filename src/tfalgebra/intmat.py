@@ -95,29 +95,6 @@ def lattice_index(basis: list[list[int]], ncols: int) -> int:
     return abs(prod(row[j] for row, j in zip(basis, _pivots(basis))))
 
 
-def solve_in_lattice(basis: list[list[int]], vec: list[int]) -> list[int] | None:
-    """Coefficients c with sum(c_i * basis_i) == vec, or None.
-
-    ``basis`` must be in echelon (Hermite) form.
-    """
-    vec = list(vec)
-    ncols = len(vec)
-    coeffs = [0] * len(basis)
-    pivots = _pivots(basis)
-    for i, row in enumerate(basis):
-        j = pivots[i]
-        q, r = divmod(vec[j], row[j])
-        if r != 0:
-            return None
-        coeffs[i] = q
-        if q:
-            for jj in range(j, ncols):
-                vec[jj] -= q * row[jj]
-    if any(vec):
-        return None
-    return coeffs
-
-
 def hermite_mod(gens: list[list[int]], ncols: int, e: int) -> list[list[int]]:
     """Canonical Hermite basis of ``span(gens) + e * Z^ncols``.
 

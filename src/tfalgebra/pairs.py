@@ -13,21 +13,23 @@ order p-1):
 
 * ``normal-form``: transport everything along discrete logs, cut the pair
   group out of Z^N as the kernel of one integer system mod p-1 and span the
-  coboundary pairs, both by modular Hermite elimination, then read the
-  quotient off the two Hermite bases with :func:`intmat.quotient`, which
-  orders residues by their field values and so picks the oracle's
-  representatives.  The ``KappaPair`` tuples of ``PairEnumeration.pairs``
-  and ``.coboundary_pairs`` are listed when they are first read, and
-  ``classify_simple`` never reads them;
+  coboundary pairs, both by modular Hermite elimination.  The system's
+  compatibility rows are d2 and the coboundary pairs the columns of d1, both
+  read off :func:`cohomology.coboundary_matrix` for the trivial rank-1
+  module.  The quotient comes off the two Hermite bases with
+  :func:`intmat.quotient`, which orders residues by their field values and
+  so picks the oracle's representatives.  The ``KappaPair`` tuples of
+  ``PairEnumeration.pairs`` and ``.coboundary_pairs`` are listed when they
+  are first read, and ``classify_simple`` never reads them;
 * ``brute-force``: enumerate characters and normalized tables outright and
   filter pointwise -- the oracle for the first route.  Its pairs go to
   discrete-log vectors and :mod:`abelian` counts the quotient and picks the
   generators on them.
 
-:func:`pairs_equivalent` solves for the pointed map psi exactly: modulo
-p - 1 on discrete logs over F_p, and over Q by splitting psi into signs and
-prime exponents, each exponent system solved over Q and kept only when its
-unique solution is integral.
+:func:`pairs_equivalent` solves for the pointed map psi exactly, on the same
+d1 with the unit's column dropped: modulo p - 1 on discrete logs over F_p,
+and over Q by splitting psi into signs and prime exponents, each exponent
+system solved over Q and kept only when its unique solution is integral.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from . import abelian, intmat
+from . import abelian, cohomology, intmat
 from .algebra import AlgebraContext
 from .errors import (
     InvalidPair,
@@ -46,7 +48,7 @@ from .errors import (
     TooLarge,
 )
 from .fields import PrimeField
-from .gmodule import DEFAULT_ENUM_CAP
+from .gmodule import DEFAULT_ENUM_CAP, cyclic_module
 from .linalg import Matrix
 
 
@@ -196,11 +198,6 @@ def pair_mul(context: AlgebraContext, p: KappaPair, q: KappaPair) -> KappaPair:
     return KappaPair(g1, g2)
 
 
-def pair_inv(context: AlgebraContext, p: KappaPair) -> KappaPair:
-    F = context.field
-    return KappaPair({k: F.inv(v) for k, v in p.g1.items()}, tuple(F.inv(v) for v in p.g2))
-
-
 def pair_power(context: AlgebraContext, p: KappaPair, n: int) -> KappaPair:
     out = trivial_pair(context)
     for _ in range(n):
@@ -252,16 +249,25 @@ def _pairs_from_vectors(
     return tuple(KappaPair(dict(zip(keys, row[k:])), row[:k]) for row in rows)
 
 
-def _constraint_matrix(context: AlgebraContext) -> list[list[int]]:
-    """Linear conditions mod p-1 cutting out the pair group, over [y | x]."""
+def _scalar_coboundary(group, degree: int) -> list[list[int]]:
+    """d^degree of the cochain complex with trivial rank-1 coefficients.
+
+    Any modulus above 1 gives the same integer matrix, since the trivial
+    action is the 1 x 1 identity; the moduli go to the lattice routines
+    separately, so one matrix serves both F_p and Q.
+    """
+    return cohomology.coboundary_matrix(cyclic_module(group, 2), degree)
+
+
+def _pair_lattices(context: AlgebraContext) -> tuple[list[list[int]], list[list[int]]]:
+    """Hermite bases of the pair group H and its coboundary subgroup B, mod p-1.
+
+    Coordinates are [y | x]: the character's exponents, then the table in
+    lexicographic pair order.
+    """
     G, A = context.group, context.module
-    k, n = A.rank, G.order
-    e = G.identity
-    N = k + n * n
-
-    def xcol(a, b):
-        return k + a * n + b
-
+    m, k = context.field.unit_order, A.rank
+    N = k + G.order**2
     rows = []
     # character is killed by each factor modulus
     for i in range(k):
@@ -280,50 +286,21 @@ def _constraint_matrix(context: AlgebraContext) -> list[list[int]]:
                 rows.append(row)
     # normalization of the table
     for a in G.elements():
-        for key in ((a, e), (e, a)):
+        for key in ((a, G.identity), (G.identity, a)):
             row = [0] * N
-            row[xcol(*key)] = 1
+            row[k + key[0] * G.order + key[1]] = 1
             rows.append(row)
     # coboundary of the table equals the character of the twisting value
-    for a in G.elements():
-        for b in G.elements():
-            ab = G.mul(a, b)
-            for c in G.elements():
-                row = [0] * N
-                row[xcol(b, c)] += 1
-                row[xcol(ab, c)] -= 1
-                row[xcol(a, G.mul(b, c))] += 1
-                row[xcol(a, b)] -= 1
-                for i, ki in enumerate(context.kappa_value(a, b, c)):
-                    row[i] -= ki
-                if any(row):
-                    rows.append(row)
-    return rows
-
-
-def _coboundary_lattice(context: AlgebraContext, m: int) -> list[list[int]]:
-    """Hermite basis of the coboundary pairs plus m * Z^N."""
-    G = context.group
-    k = context.module.rank
-    n = G.order
-    e = G.identity
-    N = k + n * n
-    gens = []
-    for s in G.elements():
-        if s == e:
-            continue
-        row = [0] * N
-        for a in G.elements():
-            for b in G.elements():
-                col = k + a * n + b
-                if b == s:
-                    row[col] += 1
-                if G.mul(a, b) == s:
-                    row[col] -= 1
-                if a == s:
-                    row[col] += 1
-        gens.append(row)
-    return intmat.hermite_mod(gens, N, m)
+    d2 = _scalar_coboundary(G, 2)
+    for t, d2row in zip(G.tuples(3), d2):
+        row = [-ki for ki in context.kappa_value(*t)] + d2row
+        if any(row):
+            rows.append(row)
+    H = intmat.kernel_mod(rows, [m] * len(rows), N)
+    # d1 of the pointed maps: one generator per non-unit element
+    d1 = _scalar_coboundary(G, 1)
+    gens = [[0] * k + [r[s] for r in d1] for s in G.elements() if s != G.identity]
+    return H, intmat.hermite_mod(gens, N, m)
 
 
 def _unit_values(F: PrimeField) -> list:
@@ -350,10 +327,7 @@ def enumerate_pairs(
     if method != "normal-form":
         raise ValueError(f"unknown enumeration method {method!r}")
     F = _require_prime_field(context)
-    G = context.group
     m = F.unit_order
-    k = context.module.rank
-    N = k + G.order**2
     if m == 1:
         # F_2: the unit group is trivial, so only the trivial pair can exist
         triv = trivial_pair(context)
@@ -361,10 +335,8 @@ def enumerate_pairs(
         cg = PairClassGroup((), (), 1, 1)
         return PairEnumeration(cg, (triv,), (triv,))
 
-    rows = _constraint_matrix(context)
-    H = intmat.kernel_mod(rows, [m] * len(rows), N)
-    B = _coboundary_lattice(context, m)
-    moduli = [m] * N
+    H, B = _pair_lattices(context)
+    moduli = [m] * len(H)
     # canonical generators: lexicographically minimal in (g2, g1) value
     # order, exactly as the brute-force route picks them
     factors, reps, h_order, b_order = intmat.quotient(H, B, moduli, _unit_values(F))
@@ -479,31 +451,16 @@ def _solve_pointed_coboundary(context: AlgebraContext, ratio) -> dict[int, objec
     G, F = context.group, context.field
     e = G.identity
     unknowns = [a for a in G.elements() if a != e]
-    col = {a: i for i, a in enumerate(unknowns)}
-    rows = []
-    keys = []
-    for a in G.elements():
-        for b in G.elements():
-            row = [0] * len(unknowns)
-            if b != e:
-                row[col[b]] += 1
-            ab = G.mul(a, b)
-            if ab != e:
-                row[col[ab]] -= 1
-            if a != e:
-                row[col[a]] += 1
-            rows.append(row)
-            keys.append((a, b))
+    # d1 on the pointed maps: the column of the unit is dropped
+    rows = [[r[a] for a in unknowns] for r in _scalar_coboundary(G, 1)]
+    keys = list(G.tuples(2))
 
     if isinstance(F, PrimeField):
         m = F.unit_order
         sol = _solve_mod(rows, [F.dlog(ratio[k]) for k in keys], m)
         if sol is None:
             return None
-        psi = {e: F.one}
-        for a in unknowns:
-            psi[a] = F.unit_exp(sol[col[a]] % m)
-        return psi
+        return {e: F.one, **{a: F.unit_exp(x % m) for a, x in zip(unknowns, sol)}}
 
     # rationals: split multiplicatively into sign and prime exponents
     from fractions import Fraction
@@ -533,18 +490,18 @@ def _solve_pointed_coboundary(context: AlgebraContext, ratio) -> dict[int, objec
             return None
         if any(Fraction(x).denominator != 1 for x in sol):
             return None
-        for a in unknowns:
-            exps[a][prime] = int(sol[col[a]])
+        for a, x in zip(unknowns, sol):
+            exps[a][prime] = int(x)
     # signs mod 2
     sol = _solve_mod(rows, [0 if Fraction(ratio[k]) > 0 else 1 for k in keys], 2)
     if sol is None:
         return None
     psi = {e: F.one}
-    for a in unknowns:
+    for a, sign in zip(unknowns, sol):
         val = Fraction(1)
         for prime, ep in exps[a].items():
             val *= Fraction(prime) ** ep
-        if sol[col[a]] % 2 == 1:
+        if sign % 2 == 1:
             val = -val
         psi[a] = val
     return psi

@@ -39,6 +39,7 @@ compares as its residue in vector and block identities alike.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .algebra import TFAlgebra
@@ -275,34 +276,30 @@ def _is_image(F, vec, coeffs, rows) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# individual checks; each returns the CheckResult of one tag
+# individual checks, in the order of ALL_TAGS; each yields (witness, detail)
+# at a failure, and the driver reads the first
 # ---------------------------------------------------------------------------
 
 
-def _check_bimodule(V: TFAlgebra, T: _Tables) -> CheckResult:
+def _check_bimodule(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     """Module action: rho_a(1)=id, homomorphism, invertible, grading law."""
     F, el = T.F, T.el
     for a in T.G:
         d, acts = T.dims[a], T.act[a]
         if acts[T.one] != T.ident[d]:
-            return CheckResult("bimodule", False, (a, el[T.one]), "identity of A must act as id")
+            yield (a, el[T.one]), "identity of A must act as id"
         for x, M in enumerate(acts):
             if d and V.a_action[(a, el[x])].rank() != d:
-                return CheckResult("bimodule", False, (a, el[x]), "module action not invertible")
+                yield (a, el[x]), "module action not invertible"
             # grading law: x acts as its a-twist on component a
             if M != acts[T.aact[a][x]]:
-                return CheckResult(
-                    "bimodule", False, (a, el[x]), "action of x and of (a.x) differ on V_a"
-                )
+                yield (a, el[x]), "action of x and of (a.x) differ on V_a"
             for y, N in enumerate(acts):
                 if _matmul(F, M, N, d) != acts[T.amul[x][y]]:
-                    return CheckResult(
-                        "bimodule", False, (a, el[x], el[y]), "action is not a homomorphism"
-                    )
-    return CheckResult("bimodule", True)
+                    yield (a, el[x], el[y]), "action is not a homomorphism"
 
 
-def _check_associativity(V: TFAlgebra, T: _Tables) -> CheckResult:
+def _check_associativity(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     F, G, dims, mul, mult, mcol, mk, kap = T.F, T.G, T.dims, T.mul, T.mult, T.mcol, T.mk, T.kap
     for a in G:
         for b in G:
@@ -315,56 +312,47 @@ def _check_associativity(V: TFAlgebra, T: _Tables) -> CheckResult:
                     for j, uv in enumerate(uvrow):
                         for t, vw in enumerate(vws[j]):
                             if not _is_image(F, _comb(F, uv, cols[t], n), vw, kus[i]):
-                                return CheckResult("associativity", False, (a, b, c, i, j, t))
-    return CheckResult("associativity", True)
+                                yield (a, b, c, i, j, t), ""
 
 
-def _check_unit(V: TFAlgebra, T: _Tables) -> CheckResult:
+def _check_unit(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     F, e = T.F, T.e
     for a in T.G:
         d = T.dims[a]
         for i, u in enumerate(T.ident[d]):
             if not _is_image(F, u, T.unit, T.mcol[e][a][i]):
-                return CheckResult("unit", False, (a, i), "left unit fails")
+                yield (a, i), "left unit fails"
             if not _is_image(F, u, T.unit, T.mult[a][e][i]):
-                return CheckResult("unit", False, (a, i), "right unit fails")
-    return CheckResult("unit", True)
+                yield (a, i), "right unit fails"
 
 
-def _check_eta_symmetric(V: TFAlgebra, T: _Tables) -> CheckResult:
+def _check_eta_symmetric(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     rows = T.eta
     for i in range(len(rows)):
         for j in range(len(rows)):
             if rows[i][j] != rows[j][i]:
-                return CheckResult("eta-symmetric", False, (i, j))
-    return CheckResult("eta-symmetric", True)
+                yield (i, j), ""
 
 
-def _check_eta_nondegenerate(V: TFAlgebra, T: _Tables) -> CheckResult:
+def _check_eta_nondegenerate(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     d = V.dims[V.context.identity]
     if V.eta.rank() != d:
-        return CheckResult(
-            "eta-nondegenerate", False, (), f"rank {V.eta.rank()} < {d}"
-        )
-    return CheckResult("eta-nondegenerate", True)
+        yield (), f"rank {V.eta.rank()} < {d}"
 
 
-def _check_pairing(V: TFAlgebra, T: _Tables) -> CheckResult:
+def _check_pairing(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     dims = T.dims
     for a in T.G:
         ainv = T.inv[a]
         if dims[a] != dims[ainv]:
             detail = f"dims {dims[a]} != {dims[ainv]} on inverse components"
-            return CheckResult("pairing-nondegenerate", False, (a,), detail)
+            yield (a,), detail
         rank = Matrix(T.F, T.pm[a], ncols=dims[ainv]).rank()
         if rank != dims[a]:
-            return CheckResult(
-                "pairing-nondegenerate", False, (a,), f"pairing rank {rank} < {dims[a]}"
-            )
-    return CheckResult("pairing-nondegenerate", True)
+            yield (a,), f"pairing rank {rank} < {dims[a]}"
 
 
-def _check_phi_module(V: TFAlgebra, T: _Tables) -> CheckResult:
+def _check_phi_module(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     """phi_b (x v) = (b.x) phi_b(v): block identity per (b, a, x)."""
     F = T.F
     for b in T.G:
@@ -373,25 +361,22 @@ def _check_phi_module(V: TFAlgebra, T: _Tables) -> CheckResult:
             for x, M in enumerate(T.act[a]):
                 # act by x, then conjugate
                 if _matmul(F, M, blk, n) != pk[T.aact[b][x]]:
-                    return CheckResult("phi-module", False, (b, a, T.el[x]))
-    return CheckResult("phi-module", True)
+                    yield (b, a, T.el[x]), ""
 
 
-def _check_phi_fix(V: TFAlgebra, T: _Tables) -> CheckResult:
+def _check_phi_fix(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     for b in T.G:
         if T.phi[b][b] != T.ident[T.dims[b]]:
-            return CheckResult("phi-fix", False, (b,))
-    return CheckResult("phi-fix", True)
+            yield (b,), ""
 
 
-def _check_phi_unit(V: TFAlgebra, T: _Tables) -> CheckResult:
+def _check_phi_unit(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     for b in T.G:
         if not _is_image(T.F, T.unit, T.unit, T.phi[b][T.e]):
-            return CheckResult("phi-unit", False, (b,))
-    return CheckResult("phi-unit", True)
+            yield (b,), ""
 
 
-def _check_phi_commute(V: TFAlgebra, T: _Tables) -> CheckResult:
+def _check_phi_commute(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     """v u = phi_b(u) v for v in V_b, u anywhere."""
     F = T.F
     for b in T.G:
@@ -401,21 +386,19 @@ def _check_phi_commute(V: TFAlgebra, T: _Tables) -> CheckResult:
             for j, vu in enumerate(vus):
                 for i, pu in enumerate(blk):
                     if not _is_image(F, vu[i], pu, cols[j]):
-                        return CheckResult("phi-commute", False, (b, a, j, i))
-    return CheckResult("phi-commute", True)
+                        yield (b, a, j, i), ""
 
 
-def _check_phi_isometry(V: TFAlgebra, T: _Tables) -> CheckResult:
+def _check_phi_isometry(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     F, eta, d = T.F, T.eta, T.dims[T.e]
     for b in T.G:
         blk = T.phi[b][T.e]
         # eta(phi u, phi v) == eta(u, v) as a matrix identity
         if _matmul(F, _matmul(F, blk, eta, d), [list(col) for col in zip(*blk)], d) != eta:
-            return CheckResult("phi-isometry", False, (b,))
-    return CheckResult("phi-isometry", True)
+            yield (b,), ""
 
 
-def _check_phi_mult(V: TFAlgebra, T: _Tables) -> CheckResult:
+def _check_phi_mult(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     F, G, dims, mul, mult = T.F, T.G, T.dims, T.mul, T.mult
     for b in G:
         cb, Pb, pkb = T.conj[b], T.phi[b], T.pk[b]
@@ -428,19 +411,18 @@ def _check_phi_mult(V: TFAlgebra, T: _Tables) -> CheckResult:
                 for i, pu in enumerate(Pb[a]):
                     for j, pv in enumerate(Pb[g]):
                         if not _is_image(F, _product(F, pu, pv, pp, n), uvs[i][j], lpk):
-                            return CheckResult("phi-mult", False, (b, a, g, i, j))
-    return CheckResult("phi-mult", True)
+                            yield (b, a, g, i, j), ""
 
 
-def _check_phi_compose(V: TFAlgebra, T: _Tables) -> CheckResult:
+def _check_phi_compose(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     F, dims = T.F, T.dims
     # invertibility first: the composition law forces it
     for b in T.G:
         for a in T.G:
             if dims[a] != dims[T.conj[b][a]]:
-                return CheckResult("phi-compose", False, (b, a), "conjugation block is not square")
+                yield (b, a), "conjugation block is not square"
             if dims[a] and T.phinv[(b, a)] is None:
-                return CheckResult("phi-compose", False, (b, a), "conjugation block is singular")
+                yield (b, a), "conjugation block is singular"
     G, phi, conj = T.G, T.phi, T.conj
     for c in G:
         pkc = T.pk[c]
@@ -450,11 +432,10 @@ def _check_phi_compose(V: TFAlgebra, T: _Tables) -> CheckResult:
                 # phi_{cb}  against  phi_b then phi_c then the h-scalar
                 hpk = pkc[cjb[a]][_h_value(T, c, b, a)]
                 if phi[cb][a] != _matmul(F, phi[b][a], hpk, dims[conj[cb][a]]):
-                    return CheckResult("phi-compose", False, (c, b, a))
-    return CheckResult("phi-compose", True)
+                    yield (c, b, a), ""
 
 
-def _check_trace(V: TFAlgebra, T: _Tables) -> CheckResult:
+def _check_trace(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     """Two twisted traces agree for every homogeneous left multiplier."""
     F, dims, mul, inv = T.F, T.dims, T.mul, T.inv
     for a in T.G:
@@ -470,16 +451,15 @@ def _check_trace(V: TFAlgebra, T: _Tables) -> CheckResult:
                     lhs = F.add(lhs, _comb(F, pu, kappa_c[t], da)[i])
                 # right side: V_b -> V_b, multiply by c, un-conjugate by a, act by kappa
                 if unconj is None:
-                    return CheckResult("trace", False, (a, b, t), "conjugation block is singular")
+                    yield (a, b, t), "conjugation block is singular"
                 rhs = F.zero
                 for j, cv in enumerate(T.mult[comm][b][t]):
                     rhs = F.add(rhs, _comb(F, _comb(F, cv, unconj, db), K2, db)[j])
                 if lhs != rhs:
-                    return CheckResult("trace", False, (a, b, t))
-    return CheckResult("trace", True)
+                    yield (a, b, t), ""
 
 
-def _check_lemma_a(V: TFAlgebra, T: _Tables) -> CheckResult:
+def _check_lemma_a(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     F, dims = T.F, T.dims
     for a in T.G:
         ainv, P = T.inv[a], T.pm[a]
@@ -489,11 +469,10 @@ def _check_lemma_a(V: TFAlgebra, T: _Tables) -> CheckResult:
             for i in range(dims[a]):
                 for j in range(dims[ainv]):
                     if xu[i][j] != _dot(F, xv[j], P[i]):
-                        return CheckResult("lemma-1.1-a", False, (a, T.el[x], i, j))
-    return CheckResult("lemma-1.1-a", True)
+                        yield (a, T.el[x], i, j), ""
 
 
-def _check_lemma_b(V: TFAlgebra, T: _Tables) -> CheckResult:
+def _check_lemma_b(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     F, dims = T.F, T.dims
     for a in T.G:
         ainv = T.inv[a]
@@ -502,11 +481,10 @@ def _check_lemma_b(V: TFAlgebra, T: _Tables) -> CheckResult:
         for i in range(dims[a]):
             for j in range(dims[ainv]):
                 if T.pm[a][i][j] != _dot(F, tv[j], cols[i]):
-                    return CheckResult("lemma-1.1-b", False, (a, i, j))
-    return CheckResult("lemma-1.1-b", True)
+                    yield (a, i, j), ""
 
 
-def _check_lemma_c(V: TFAlgebra, T: _Tables) -> CheckResult:
+def _check_lemma_c(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     F, dims = T.F, T.dims
     for b in T.G:
         for a in T.G:
@@ -517,11 +495,10 @@ def _check_lemma_c(V: TFAlgebra, T: _Tables) -> CheckResult:
             for i in range(dims[a]):
                 for j, pv in enumerate(T.phi[b][ainv]):
                     if _dot(F, pv, pu[i]) != lu[i][j]:
-                        return CheckResult("lemma-1.1-c", False, (b, a, i, j))
-    return CheckResult("lemma-1.1-c", True)
+                        yield (b, a, i, j), ""
 
 
-def _check_lemma_d(V: TFAlgebra, T: _Tables) -> CheckResult:
+def _check_lemma_d(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     F, dims = T.F, T.dims
     for a in T.G:
         for b in T.G:
@@ -533,11 +510,10 @@ def _check_lemma_d(V: TFAlgebra, T: _Tables) -> CheckResult:
                     left = _comb(F, uvrow[j], T.pm[ab], dims[abinv])
                     for t, vw in enumerate(vws):
                         if left[t] != _dot(F, vw, ku[i]):
-                            return CheckResult("lemma-1.1-d", False, (a, b, i, j, t))
-    return CheckResult("lemma-1.1-d", True)
+                            yield (a, b, i, j, t), ""
 
 
-def _check_bilinearity(V: TFAlgebra, T: _Tables) -> CheckResult:
+def _check_bilinearity(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     """x(uv) = (xu)v = u(xv): the module acts by central scalars on products."""
     F, dims = T.F, T.dims
     for a in T.G:
@@ -548,30 +524,23 @@ def _check_bilinearity(V: TFAlgebra, T: _Tables) -> CheckResult:
                 for i, whole_row in enumerate(wholes):
                     for j, whole in enumerate(whole_row):
                         if not _is_image(F, whole, xus[i], cols[j]):
-                            return CheckResult(
-                                "internal-bilinearity", False, (a, b, xe, i, j), "x(uv) != (xu)v"
-                            )
+                            yield (a, b, xe, i, j), "x(uv) != (xu)v"
                         if not _is_image(F, whole, xvs[j], uvs[i]):
-                            return CheckResult(
-                                "internal-bilinearity", False, (a, b, xe, i, j), "x(uv) != u(xv)"
-                            )
-    return CheckResult("internal-bilinearity", True)
+                            yield (a, b, xe, i, j), "x(uv) != u(xv)"
 
 
-def _check_phi_identity(V: TFAlgebra, T: _Tables) -> CheckResult:
+def _check_phi_identity(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     for a in T.G:
         if T.phi[T.e][a] != T.ident[T.dims[a]]:
-            return CheckResult("internal-phi-identity", False, (a,))
-    return CheckResult("internal-phi-identity", True)
+            yield (a,), ""
 
 
-def _check_phi_inverse_scalar(V: TFAlgebra, T: _Tables) -> CheckResult:
+def _check_phi_inverse_scalar(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     """On V_{a^-1}, phi_a acts by the inverse kappa(a^-1, a, a^-1)-scalar."""
     for a in T.G:
         ainv = T.inv[a]
         if T.phi[a][ainv] != T.act[ainv][T.ainv[T.kap[ainv][a][ainv]]]:
-            return CheckResult("internal-phi-inverse-scalar", False, (a,))
-    return CheckResult("internal-phi-inverse-scalar", True)
+            yield (a,), ""
 
 
 _CHECKS = (
@@ -602,4 +571,8 @@ _CHECKS = (
 def verify(V: TFAlgebra) -> VerificationReport:
     """Run every axiom and consequence check; never raises on bad data."""
     T = _Tables(V)
-    return VerificationReport([check(V, T) for check in _CHECKS])
+    checks = []
+    for tag, check in zip(ALL_TAGS, _CHECKS):
+        failure = next(check(V, T), None)
+        checks.append(CheckResult(tag, True) if failure is None else CheckResult(tag, False, *failure))
+    return VerificationReport(checks)

@@ -1,15 +1,16 @@
-"""Reference lattice routines: a general Hermite basis and the Smith form.
+"""Reference lattice routines: a general Hermite basis, the Smith form, membership.
 
 The library computes every lattice by modular Hermite elimination
 (``intmat.hermite_mod`` and ``intmat.kernel_mod``) and every quotient from
 the two Hermite bases (``intmat.quotient``).  The general routines below
 work over Z without a modulus.  The tests compare the modular routines
-against them, so they live here and not in the package.
+against them and test lattice membership with :func:`solve_in_lattice`, so
+they live here and not in the package.
 """
 
 from __future__ import annotations
 
-from tfalgebra.intmat import _leading, _normalize, xgcd
+from tfalgebra.intmat import _leading, _normalize, _pivots, xgcd
 
 
 def hermite_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
@@ -163,3 +164,26 @@ def smith_normal_form(A: list[list[int]]) -> tuple[list[list[int]], list[list[in
             for M in (S, U):
                 M[k] = [-x for x in M[k]]
     return S, U, V
+
+
+def solve_in_lattice(basis: list[list[int]], vec: list[int]) -> list[int] | None:
+    """Coefficients c with sum(c_i * basis_i) == vec, or None.
+
+    ``basis`` must be in echelon (Hermite) form.
+    """
+    vec = list(vec)
+    ncols = len(vec)
+    coeffs = [0] * len(basis)
+    pivots = _pivots(basis)
+    for i, row in enumerate(basis):
+        j = pivots[i]
+        q, r = divmod(vec[j], row[j])
+        if r != 0:
+            return None
+        coeffs[i] = q
+        if q:
+            for jj in range(j, ncols):
+                vec[jj] -= q * row[jj]
+    if any(vec):
+        return None
+    return coeffs

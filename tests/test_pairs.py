@@ -17,7 +17,6 @@ from tfalgebra.pairs import (
     coboundary_pair,
     enumerate_pairs,
     is_kappa_pair,
-    pair_inv,
     pair_mul,
     pairs_equivalent,
     trivial_pair,
@@ -165,7 +164,11 @@ def test_group_closure_properties():
         pairs = enumerate_pairs(ctx, method="brute-force").pairs
         keys = {p.key(ctx.group) for p in pairs}
         for p in pairs:
-            assert pair_mul(ctx, p, pair_inv(ctx, p)) == trivial_pair(ctx)
+            inverse = KappaPair(
+                {k: ctx.field.inv(v) for k, v in p.g1.items()},
+                tuple(ctx.field.inv(v) for v in p.g2),
+            )
+            assert pair_mul(ctx, p, inverse) == trivial_pair(ctx)
             for q in pairs:
                 assert pair_mul(ctx, p, q).key(ctx.group) in keys
 

@@ -28,6 +28,7 @@ from tfalgebra.fields import factorize
 from tfalgebra.gmodule import GModule, cyclic_module
 from tfalgebra.groups import cyclic_group, direct_product, symmetric_group
 
+from lattice_reference import solve_in_lattice
 from test_cochains import s3_sign_module
 from test_pairs_listing import listing_contexts
 
@@ -112,7 +113,7 @@ def test_quotient_matches_counting_on_residues():
         nontrivial += bool(factors)
         # the digits carry when t_j * big_j is not already in the sublattice
         steps = [(s[j] // b[j], b) for j, (b, s) in enumerate(zip(big, small))]
-        carried += any(intmat.solve_in_lattice(small, [t * x for x in b]) is None for t, b in steps)
+        carried += any(solve_in_lattice(small, [t * x for x in b]) is None for t, b in steps)
     assert nontrivial >= 150
     assert carried >= 15
 
@@ -133,9 +134,9 @@ def _assert_direct_sum_basis(big, small, moduli, factors, reps, values=None):
     n = len(moduli)
     for d, rep in zip(factors, reps):
         assert intmat.coset_minimum(small, rep, moduli, values) == tuple(rep)
-        assert intmat.solve_in_lattice(small, [d * x for x in rep]) is not None
+        assert solve_in_lattice(small, [d * x for x in rep]) is not None
         for p in factorize(d):
-            assert intmat.solve_in_lattice(small, [(d // p) * x for x in rep]) is None
+            assert solve_in_lattice(small, [(d // p) * x for x in rep]) is None
     assert intmat.lattice_index(small, n) == prod(factors) * intmat.lattice_index(big, n)
     spanned = intmat.hermite_mod(small + [list(r) for r in reps], n, lcm(*moduli))
     assert spanned == big
@@ -199,10 +200,8 @@ def test_pair_representatives_form_a_direct_sum_basis(name, ctx, no_listing):
     F, G = ctx.field, ctx.group
     cg = pairs.enumerate_pairs(ctx).class_group
     m = F.unit_order
-    rows = pairs._constraint_matrix(ctx)
     N = ctx.module.rank + G.order**2
-    H = intmat.kernel_mod(rows, [m] * len(rows), N)
-    B = pairs._coboundary_lattice(ctx, m)
+    H, B = pairs._pair_lattices(ctx)
     reps = []
     for rep in cg.representatives:
         assert pairs.is_kappa_pair(ctx, rep)[0]
