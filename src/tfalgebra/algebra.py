@@ -51,9 +51,6 @@ class AlgebraContext:
     def identity(self) -> int:
         return self.group.identity
 
-    def kappa_value(self, a: int, b: int, c: int) -> tuple[int, ...]:
-        return self.kappa.table[(a, b, c)]
-
     def describe(self) -> str:
         return (
             f"|G|={self.group.order}, A={self.module.moduli}, "

@@ -114,7 +114,7 @@ def cmd_cohomology(args) -> int:
     reps = []
     for i, rep in enumerate(H.representatives):
         print(f"generator {i} (order {H.invariant_factors[i]}):")
-        for key, val in sorted(rep.table.items()):
+        for key, val in zip(inst.context.group.tuples(args.degree), rep.entries()):
             if any(val):
                 print(f"  {','.join(map(str, key))} -> {list(val)}")
         reps.append(emit_cochain_table(rep))

@@ -1,9 +1,12 @@
 """Cochains on a finite group with coefficients in a finite module.
 
-A degree-n cochain is a function G^n -> A stored densely, keyed by tuples of
-element indices.  Degrees 0..4 are supported; the coboundary is defined for
-degrees 0..3 (degree 4 exists only so that degree-3 coboundaries have a
-home).
+A degree-n cochain is a function G^n -> A stored as one flat tuple of ints,
+``values``: the exponent vectors of its values, tuple after tuple in
+``G.tuples(n)`` order, so the value at the T-th tuple is
+``values[T*k:(T+1)*k]`` for a module of rank k.  This is the coordinate
+order of :func:`cohomology.coboundary_matrix`.  Degrees 0..4 are supported;
+the coboundary is defined for degrees 0..3 (degree 4 exists only so that
+degree-3 coboundaries have a home).
 
 The coefficient group is written multiplicatively to match the algebra
 layer, so the coboundary alternates between a value, its inverse, and the
@@ -13,9 +16,17 @@ group action on the leading slot:
     d1(f)(x,y)      = (x.f(y)) * f(xy)^-1 * f(x)
     d2(f)(x,y,z)    = (x.f(y,z)) * f(xy,z)^-1 * f(x,yz) * f(x,y)^-1
     d3(f)(x,y,z,w)  = (x.f(y,z,w)) * f(xy,z,w)^-1 * f(x,yz,w) * f(x,y,zw)^-1 * f(x,y,z)
+
+All four are one walk over :func:`face_plan`: the leading face acts on the
+tail of the target tuple, face i merges slots i-1 and i with sign (-1)^i,
+and the last face drops the last slot with sign (-1)^(n+1).
 """
 
 from __future__ import annotations
+
+from itertools import islice
+from operator import mul
+from types import MappingProxyType
 
 from .errors import ContextMismatch, DegreeOutOfRange, NotACocycle, NotNormalized, ShapeMismatch
 from .gmodule import GModule
@@ -23,94 +34,145 @@ from .gmodule import GModule
 MAX_DEGREE = 4
 
 
+def _check_degree(degree: int) -> None:
+    if not (0 <= degree <= MAX_DEGREE):
+        raise DegreeOutOfRange(f"degree {degree} outside 0..{MAX_DEGREE}")
+
+
+def _tuple_index(order: int, degree: int, key) -> int:
+    """The position of ``key`` in ``G.tuples(degree)`` order."""
+    if not (
+        isinstance(key, tuple)
+        and len(key) == degree
+        and all(type(a) is int and 0 <= a < order for a in key)
+    ):
+        raise ShapeMismatch(f"{key!r} is not a {degree}-tuple of group elements")
+    T = 0
+    for a in key:
+        T = T * order + a
+    return T
+
+
 class Cochain:
-    """A map G^n -> A as a dense table."""
+    """A map G^n -> A as a flat exponent vector."""
 
-    __slots__ = ("module", "degree", "table")
+    __slots__ = ("module", "degree", "values")
 
-    def __init__(self, module: GModule, degree: int, table):
-        if not (0 <= degree <= MAX_DEGREE):
-            raise DegreeOutOfRange(f"degree {degree} outside 0..{MAX_DEGREE}")
-        self.module = module
-        self.degree = degree
-        G = module.group
-        full = {}
-        for key in G.tuples(degree):
-            value = table.get(key, module.one()) if isinstance(table, dict) else table(key)
-            if not module.check(value):
+    def __init__(self, module: GModule, degree: int, table: dict):
+        """The cochain with the given values; tuples left out map to the unit."""
+        _check_degree(degree)
+        G, k = module.group, module.rank
+        values = [0] * (k * G.order**degree)
+        for key, value in table.items():
+            T = _tuple_index(G.order, degree, key)
+            if not (
+                isinstance(value, tuple)
+                and len(value) == k
+                and all(type(x) is int and 0 <= x < m for x, m in zip(value, module.moduli))
+            ):
                 raise ShapeMismatch(f"cochain value {value!r} at {key} is not in the module")
-            full[key] = value
-        self.table = full
+            values[T * k : T * k + k] = value
+        self.module, self.degree, self.values = module, degree, tuple(values)
 
     # -- constructors ----------------------------------------------------------
+    @classmethod
+    def from_vector(cls, module: GModule, degree: int, vec) -> "Cochain":
+        """The cochain with flat exponent vector ``vec``, each entry reduced."""
+        _check_degree(degree)
+        mvec = module.moduli * module.group.order**degree
+        if len(vec) != len(mvec) or any(type(x) is not int for x in vec):
+            raise ShapeMismatch(f"a {degree}-cochain needs {len(mvec)} integers")
+        c = cls.__new__(cls)
+        c.module, c.degree = module, degree
+        c.values = tuple(x % m for x, m in zip(vec, mvec))
+        return c
+
     @classmethod
     def trivial(cls, module: GModule, degree: int) -> "Cochain":
         return cls(module, degree, {})
 
     @classmethod
     def random(cls, module: GModule, degree: int, rng) -> "Cochain":
-        table = {}
-        for key in module.group.tuples(degree):
-            table[key] = tuple(rng.randrange(m) for m in module.moduli)
-        return cls(module, degree, table)
+        count = module.group.order**degree
+        return cls.from_vector(
+            module, degree, [rng.randrange(m) for _ in range(count) for m in module.moduli]
+        )
+
+    # -- reading ----------------------------------------------------------------
+    def value(self, *args) -> tuple[int, ...]:
+        k = self.module.rank
+        T = _tuple_index(self.module.group.order, self.degree, args)
+        return self.values[T * k : T * k + k]
+
+    def entries(self) -> list[tuple[int, ...]]:
+        """The value at each tuple, in ``G.tuples(degree)`` order."""
+        k, v = self.module.rank, self.values
+        return [v[T * k : T * k + k] for T in range(self.module.group.order**self.degree)]
+
+    @property
+    def table(self):
+        """A read-only view {n-tuple: value}."""
+        return MappingProxyType(dict(zip(self.module.group.tuples(self.degree), self.entries())))
 
     # -- pointwise group structure ----------------------------------------------
-    def value(self, *args) -> tuple[int, ...]:
-        if len(args) != self.degree:
-            raise ShapeMismatch(
-                f"a {self.degree}-cochain takes {self.degree} arguments, not {len(args)}"
-            )
-        return self.table[tuple(args)]
-
     def mul(self, other: "Cochain") -> "Cochain":
         if other.module != self.module:
             raise ContextMismatch("cochains over different modules")
         if other.degree != self.degree:
             raise ShapeMismatch(f"cochains of degrees {self.degree} and {other.degree}")
-        A = self.module
-        return Cochain(
-            A, self.degree, {k: A.mul(v, other.table[k]) for k, v in self.table.items()}
-        )
+        vec = [x + y for x, y in zip(self.values, other.values)]
+        return Cochain.from_vector(self.module, self.degree, vec)
 
     def inv(self) -> "Cochain":
-        A = self.module
-        return Cochain(A, self.degree, {k: A.inv(v) for k, v in self.table.items()})
+        return Cochain.from_vector(self.module, self.degree, [-x for x in self.values])
 
     def is_trivial(self) -> bool:
-        one = self.module.one()
-        return all(v == one for v in self.table.values())
+        return not any(self.values)
 
     def __eq__(self, other):
         return (
             isinstance(other, Cochain)
             and other.module == self.module
             and other.degree == self.degree
-            and other.table == self.table
+            and other.values == self.values
         )
 
     def __hash__(self):
-        return hash((self.degree, tuple(sorted(self.table.items()))))
+        return hash((self.degree, self.values))
 
     def __repr__(self):
-        return f"Cochain(degree={self.degree}, support={sum(1 for v in self.table.values() if any(v))})"
+        return f"Cochain(degree={self.degree}, support={sum(map(any, self.entries()))})"
 
-    # -- flat exponent-vector view (for the linear-algebra solvers) -------------
-    def to_vector(self) -> list[int]:
-        G, A = self.module.group, self.module
-        out: list[int] = []
-        for key in G.tuples(self.degree):
-            out.extend(self.table[key])
-        return out
 
-    @classmethod
-    def from_vector(cls, module: GModule, degree: int, vec) -> "Cochain":
-        G, k = module.group, module.rank
-        table = {}
-        pos = 0
-        for key in G.tuples(degree):
-            table[key] = tuple(int(vec[pos + i]) % module.moduli[i] for i in range(k))
-            pos += k
-        return cls(module, degree, table)
+def face_plan(group, degree: int):
+    """The faces of d^degree, one entry per target tuple in tuple order.
+
+    An entry is (t, tail, faces): the target tuple t, the source index of its
+    tail t[1:] (the face acted on by t[0]), and the (source index, sign) of
+    every other face.  Entries are made one at a time, so a single walk
+    holds none of them; a caller that walks the plan repeatedly lists it.
+    """
+    n = degree
+    src_index = {t: i for i, t in enumerate(group.tuples(n))}
+    for t in group.tuples(n + 1):
+        faces = []
+        for pos in range(1, n + 1):
+            merged = t[: pos - 1] + (group.mul(t[pos - 1], t[pos]),) + t[pos + 1 :]
+            faces.append((src_index[merged], -1 if pos % 2 == 1 else 1))
+        faces.append((src_index[t[:-1]], -1 if (n + 1) % 2 == 1 else 1))
+        yield t, src_index[t[1:]], faces
+
+
+def coboundary_coordinates(module: GModule, plan, vec):
+    """The flat exponent vector of d(vec), reduced, one coordinate at a time."""
+    k, moduli, act = module.rank, module.moduli, module.action
+    for t, tail, faces in plan:
+        M, lead = act[t[0]], vec[tail * k : tail * k + k]
+        for i in range(k):
+            acc = sum(map(mul, M[i], lead))
+            for src, sign in faces:
+                acc += sign * vec[src * k + i]
+            yield acc % moduli[i]
 
 
 def coboundary(c: Cochain) -> Cochain:
@@ -118,56 +180,29 @@ def coboundary(c: Cochain) -> Cochain:
     n = c.degree
     if n > 3:
         raise DegreeOutOfRange(f"no coboundary implemented above degree 3 (got {n})")
-    A = c.module
-    G = A.group
-    table = {}
-    if n == 0:
-        a = c.table[()]
-        for (x,) in G.tuples(1):
-            table[(x,)] = A.mul(A.act(x, a), A.inv(a))
-    elif n == 1:
-        for x, y in G.tuples(2):
-            v = A.act(x, c.table[(y,)])
-            v = A.mul(v, A.inv(c.table[(G.mul(x, y),)]))
-            v = A.mul(v, c.table[(x,)])
-            table[(x, y)] = v
-    elif n == 2:
-        for x, y, z in G.tuples(3):
-            v = A.act(x, c.table[(y, z)])
-            v = A.mul(v, A.inv(c.table[(G.mul(x, y), z)]))
-            v = A.mul(v, c.table[(x, G.mul(y, z))])
-            v = A.mul(v, A.inv(c.table[(x, y)]))
-            table[(x, y, z)] = v
-    else:
-        for x, y, z, w in G.tuples(4):
-            v = A.act(x, c.table[(y, z, w)])
-            v = A.mul(v, A.inv(c.table[(G.mul(x, y), z, w)]))
-            v = A.mul(v, c.table[(x, G.mul(y, z), w)])
-            v = A.mul(v, A.inv(c.table[(x, y, G.mul(z, w))]))
-            v = A.mul(v, c.table[(x, y, z)])
-            table[(x, y, z, w)] = v
-    return Cochain(A, n + 1, table)
+    vec = list(coboundary_coordinates(c.module, face_plan(c.module.group, n), c.values))
+    return Cochain.from_vector(c.module, n + 1, vec)
 
 
 def is_cocycle(c: Cochain) -> tuple[bool, tuple | None]:
     """Is the coboundary identically trivial?  Returns (flag, first witness)."""
     if c.degree > 3:
         raise DegreeOutOfRange("cocycle test only defined for degrees 0..3")
-    d = coboundary(c)
-    one = c.module.one()
-    for key in c.module.group.tuples(d.degree):
-        if d.table[key] != one:
-            return False, key
+    G, n = c.module.group, c.degree
+    for pos, x in enumerate(coboundary_coordinates(c.module, face_plan(G, n), c.values)):
+        if x:
+            return False, next(islice(G.tuples(n + 1), pos // c.module.rank, None))
     return True, None
 
 
 def is_normalized(c: Cochain) -> bool:
-    """True iff every table entry with the group unit in some slot is trivial."""
+    """True iff every value at a tuple with the group unit in some slot is trivial."""
     if c.degree not in (2, 3):
         raise DegreeOutOfRange("normalization is defined for degrees 2 and 3")
     e = c.module.group.identity
-    one = c.module.one()
-    return all(v == one for k, v in c.table.items() if e in k)
+    return not any(
+        any(v) for key, v in zip(c.module.group.tuples(c.degree), c.entries()) if e in key
+    )
 
 
 def normalize_cocycle(kappa: Cochain) -> tuple[Cochain, Cochain]:
@@ -190,16 +225,9 @@ def normalize_cocycle(kappa: Cochain) -> tuple[Cochain, Cochain]:
     G = A.group
     e = G.identity
 
-    omega1 = {}
-    for b in G.elements():
-        omega1[(e, b)] = A.inv(kappa.table[(e, e, b)])
-    w1 = Cochain(A, 2, omega1)
+    w1 = Cochain(A, 2, {(e, b): A.inv(kappa.value(e, e, b)) for b in G.elements()})
     k1 = coboundary(w1).mul(kappa)
-
-    omega2 = {}
-    for a in G.elements():
-        omega2[(a, e)] = k1.table[(a, e, e)]
-    w2 = Cochain(A, 2, omega2)
+    w2 = Cochain(A, 2, {(a, e): k1.value(a, e, e) for a in G.elements()})
     k2 = coboundary(w2).mul(k1)
 
     omega = w1.mul(w2)

@@ -10,10 +10,12 @@ Two independent computations of H^n = ker(d^n) / im(d^{n-1}) for n <= 3:
   their two Hermite bases.
 
 * :func:`brute_force_cohomology` enumerates every cochain below a size cap,
-  filters cocycles pointwise, and hands the explicit lists to
-  :mod:`abelian`, which reads off the group structure by counting and picks
-  generators.  It exists to validate the normal-form path and shares none of
-  its linear algebra.
+  filters the cocycles and lists the coboundaries by walking the pointwise
+  face plan of :mod:`cochains` (the walk behind :func:`cochains.coboundary`),
+  and hands the explicit lists to :mod:`abelian`, which reads off the group
+  structure by counting and picks generators.  It exists to validate the
+  normal-form path and shares none of its linear algebra: the matrix of
+  :func:`coboundary_matrix` is built separately and never from the plan.
 
 Both return invariant factors in increasing divisibility order together with
 representative cocycles, one per factor: the canonical generators of
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 from math import lcm, prod
 
 from . import abelian, intmat
-from .cochains import Cochain, coboundary, is_cocycle
+from .cochains import Cochain, coboundary_coordinates, face_plan, is_cocycle
 from .errors import DegreeOutOfRange, NotACocycle, TooLarge
 from .gmodule import DEFAULT_ENUM_CAP, GModule
 
@@ -147,22 +149,6 @@ def cohomology_group(module: GModule, degree: int) -> CohomologyGroup:
 # ---------------------------------------------------------------------------
 
 
-def _pointwise_terms(module: GModule, degree: int):
-    """For each target tuple: (acting element, source index list with signs)."""
-    G = module.group
-    n = degree
-    src_index = {t: i for i, t in enumerate(G.tuples(n))}
-    plan = []
-    for t in G.tuples(n + 1):
-        terms = []
-        for pos in range(1, n + 1):
-            merged = t[: pos - 1] + (G.mul(t[pos - 1], t[pos]),) + t[pos + 1 :]
-            terms.append((src_index[merged], -1 if pos % 2 == 1 else 1))
-        terms.append((src_index[t[:-1]], -1 if (n + 1) % 2 == 1 else 1))
-        plan.append((t[0], src_index[t[1:]], terms))
-    return plan
-
-
 def brute_force_cohomology(
     module: GModule, degree: int, cap: int = DEFAULT_ENUM_CAP
 ) -> CohomologyGroup:
@@ -178,24 +164,11 @@ def brute_force_cohomology(
     if k == 0:
         return CohomologyGroup(module, degree, (), (), 1, 1)
     mvec = _moduli_vector(module, degree)
-    plan = _pointwise_terms(module, degree)
-    moduli, act = A.moduli, A.action
-
-    def is_cocycle_vec(vec) -> bool:
-        for lead, lead_src, terms in plan:
-            M = act[lead]
-            for i in range(k):
-                acc = sum(M[i][j] * vec[lead_src * k + j] for j in range(k))
-                for src, sign in terms:
-                    acc += sign * vec[src * k + i]
-                if acc % moduli[i] != 0:
-                    return False
-        return True
-
+    plan = list(face_plan(G, degree))
     cocycles = [
         vec
         for vec in itertools.product(*(range(m) for m in mvec))
-        if is_cocycle_vec(vec)
+        if not any(coboundary_coordinates(A, plan, vec))
     ]
 
     if degree == 0:
@@ -205,10 +178,11 @@ def brute_force_cohomology(
         prev_total = A.size ** (G.order ** (degree - 1))
         if prev_total > cap:
             raise TooLarge(f"{prev_total} source cochains exceed the cap {cap}")
-        bset = set()
-        for vec in itertools.product(*(range(m) for m in prev_mvec)):
-            c = Cochain.from_vector(module, degree - 1, vec)
-            bset.add(tuple(coboundary(c).to_vector()))
+        prev_plan = list(face_plan(G, degree - 1))
+        bset = {
+            tuple(coboundary_coordinates(A, prev_plan, vec))
+            for vec in itertools.product(*(range(m) for m in prev_mvec))
+        }
 
     factors = abelian.factors_by_counting(cocycles, bset, mvec)
     reps = abelian.canonical_generators(cocycles, bset, mvec, factors)

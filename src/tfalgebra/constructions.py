@@ -129,7 +129,7 @@ def coboundary_transform(V: TFAlgebra, omega: Cochain) -> TFAlgebra:
     for a in G.elements():
         for b in G.elements():
             ab = G.mul(a, b)
-            scale = V.a_action[(ab, A.inv(omega.table[(a, b)]))]
+            scale = V.a_action[(ab, A.inv(omega.value(a, b)))]
             tensor = V.mult[(a, b)]
             mult[(a, b)] = [
                 [list(_apply_rows(scale, vec)) for vec in row] for row in tensor
@@ -138,7 +138,7 @@ def coboundary_transform(V: TFAlgebra, omega: Cochain) -> TFAlgebra:
     for b in G.elements():
         for a in G.elements():
             tgt = G.conj(b, a)
-            factor = A.mul(A.inv(omega.table[(b, a)]), omega.table[(tgt, b)])
+            factor = A.mul(A.inv(omega.value(b, a)), omega.value(tgt, b))
             phi[(b, a)] = V.phi[(b, a)].mul(V.a_action[(tgt, factor)])
     return TFAlgebra(
         context_new,

@@ -124,13 +124,6 @@ class GModule:
             for i in range(self.rank)
         )
 
-    def check(self, a) -> bool:
-        return (
-            isinstance(a, tuple)
-            and len(a) == self.rank
-            and all(isinstance(x, int) and 0 <= x < m for x, m in zip(a, self.moduli))
-        )
-
     def elements(self):
         """All elements in mixed-radix (lexicographic) order."""
         return itertools.product(*(range(m) for m in self.moduli))
@@ -149,8 +142,9 @@ class GModule:
         return tuple(reversed(out))
 
     def generators(self) -> list[tuple[int, ...]]:
+        """The cyclic generators, reduced: the generator of Z/1 is (0,)."""
         return [
-            tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)
+            tuple(int(i == j) % m for j, m in enumerate(self.moduli)) for i in range(self.rank)
         ]
 
     @property

@@ -161,16 +161,13 @@ def is_kappa_pair(context: AlgebraContext, pair: KappaPair) -> tuple[bool, tuple
     for a in G.elements():
         if pair.g1[(a, e)] != F.one or pair.g1[(e, a)] != F.one:
             return False, ("g1-normalization", a)
-    for a in G.elements():
-        for b in G.elements():
-            ab = G.mul(a, b)
-            for c in G.elements():
-                d2 = F.mul(
-                    F.mul(pair.g1[(b, c)], F.inv(pair.g1[(ab, c)])),
-                    F.mul(pair.g1[(a, G.mul(b, c))], F.inv(pair.g1[(a, b)])),
-                )
-                if d2 != pair.g2_value(F, context.kappa_value(a, b, c)):
-                    return False, ("compatibility", a, b, c)
+    for (a, b, c), kv in zip(G.tuples(3), context.kappa.entries()):
+        d2 = F.mul(
+            F.mul(pair.g1[(b, c)], F.inv(pair.g1[(G.mul(a, b), c)])),
+            F.mul(pair.g1[(a, G.mul(b, c))], F.inv(pair.g1[(a, b)])),
+        )
+        if d2 != pair.g2_value(F, kv):
+            return False, ("compatibility", a, b, c)
     return True, None
 
 
@@ -292,8 +289,8 @@ def _pair_lattices(context: AlgebraContext) -> tuple[list[list[int]], list[list[
             rows.append(row)
     # coboundary of the table equals the character of the twisting value
     d2 = _scalar_coboundary(G, 2)
-    for t, d2row in zip(G.tuples(3), d2):
-        row = [-ki for ki in context.kappa_value(*t)] + d2row
+    for kv, d2row in zip(context.kappa.entries(), d2):
+        row = [-ki for ki in kv] + d2row
         if any(row):
             rows.append(row)
     H = intmat.kernel_mod(rows, [m] * len(rows), N)

@@ -122,10 +122,8 @@ def parse_cochain_table(module: GModule, obj, degree: int, key: str) -> Cochain:
 
 
 def emit_cochain_table(c: Cochain) -> dict:
-    out = {}
-    for idx in c.module.group.tuples(c.degree):
-        out[",".join(str(i) for i in idx)] = list(c.table[idx])
-    return out
+    keys = c.module.group.tuples(c.degree)
+    return {",".join(map(str, key)): list(v) for key, v in zip(keys, c.entries())}
 
 
 # -- the instance --------------------------------------------------------------

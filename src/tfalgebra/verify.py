@@ -201,8 +201,8 @@ class _Tables:
         self.one, self.ainv = pos[A.one()], [pos[A.inv(x)] for x in el]
         self.amul = [[pos[A.mul(x, y)] for y in el] for x in el]
         self.aact = [[pos[A.act(g, x)] for x in el] for g in Gs]
-        kap = V.context.kappa.table
-        self.kap = [[[pos[kap[(a, b, c)]] for c in Gs] for b in Gs] for a in Gs]
+        n, kap = G.order, [pos[v] for v in V.context.kappa.entries()]
+        self.kap = [[kap[(a * n + b) * n : (a * n + b + 1) * n] for b in Gs] for a in Gs]
         self.act = act = [[reduced(V.a_action[(a, x)].rows) for x in el] for a in Gs]
         self.phi = phi = [[reduced(V.phi[(b, a)].rows) for a in Gs] for b in Gs]
         self.mult = mult = [[[reduced(uvs) for uvs in V.mult[(a, b)]] for b in Gs] for a in Gs]

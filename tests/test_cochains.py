@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from tfalgebra.algebra import AlgebraContext
 from tfalgebra.cochains import (
     Cochain,
     coboundary,
@@ -18,8 +19,10 @@ from tfalgebra.errors import (
     ShapeMismatch,
     TFAError,
 )
+from tfalgebra.fields import PrimeField
 from tfalgebra.gmodule import GModule, cyclic_module
 from tfalgebra.groups import cyclic_group, symmetric_group
+from tfalgebra.serialize import dump_json, emit_instance, load_instance
 
 
 def sign_action_module(group, m):
@@ -99,6 +102,42 @@ def test_coboundary_squares_to_trivial_exhaustive_tiny():
                 assert coboundary(coboundary(c)).is_trivial()
 
 
+def reference_coboundary(c):
+    """The four formulas of the ``cochains`` docstring, written out pointwise."""
+    A, G, f = c.module, c.module.group, c.value
+    act, mul, inv, g = A.act, A.mul, A.inv, G.mul
+    table = {}
+    if c.degree == 0:
+        for (x,) in G.tuples(1):
+            table[(x,)] = mul(act(x, f()), inv(f()))
+    elif c.degree == 1:
+        for x, y in G.tuples(2):
+            table[(x, y)] = mul(mul(act(x, f(y)), inv(f(g(x, y)))), f(x))
+    elif c.degree == 2:
+        for x, y, z in G.tuples(3):
+            v = mul(act(x, f(y, z)), inv(f(g(x, y), z)))
+            table[(x, y, z)] = mul(mul(v, f(x, g(y, z))), inv(f(x, y)))
+    else:
+        for x, y, z, w in G.tuples(4):
+            v = mul(act(x, f(y, z, w)), inv(f(g(x, y), z, w)))
+            v = mul(mul(v, f(x, g(y, z), w)), inv(f(x, y, g(z, w))))
+            table[(x, y, z, w)] = mul(v, f(x, y, z))
+    return Cochain(A, c.degree + 1, table)
+
+
+def test_coboundary_matches_the_written_formulas():
+    rng = random.Random(314)
+    modules = [
+        s3_sign_module(3),
+        GModule(cyclic_group(2), (2, 2), action={0: [[1, 0], [0, 1]], 1: [[0, 1], [1, 0]]}),
+    ]
+    for A in modules:
+        for n in range(4):
+            for _ in range(5):
+                c = Cochain.random(A, n, rng)
+                assert coboundary(c) == reference_coboundary(c), (A, n)
+
+
 def test_degree_cap():
     A = cyclic_module(cyclic_group(2), 2)
     top = Cochain.trivial(A, 4)
@@ -117,17 +156,30 @@ def test_mismatched_cochains_raise_library_errors():
         c2.mul(Cochain.trivial(cyclic_module(G, 4), 2))
 
 
-def test_bad_cochain_input_raises_library_errors():
-    # both are bad mathematical input, so ``except TFAError`` must catch them
+def test_bad_cochain_input_raises_library_errors(tmp_path):
+    # all are bad mathematical input, so ``except TFAError`` must catch them
     A = cyclic_module(cyclic_group(2), 2)
     bad = Cochain(A, 3, {(1, 1, 0): (1,)})
     with pytest.raises(TFAError) as err:
         normalize_cocycle(bad)
     assert isinstance(err.value, NotACocycle)
     assert err.value.witness == is_cocycle(bad)[1]
-    with pytest.raises(TFAError) as err:
-        Cochain(A, 2, {(1, 1): (2,)})
-    assert isinstance(err.value, ShapeMismatch)
+    # a value outside the module, a key outside G^n or of the wrong arity, and
+    # a bool, which is no module entry (it would be written as JSON true)
+    for table in ({(1, 1): (2,)}, {(5, 7): (1,)}, {(1, 1, 1): (1,)}, {(1, 1): (True,)}):
+        with pytest.raises(TFAError) as err:
+            Cochain(A, 2, table)
+        assert isinstance(err.value, ShapeMismatch), table
+    # the flat constructor takes exactly |G|^n * rank integers
+    for vec in ([1, 0, 1], [1, 0, 1, 1, 0], [1, 0, 1, True]):
+        with pytest.raises(ShapeMismatch):
+            Cochain.from_vector(A, 2, vec)
+    # what is accepted is written and read back unchanged
+    G = A.group
+    ctx = AlgebraContext(G, A, Cochain(A, 3, {(1, 1, 1): (1,)}), PrimeField(5))
+    path = tmp_path / "z2.json"
+    path.write_text(dump_json(emit_instance(ctx)), encoding="utf-8")
+    assert load_instance(str(path)).context == ctx
 
 
 def test_is_cocycle_nontrivial_example():

@@ -1,6 +1,8 @@
 """Normal-form cohomology against the enumeration oracle."""
 
 import itertools
+import random
+from math import gcd
 
 import pytest
 
@@ -11,10 +13,11 @@ from tfalgebra.cohomology import (
     cohomology_group,
 )
 from tfalgebra.errors import DegreeOutOfRange, TooLarge
-from tfalgebra.gmodule import GModule, cyclic_module, trivial_module
-from tfalgebra.groups import cyclic_group, symmetric_group, trivial_group
+from tfalgebra.gmodule import DEFAULT_ENUM_CAP, GModule, cyclic_module, trivial_module
+from tfalgebra.groups import cyclic_group, direct_product, symmetric_group, trivial_group
 
 from test_cochains import s3_sign_module
+from test_pair_sweep import _homomorphisms
 
 
 def test_matrix_matches_pointwise_coboundary():
@@ -27,14 +30,15 @@ def test_matrix_matches_pointwise_coboundary():
         s3_sign_module(2),
     ]
     for A in modules:
-        for n in range(3):
-            D = coboundary_matrix(A, n)
+        for n in range(4):
+            # the nonzero entries of each row of the matrix
+            D = [[(s, v) for s, v in enumerate(row) if v] for row in coboundary_matrix(A, n)]
             mvec_t = list(A.moduli) * (A.group.order ** (n + 1))
             for _ in range(10):
                 c = Cochain.random(A, n, rng)
-                x = c.to_vector()
-                y = [sum(D[r][s] * x[s] for s in range(len(x))) % mvec_t[r] for r in range(len(D))]
-                assert y == [v % m for v, m in zip(coboundary(c).to_vector(), mvec_t)]
+                x = c.values
+                y = [sum(v * x[s] for s, v in row) % m for row, m in zip(D, mvec_t)]
+                assert y == list(coboundary(c).values), (A, n)
 
 
 def test_h0_is_invariants():
@@ -113,7 +117,7 @@ def test_oracle_agreement_suite():
             mvec = list(A.moduli) * (A.group.order**n)
             for d, rep in zip(fast.invariant_factors, fast.representatives):
                 # the representative has exactly order d modulo the coboundaries
-                vec = rep.to_vector()
+                vec = rep.values
                 orders = [
                     t
                     for t in range(1, d + 1)
@@ -130,7 +134,7 @@ def _brute_force_coboundaries(A, n):
         return {tuple(0 for _ in A.moduli)}
     prev = list(A.moduli) * (A.group.order ** (n - 1))
     return {
-        tuple(coboundary(Cochain.from_vector(A, n - 1, vec)).to_vector())
+        tuple(coboundary(Cochain.from_vector(A, n - 1, vec)).values)
         for vec in itertools.product(*(range(m) for m in prev))
     }
 
@@ -189,3 +193,45 @@ def test_trivial_coefficients():
     A = trivial_module(cyclic_group(4))
     for n in range(4):
         assert cohomology_group(A, n).invariant_factors == ()
+
+
+# Seeded sweep: seed i is the i-th (group, Z/m, degree) with m <= 4 and
+# degree 1..3 whose |A|^(|G|^n) cochains fit under the enumeration cap, so
+# the oracle always runs.  The seed draws the action through a random
+# homomorphism to the units of Z/m and stores each entry reduced or minus m.
+_Z2 = cyclic_group(2)
+SWEEP = [
+    (gname, G, m, n)
+    for gname, G in (
+        ("Z2", _Z2),
+        ("Z3", cyclic_group(3)),
+        ("Z4", cyclic_group(4)),
+        ("Z2^2", direct_product(_Z2, _Z2)),
+        ("Z2^3", direct_product(direct_product(_Z2, _Z2), _Z2)),
+        ("S3", symmetric_group(3)),
+    )
+    for m in (1, 2, 3, 4)
+    for n in (1, 2, 3)
+    if m ** (G.order**n) <= DEFAULT_ENUM_CAP
+]
+
+
+@pytest.mark.parametrize("seed", range(len(SWEEP)))
+def test_routes_agree_on_a_seeded_module(seed):
+    rng = random.Random(seed)
+    gname, G, m, n = SWEEP[seed]
+    homs = _homomorphisms(G, (m,), [((u,),) for u in range(m) if gcd(u, m) == 1])
+    action = {
+        g: [[rng.choice((x, x - m)) for x in row] for row in M]
+        for g, M in rng.choice(homs).items()
+    }
+    A = GModule(G, (m,), action=action)
+    where = f"seed {seed}: H^{n}({gname}, Z/{m}), action {action}"
+    fast = cohomology_group(A, n)
+    slow = brute_force_cohomology(A, n)
+    assert fast.invariant_factors == slow.invariant_factors, where
+    assert fast.cocycle_order == slow.cocycle_order, where
+    assert fast.coboundary_order == slow.coboundary_order, where
+    assert [r.values for r in fast.representatives] == [
+        r.values for r in slow.representatives
+    ], where

@@ -7,12 +7,14 @@ whose brute-force candidate count is within the enumeration cap, so the
 oracle always runs.  The seed draws the action, stores every action entry
 either reduced or shifted down by its modulus (-1 as well as 2 on Z/3), and
 draws the twisting cocycle: a normalized representative of a random class
-of H^3 times the coboundary of a random normalized 2-cochain.
+of H^3 times the coboundary of a random normalized 2-cochain.  The same
+contexts carry the round trip: build, verify, extract, serialize and twist.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from math import gcd, prod
 
@@ -21,10 +23,13 @@ import pytest
 from tfalgebra.algebra import AlgebraContext
 from tfalgebra.cochains import Cochain, coboundary, normalize_cocycle
 from tfalgebra.cohomology import cohomology_group
+from tfalgebra.constructions import build_simple, coboundary_transform, extract_kappa_pair
 from tfalgebra.fields import PrimeField
 from tfalgebra.gmodule import DEFAULT_ENUM_CAP, GModule
 from tfalgebra.groups import cyclic_group, direct_product
 from tfalgebra.pairs import coboundary_pair, enumerate_pairs, pair_mul, pairs_equivalent
+from tfalgebra.serialize import dump_json, emit_instance, parse_instance
+from tfalgebra.verify import verify
 
 GROUPS = (
     ("Z2", cyclic_group(2)),
@@ -76,6 +81,11 @@ FEASIBLE = [
 SEEDS = range(len(FEASIBLE))
 
 
+def _normalized_2cochain(A, rng):
+    free = [(a, b) for a, b in A.group.tuples(2) if A.group.identity not in (a, b)]
+    return Cochain(A, 2, {key: tuple(rng.randrange(m) for m in A.moduli) for key in free})
+
+
 def _draw(seed):
     """(description, context) for one seed."""
     rng = random.Random(seed)
@@ -91,9 +101,7 @@ def _draw(seed):
         for _ in range(rng.randrange(d)):
             kappa = kappa.mul(rep)
     kappa, _ = normalize_cocycle(kappa)
-    free = [(a, b) for a, b in G.tuples(2) if G.identity not in (a, b)]
-    omega = Cochain(A, 2, {key: tuple(rng.randrange(m) for m in moduli) for key in free})
-    kappa = kappa.mul(coboundary(omega))
+    kappa = kappa.mul(coboundary(_normalized_2cochain(A, rng)))
     module = " x ".join(f"Z/{m}" for m in moduli)
     where = f"seed {seed}: {gname}, {module}, action {encoded}, F{p}"
     return where, AlgebraContext(G, A, kappa, PrimeField(p))
@@ -117,3 +125,26 @@ def test_pair_routes_agree_on_a_seeded_context(seed):
     found = pairs_equivalent(ctx, p, q)
     assert found is not None, where
     assert pair_mul(ctx, q, coboundary_pair(ctx, found)) == p, where
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_round_trip_on_a_seeded_context(seed):
+    where, ctx = _draw(seed)
+    rng = random.Random(f"{seed}:round-trip")
+    pair = rng.choice(enumerate_pairs(ctx).pairs)
+    V = build_simple(ctx, pair)
+    assert verify(V).passed, where
+    assert extract_kappa_pair(V)[0] == pair, where
+
+    doc = emit_instance(ctx, algebra=V, pair=pair)
+    inst = parse_instance(json.loads(dump_json(doc)))
+    assert inst.context == ctx and inst.pair == pair, where
+    W = inst.algebra
+    assert W.context == ctx and W.dims == V.dims and W.mult == V.mult, where
+    assert W.a_action == V.a_action and W.unit == V.unit, where
+    assert W.eta == V.eta and W.phi == V.phi, where
+
+    omega = _normalized_2cochain(ctx.module, rng)
+    W = coboundary_transform(V, omega)
+    assert verify(W).passed, where
+    assert W.context.kappa == coboundary(omega).mul(ctx.kappa), where

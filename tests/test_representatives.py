@@ -191,7 +191,7 @@ def test_rung_representatives_form_a_direct_sum_basis(name, module, degree, no_l
     B = cohomology._boundary_lattice(module, degree)
     for rep in H.representatives:
         assert is_cocycle(rep)[0]
-    reps = [rep.to_vector() for rep in H.representatives]
+    reps = [rep.values for rep in H.representatives]
     _assert_direct_sum_basis(Z, B, moduli, H.invariant_factors, reps)
 
 
