@@ -3,10 +3,12 @@
 A degree-n cochain is a function G^n -> A stored as one flat tuple of ints,
 ``values``: the exponent vectors of its values, tuple after tuple in
 ``G.tuples(n)`` order, so the value at the T-th tuple is
-``values[T*k:(T+1)*k]`` for a module of rank k.  This is the coordinate
-order of :func:`cohomology.coboundary_matrix`.  Degrees 0..4 are supported;
-the coboundary is defined for degrees 0..3 (degree 4 exists only so that
-degree-3 coboundaries have a home).
+``values[T*k:(T+1)*k]`` for a module of rank k.  The normal-form route of
+:mod:`cohomology` works on the normalized cochains, which vanish at every
+tuple with the unit in some slot, in the same order restricted to the other
+tuples, and zero-pads its representatives back to this layout.  Degrees
+0..4 are supported; the coboundary is defined for degrees 0..3 (degree 4
+exists only so that degree-3 coboundaries have a home).
 
 The coefficient group is written multiplicatively to match the algebra
 layer, so the coboundary alternates between a value, its inverse, and the

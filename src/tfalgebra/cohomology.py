@@ -2,25 +2,41 @@
 
 Two independent computations of H^n = ker(d^n) / im(d^{n-1}) for n <= 3:
 
-* :func:`cohomology_group` linearizes cochains as integer exponent vectors.
-  The coboundary becomes an integer matrix acting modulo the cyclic factor
-  moduli.  The cocycles are its kernel modulo the moduli and the coboundaries
-  an image plus the moduli relations, both found by modular Hermite
-  elimination; :func:`intmat.quotient` reads the quotient between them off
-  their two Hermite bases.
+* :func:`cohomology_group` works on the normalized cochain complex, the
+  cochains that vanish at every tuple with the unit in some slot, which has
+  the same cohomology (Brown, *Cohomology of Groups*, III.1).  Cochains
+  become integer exponent vectors on the unit-free tuples, and the
+  coboundary sparse integer rows (:func:`coboundary_matrix`) acting modulo
+  the cyclic factor moduli.  The cocycles are its kernel modulo the moduli
+  and the coboundaries an image plus the moduli relations, both found by
+  modular Hermite elimination; :func:`intmat.quotient` reads the quotient
+  between them off their two Hermite bases.  The representatives are
+  zero-padded to the full layout and checked with :func:`is_cocycle`, and the
+  cocycle and coboundary orders are those of the full complex.
 
 * :func:`brute_force_cohomology` enumerates every cochain below a size cap,
   filters the cocycles and lists the coboundaries by walking the pointwise
   face plan of :mod:`cochains` (the walk behind :func:`cochains.coboundary`),
   and hands the explicit lists to :mod:`abelian`, which reads off the group
   structure by counting and picks generators.  It exists to validate the
-  normal-form path and shares none of its linear algebra: the matrix of
-  :func:`coboundary_matrix` is built separately and never from the plan.
+  normal-form path and shares none of its linear algebra: it counts on the
+  full complex, picks the representatives among the tables that vanish at
+  the tuples with the unit, and the matrix of :func:`coboundary_matrix` is
+  built separately and never from the plan.
 
 Both return invariant factors in increasing divisibility order together with
 representative cocycles, one per factor: the canonical generators of
-:func:`abelian.canonical_generators`, each of exactly its factor's order and
-the lexicographically smallest table in its class.
+:func:`abelian.canonical_generators` on the normalized cocycles modulo the
+normalized coboundaries, a quotient that is H^n again.  Each has exactly its
+factor's order and is the lexicographically smallest normalized table in
+its class.  Dropping constant-zero coordinates keeps the lexicographic
+order, so the normal-form route applies this rule in normalized
+coordinates.  The smallest table of the whole class need not be normalized
+(the group of order 3 with its unit labelled 2, coefficients Z/3, degree 2),
+so the rule names normalized tables.  With the unit e labelled 0 the two
+agree up to degree 2: every 1-cocycle vanishes at e, and in degree 2 the
+first value of z * d(c), at (e, e), is c(e) for normalized z, and d(c) is
+normalized once c(e) is trivial.
 """
 
 from __future__ import annotations
@@ -56,97 +72,133 @@ class CohomologyGroup:
         return " x ".join(f"Z/{d}" for d in self.invariant_factors)
 
 
-def coboundary_matrix(module: GModule, degree: int) -> list[list[int]]:
-    """Integer matrix of d^degree on flattened exponent vectors.
+def _normalized_tuples(group, degree: int):
+    """The ``degree``-tuples with no unit entry, in ``G.tuples(degree)`` order."""
+    rest = [g for g in group.elements() if g != group.identity]
+    return itertools.product(rest, repeat=degree)
 
-    Source coordinates run over (tuple, factor) in lexicographic tuple order;
-    likewise the target.  Multiplicative inverses become -1 coefficients.
+
+def coboundary_matrix(module: GModule, degree: int) -> list[list[tuple[int, int]]]:
+    """Sparse rows of d^degree on the normalized cochains.
+
+    A normalized cochain vanishes on every tuple with the unit in some slot
+    (Brown, *Cohomology of Groups*, III.1), so its coordinates run over
+    (tuple, factor) for the tuples of :func:`_normalized_tuples` only; likewise
+    the target.  Row (t, i) lists the (column, coefficient) pairs of target
+    coordinate i at tuple t, at most ``k + degree + 1`` of them: the leading
+    face acts on the tail, and an inner face that merges two slots into the
+    unit reads a vanishing value and is left out.  Multiplicative inverses
+    become -1 coefficients.
     """
     if not (0 <= degree <= 3):
         raise DegreeOutOfRange(f"coboundary matrix defined for degrees 0..3 (got {degree})")
     G, k = module.group, module.rank
     n = degree
-    order = G.order
-    src_tuples = list(G.tuples(n))
-    tgt_tuples = list(G.tuples(n + 1))
-    src_index = {t: i for i, t in enumerate(src_tuples)}
-    rows = [[0] * (len(src_tuples) * k) for _ in range(len(tgt_tuples) * k)]
-    for T, t in enumerate(tgt_tuples):
-        base_r = T * k
-        # leading term: action of t[0] on the tail
-        S = src_index[t[1:]]
+    # the first column of each unit-free source tuple
+    src_index = {t: i * k for i, t in enumerate(_normalized_tuples(G, n))}
+    rows = []
+    for t in _normalized_tuples(G, n + 1):
         M = module.action[t[0]]
-        for i in range(k):
-            for j in range(k):
-                if M[i][j]:
-                    rows[base_r + i][S * k + j] += M[i][j]
-        # inner terms: merge adjacent slots with alternating signs
+        lead = src_index[t[1:]]
+        # inner faces merge adjacent slots with alternating signs; the
+        # trailing face drops the last slot
+        faces = []
         for pos in range(1, n + 1):
             merged = t[: pos - 1] + (G.mul(t[pos - 1], t[pos]),) + t[pos + 1 :]
-            S = src_index[merged]
-            sign = -1 if pos % 2 == 1 else 1
-            for i in range(k):
-                rows[base_r + i][S * k + i] += sign
-        # trailing term: drop the last slot
-        S = src_index[t[:-1]]
-        sign = -1 if (n + 1) % 2 == 1 else 1
+            if merged in src_index:
+                faces.append((src_index[merged], -1 if pos % 2 == 1 else 1))
+        faces.append((src_index[t[:-1]], -1 if (n + 1) % 2 == 1 else 1))
         for i in range(k):
-            rows[base_r + i][S * k + i] += sign
+            row = {lead + j: a for j, a in enumerate(M[i]) if a}
+            for S, sign in faces:
+                row[S + i] = row.get(S + i, 0) + sign
+            rows.append(sorted((c, v) for c, v in row.items() if v))
     return rows
 
 
-def _moduli_vector(module: GModule, degree: int) -> list[int]:
-    count = module.group.order**degree
-    return list(module.moduli) * count
+def _normalized_moduli(module: GModule, degree: int) -> list[int]:
+    return list(module.moduli) * (module.group.order - 1) ** degree
 
 
 def _cocycle_lattice(module: GModule, degree: int) -> list[list[int]]:
-    """Hermite basis of {x in Z^N : D x == 0 mod target moduli}."""
+    """Hermite basis of the normalized cocycles {x : D x == 0 mod target moduli}."""
+    mvec = _normalized_moduli(module, degree)
     D = coboundary_matrix(module, degree)
-    N = module.rank * module.group.order**degree
-    return intmat.kernel_mod(D, _moduli_vector(module, degree + 1), N)
+    return intmat.kernel_mod(D, _normalized_moduli(module, degree + 1), len(mvec))
 
 
 def _boundary_lattice(module: GModule, degree: int) -> list[list[int]]:
-    """Hermite basis of im(d^{degree-1}) + (moduli relations) inside Z^N."""
-    mvec = _moduli_vector(module, degree)
+    """Hermite basis of the normalized im(d^{degree-1}) + (moduli relations)."""
+    mvec = _normalized_moduli(module, degree)
     N = len(mvec)
     e = lcm(*module.moduli)
     gens = [[m if j == i else 0 for j in range(N)] for i, m in enumerate(mvec) if m != e]
     if degree >= 1:
-        Dprev = coboundary_matrix(module, degree - 1)
-        ncols = len(Dprev[0]) if Dprev else 0
-        for j in range(ncols):
-            gens.append([Dprev[r][j] for r in range(N)])
+        columns = [[0] * N for _ in _normalized_moduli(module, degree - 1)]
+        for r, row in enumerate(coboundary_matrix(module, degree - 1)):
+            for c, v in row:
+                columns[c][r] = v
+        gens += columns
     return intmat.hermite_mod(gens, N, e)
 
 
+def _degenerate_order(module: GModule, degree: int) -> int:
+    """|Z^n(Q)| for n = ``degree``: full-complex orders over normalized ones.
+
+    The normalized cochains C_N are a subcomplex of the full complex C, and
+    the quotient Q = C / C_N, the values at the tuples with a unit slot, is
+    acyclic.  Restriction to Q maps Z^n onto Z^n(Q) with kernel Z_N^n, and
+    B^n onto B^n(Q) = Z^n(Q) with kernel B_N^n, so |Z^n| = |Z_N^n| |Z^n(Q)|
+    and |B^n| = |B_N^n| |Z^n(Q)|.  This is the full complex's recursion
+    |B^0| = 1, |B^n| = |C^(n-1)| / |Z^(n-1)| with the normalized part
+    divided out: |Z^n(Q)| = |Q^(n-1)| / |Z^(n-1)(Q)|, and Q^0 = 0.
+    """
+    order = module.group.order
+    out = 1
+    for j in range(degree):
+        out = module.size ** (order**j - (order - 1) ** j) // out
+    return out
+
+
 def cohomology_group(module: GModule, degree: int) -> CohomologyGroup:
-    """H^degree via integer normal forms; degree <= 3."""
+    """H^degree via integer normal forms on the normalized complex; degree <= 3.
+
+    The representatives are lifted to the full layout of :class:`Cochain`
+    by zero-padding, and the cocycle and coboundary orders are those of the
+    full complex.
+    """
     if not (0 <= degree <= 3):
         raise DegreeOutOfRange(f"cohomology implemented for degrees 0..3 (got {degree})")
-    mvec = _moduli_vector(module, degree)
+    mvec = _normalized_moduli(module, degree)
+    degenerate = _degenerate_order(module, degree)
     if not mvec:
-        # coefficients are trivial: every group vanishes
-        return CohomologyGroup(module, degree, (), (), 1, 1)
+        # no normalized coordinates: every group vanishes
+        return CohomologyGroup(module, degree, (), (), degenerate, degenerate)
     Z = _cocycle_lattice(module, degree)
     B = _boundary_lattice(module, degree)
     factors, reps, z_order, b_order = intmat.quotient(Z, B, mvec)
+    k = module.rank
+    tuples = list(_normalized_tuples(module.group, degree))
     cochains = []
     for vec in reps:
-        c = Cochain.from_vector(module, degree, vec)
+        values = (tuple(vec[s : s + k]) for s in range(0, len(vec), k))
+        c = Cochain(module, degree, dict(zip(tuples, values)))
         ok, witness = is_cocycle(c)
         if not ok:
             raise NotACocycle(f"representative is not a cocycle (violated at {witness})", witness)
         cochains.append(c)
     return CohomologyGroup(
-        module, degree, tuple(factors), tuple(cochains), z_order, b_order
+        module, degree, tuple(factors), tuple(cochains), z_order * degenerate, b_order * degenerate
     )
 
 
 # ---------------------------------------------------------------------------
 # brute-force oracle
 # ---------------------------------------------------------------------------
+
+
+def _moduli_vector(module: GModule, degree: int) -> list[int]:
+    return list(module.moduli) * module.group.order**degree
 
 
 def brute_force_cohomology(
@@ -185,7 +237,13 @@ def brute_force_cohomology(
         }
 
     factors = abelian.factors_by_counting(cocycles, bset, mvec)
-    reps = abelian.canonical_generators(cocycles, bset, mvec, factors)
+    # the representatives come from the normalized tables
+    units = [
+        T * k + i for T, t in enumerate(G.tuples(degree)) if G.identity in t for i in range(k)
+    ]
+    normalized = [z for z in cocycles if not any(z[i] for i in units)]
+    normalized_b = {b for b in bset if not any(b[i] for i in units)}
+    reps = abelian.canonical_generators(normalized, normalized_b, mvec, factors)
     cochains = tuple(Cochain.from_vector(module, degree, r) for r in reps)
     return CohomologyGroup(
         module, degree, tuple(factors), cochains, len(cocycles), len(bset)

@@ -114,9 +114,6 @@ class GModule:
     def inv(self, a) -> tuple[int, ...]:
         return tuple((-x) % m for x, m in zip(a, self.moduli))
 
-    def power(self, a, n: int) -> tuple[int, ...]:
-        return tuple((x * n) % m for x, m in zip(a, self.moduli))
-
     def act(self, g: int, a) -> tuple[int, ...]:
         M = self.action[g]
         return tuple(
@@ -127,19 +124,6 @@ class GModule:
     def elements(self):
         """All elements in mixed-radix (lexicographic) order."""
         return itertools.product(*(range(m) for m in self.moduli))
-
-    def index(self, a) -> int:
-        idx = 0
-        for x, m in zip(a, self.moduli):
-            idx = idx * m + x
-        return idx
-
-    def element(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for m in reversed(self.moduli):
-            idx, r = divmod(idx, m)
-            out.append(r)
-        return tuple(reversed(out))
 
     def generators(self) -> list[tuple[int, ...]]:
         """The cyclic generators, reduced: the generator of Z/1 is (0,)."""

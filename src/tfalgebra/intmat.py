@@ -8,9 +8,9 @@ plain list-of-lists arithmetic over Python ints.
 Every lattice the library meets contains ``e * Z^n`` for the exponent ``e``
 of its coefficients, so the one integer engine is modular Hermite
 elimination: :func:`kernel_mod` cuts out ``{x : A x == 0 mod m}`` one
-constraint at a time and :func:`hermite_mod` returns the canonical basis of
-such a lattice, both keeping every entry reduced modulo ``e`` (Domich,
-Kannan and Trotter 1987; Storjohann and Mulders 1998).
+sparse constraint row at a time and :func:`hermite_mod` returns the
+canonical basis of such a lattice, both keeping every entry reduced modulo
+``e`` (Domich, Kannan and Trotter 1987; Storjohann and Mulders 1998).
 :func:`lattice_residues` lists a lattice's residues in mixed radix.
 :func:`quotient` is the one quotient routine of the fast routes: it reads
 the quotient off the two Hermite bases, as digits in the columns where
@@ -139,21 +139,25 @@ def hermite_mod(gens: list[list[int]], ncols: int, e: int) -> list[list[int]]:
     return basis
 
 
-def kernel_mod(rows: list[list[int]], moduli: list[int], ncols: int) -> list[list[int]]:
+def kernel_mod(
+    rows: list[list[tuple[int, int]]], moduli: list[int], ncols: int
+) -> list[list[int]]:
     """Canonical Hermite basis of ``{x : rows[r] . x == 0 mod moduli[r]}``.
 
-    Starts from the generators ``I`` of ``Z^ncols`` and applies one
-    constraint at a time.  The generators with a nonzero value are combined
-    into a single survivor (the one whose value has the smallest gcd with the
-    modulus leads), the survivor is scaled by ``m / gcd(value, m)``, and any
-    generator that becomes ``0 mod e`` is dropped, where ``e`` is the lcm of
-    the moduli.  This is exact because the lattice always contains
-    ``e * Z^ncols``, so generators may be kept reduced modulo ``e``.
+    Each row is sparse, a list of (column, coefficient) pairs with each
+    column at most once.  Starts from the generators ``I`` of ``Z^ncols``
+    and applies one constraint at a time.  The generators with a nonzero
+    value are combined into a single survivor (the one whose value has the
+    smallest gcd with the modulus leads), the survivor is scaled by
+    ``m / gcd(value, m)``, and any generator that becomes ``0 mod e`` is
+    dropped, where ``e`` is the lcm of the moduli.  This is exact because
+    the lattice always contains ``e * Z^ncols``, so generators may be kept
+    reduced modulo ``e``.
     """
     e = lcm(*moduli)
     gens = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     for row, m in zip(rows, moduli):
-        support = [(c, v % m) for c, v in enumerate(row) if v % m]
+        support = [(c, v % m) for c, v in row if v % m]
         if not support:
             continue
         vals = [0] * len(gens)

@@ -13,9 +13,11 @@ order p-1):
 
 * ``normal-form``: transport everything along discrete logs, cut the pair
   group out of Z^N as the kernel of one integer system mod p-1 and span the
-  coboundary pairs, both by modular Hermite elimination.  The system's
-  compatibility rows are d2 and the coboundary pairs the columns of d1, both
-  read off :func:`cohomology.coboundary_matrix` for the trivial rank-1
+  coboundary pairs, both by modular Hermite elimination.  A table is
+  normalized, so N counts the character's exponents and the table's values
+  at the pairs without the unit only.  The system's compatibility rows are
+  d2 and the coboundary pairs the columns of d1, both read off the
+  normalized :func:`cohomology.coboundary_matrix` for the trivial rank-1
   module.  The quotient comes off the two Hermite bases with
   :func:`intmat.quotient`, which orders residues by their field values and
   so picks the oracle's representatives.  The ``KappaPair`` tuples of
@@ -27,7 +29,8 @@ order p-1):
   generators on them.
 
 :func:`pairs_equivalent` solves for the pointed map psi exactly, on the same
-d1 with the unit's column dropped: modulo p - 1 on discrete logs over F_p,
+normalized d1, after checking that the ratio is 1 at every pair with the
+unit: modulo p - 1 on discrete logs over F_p,
 and over Q by splitting psi into signs and prime exponents, each exponent
 system solved over Q and kept only when its unique solution is integral.
 """
@@ -233,21 +236,27 @@ def _require_prime_field(context: AlgebraContext) -> PrimeField:
 def _pairs_from_vectors(
     context: AlgebraContext, vectors, sort: bool = False
 ) -> tuple[KappaPair, ...]:
-    """Pairs of reduced dlog vectors [g2 | g1 in lexicographic pair order].
+    """Pairs of reduced dlog vectors [g2 | g1 on the pairs without the unit].
 
-    One exponent table serves every coordinate.  With ``sort`` the pairs come
-    in ``KappaPair.key`` order.
+    The table is 1 on the pairs with the unit.  One exponent table serves
+    every coordinate.  With ``sort`` the pairs come in ``KappaPair.key``
+    order, since the left-out values are the same in every pair.
     """
-    G, k = context.group, context.module.rank
-    keys = [(a, b) for a in G.elements() for b in G.elements()]
+    G, k, one = context.group, context.module.rank, context.field.one
+    keys = list(cohomology._normalized_tuples(G, 2))
     rows = list(map(_value_key(context.field), vectors))
     if sort:
         rows.sort()
-    return tuple(KappaPair(dict(zip(keys, row[k:])), row[:k]) for row in rows)
+    out = []
+    for row in rows:
+        g1 = dict.fromkeys(G.tuples(2), one)
+        g1.update(zip(keys, row[k:]))
+        out.append(KappaPair(g1, row[:k]))
+    return tuple(out)
 
 
-def _scalar_coboundary(group, degree: int) -> list[list[int]]:
-    """d^degree of the cochain complex with trivial rank-1 coefficients.
+def _scalar_coboundary(group, degree: int) -> list[list[tuple[int, int]]]:
+    """Sparse rows of the normalized d^degree with trivial rank-1 coefficients.
 
     Any modulus above 1 gives the same integer matrix, since the trivial
     action is the 1 x 1 identity; the moduli go to the lattice routines
@@ -259,44 +268,35 @@ def _scalar_coboundary(group, degree: int) -> list[list[int]]:
 def _pair_lattices(context: AlgebraContext) -> tuple[list[list[int]], list[list[int]]]:
     """Hermite bases of the pair group H and its coboundary subgroup B, mod p-1.
 
-    Coordinates are [y | x]: the character's exponents, then the table in
-    lexicographic pair order.
+    Coordinates are [y | x]: the character's exponents, then the table on the
+    pairs without the unit, in lexicographic order.  A table is normalized,
+    so it is 1 on the other pairs, and so is d1 of a pointed map.  Since the
+    twisting cocycle is normalized too, the compatibility conditions at the
+    triples with the unit read 1 == 1 and only the normalized d2 is left.
     """
     G, A = context.group, context.module
     m, k = context.field.unit_order, A.rank
-    N = k + G.order**2
-    rows = []
+    N = k + (G.order - 1) ** 2
     # character is killed by each factor modulus
-    for i in range(k):
-        row = [0] * N
-        row[i] = A.moduli[i]
-        rows.append(row)
+    rows = [[(i, mi)] for i, mi in enumerate(A.moduli)]
     # character is invariant under the group action
     for a in G.elements():
         for i, gen in enumerate(A.generators()):
-            moved = A.act(a, gen)
-            row = [0] * N
-            for j, c in enumerate(moved):
-                row[j] += c
+            row = list(A.act(a, gen))
             row[i] -= 1
             if any(row):
-                rows.append(row)
-    # normalization of the table
-    for a in G.elements():
-        for key in ((a, G.identity), (G.identity, a)):
-            row = [0] * N
-            row[k + key[0] * G.order + key[1]] = 1
-            rows.append(row)
+                rows.append([(j, c) for j, c in enumerate(row) if c])
     # coboundary of the table equals the character of the twisting value
     d2 = _scalar_coboundary(G, 2)
-    for kv, d2row in zip(context.kappa.entries(), d2):
-        row = [-ki for ki in kv] + d2row
-        if any(row):
-            rows.append(row)
+    for t, d2row in zip(cohomology._normalized_tuples(G, 3), d2):
+        kv = context.kappa.value(*t)
+        rows.append([(j, -c) for j, c in enumerate(kv) if c] + [(k + c, v) for c, v in d2row])
     H = intmat.kernel_mod(rows, [m] * len(rows), N)
     # d1 of the pointed maps: one generator per non-unit element
-    d1 = _scalar_coboundary(G, 1)
-    gens = [[0] * k + [r[s] for r in d1] for s in G.elements() if s != G.identity]
+    gens = [[0] * N for _ in range(G.order - 1)]
+    for r, row in enumerate(_scalar_coboundary(G, 1)):
+        for s, v in row:
+            gens[s][k + r] = v
     return H, intmat.hermite_mod(gens, N, m)
 
 
@@ -444,17 +444,23 @@ def pairs_equivalent(
 
 
 def _solve_pointed_coboundary(context: AlgebraContext, ratio) -> dict[int, object] | None:
-    """Solve d1(psi) == ratio for pointed psi, exactly, over F_p or Q."""
+    """Solve d1(psi) == ratio for pointed psi, exactly, over F_p or Q.
+
+    d1 of a pointed map is 1 at every pair with the unit, so a ratio that is
+    not 1 there has no solution; at the other pairs the system is the
+    normalized d1, whose unknowns are the values of psi off the unit.
+    """
     G, F = context.group, context.field
     e = G.identity
+    if any(ratio[k] != F.one for k in G.tuples(2) if e in k):
+        return None
     unknowns = [a for a in G.elements() if a != e]
-    # d1 on the pointed maps: the column of the unit is dropped
-    rows = [[r[a] for a in unknowns] for r in _scalar_coboundary(G, 1)]
-    keys = list(G.tuples(2))
+    rows = _scalar_coboundary(G, 1)
+    keys = list(cohomology._normalized_tuples(G, 2))
 
     if isinstance(F, PrimeField):
         m = F.unit_order
-        sol = _solve_mod(rows, [F.dlog(ratio[k]) for k in keys], m)
+        sol = _solve_mod(rows, [F.dlog(ratio[k]) for k in keys], m, len(unknowns))
         if sol is None:
             return None
         return {e: F.one, **{a: F.unit_exp(x % m) for a, x in zip(unknowns, sol)}}
@@ -471,6 +477,10 @@ def _solve_pointed_coboundary(context: AlgebraContext, ratio) -> dict[int, objec
         primes |= set(factorize(v.denominator))
     primes.discard(1)
     exps = {a: {} for a in unknowns}
+    dense = [[0] * len(unknowns) for _ in rows]
+    for out, row in zip(dense, rows):
+        for c, v in row:
+            out[c] = v
     for prime in sorted(primes):
         rhs = []
         for k in keys:
@@ -482,7 +492,7 @@ def _solve_pointed_coboundary(context: AlgebraContext, ratio) -> dict[int, objec
         # x(a) + x(b) - x(ab) has kernel Hom(G, Z) = 0, so the solution over
         # Q is unique, and an integral one exists exactly when it is integral
         try:
-            sol = Matrix(F, rows).solve(rhs)
+            sol = Matrix(F, dense).solve(rhs)
         except NoSolution:
             return None
         if any(Fraction(x).denominator != 1 for x in sol):
@@ -490,7 +500,7 @@ def _solve_pointed_coboundary(context: AlgebraContext, ratio) -> dict[int, objec
         for a, x in zip(unknowns, sol):
             exps[a][prime] = int(x)
     # signs mod 2
-    sol = _solve_mod(rows, [0 if Fraction(ratio[k]) > 0 else 1 for k in keys], 2)
+    sol = _solve_mod(rows, [0 if Fraction(ratio[k]) > 0 else 1 for k in keys], 2, len(unknowns))
     if sol is None:
         return None
     psi = {e: F.one}
@@ -504,15 +514,17 @@ def _solve_pointed_coboundary(context: AlgebraContext, ratio) -> dict[int, objec
     return psi
 
 
-def _solve_mod(rows: list[list[int]], rhs: list[int], m: int) -> list[int] | None:
-    """One x with rows . x == rhs mod m, or None.
+def _solve_mod(
+    rows: list[list[tuple[int, int]]], rhs: list[int], m: int, ncols: int
+) -> list[int] | None:
+    """One x in Z^ncols with rows . x == rhs mod m, or None; the rows are sparse.
 
     The solutions are the kernel of [-rhs | rows] mod m with first coordinate
     1; one exists iff the first Hermite pivot of that kernel is 1, and then x
     is the rest of that row.
     """
-    aug = [[-b] + row for row, b in zip(rows, rhs)]
-    top = intmat.kernel_mod(aug, [m] * len(aug), len(aug[0]))[0]
+    aug = [[(0, -b)] + [(c + 1, v) for c, v in row] for row, b in zip(rows, rhs)]
+    top = intmat.kernel_mod(aug, [m] * len(aug), ncols + 1)[0]
     return top[1:] if top[0] == 1 else None
 
 

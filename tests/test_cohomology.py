@@ -6,15 +6,29 @@ from math import gcd
 
 import pytest
 
-from tfalgebra.cochains import Cochain, coboundary, is_cocycle
+from tfalgebra import abelian
+from tfalgebra.cochains import (
+    Cochain,
+    coboundary,
+    coboundary_coordinates,
+    face_plan,
+    is_cocycle,
+)
 from tfalgebra.cohomology import (
+    _normalized_tuples,
     brute_force_cohomology,
     coboundary_matrix,
     cohomology_group,
 )
 from tfalgebra.errors import DegreeOutOfRange, TooLarge
 from tfalgebra.gmodule import DEFAULT_ENUM_CAP, GModule, cyclic_module, trivial_module
-from tfalgebra.groups import cyclic_group, direct_product, symmetric_group, trivial_group
+from tfalgebra.groups import (
+    FiniteGroup,
+    cyclic_group,
+    direct_product,
+    symmetric_group,
+    trivial_group,
+)
 
 from test_cochains import s3_sign_module
 from test_pair_sweep import _homomorphisms
@@ -30,15 +44,20 @@ def test_matrix_matches_pointwise_coboundary():
         s3_sign_module(2),
     ]
     for A in modules:
+        G = A.group
         for n in range(4):
-            # the nonzero entries of each row of the matrix
-            D = [[(s, v) for s, v in enumerate(row) if v] for row in coboundary_matrix(A, n)]
-            mvec_t = list(A.moduli) * (A.group.order ** (n + 1))
+            D = coboundary_matrix(A, n)
+            src, tgt = (list(_normalized_tuples(G, d)) for d in (n, n + 1))
+            mvec_t = list(A.moduli) * len(tgt)
             for _ in range(10):
-                c = Cochain.random(A, n, rng)
-                x = c.values
+                # a random normalized cochain and its coordinates
+                c = Cochain(A, n, {t: tuple(rng.randrange(m) for m in A.moduli) for t in src})
+                x = [v for t in src for v in c.value(*t)]
+                dc = coboundary(c)
                 y = [sum(v * x[s] for s, v in row) % m for row, m in zip(D, mvec_t)]
-                assert y == list(coboundary(c).values), (A, n)
+                assert y == [v for t in tgt for v in dc.value(*t)], (A, n)
+                # the normalized cochains form a subcomplex
+                assert dc == Cochain(A, n + 1, {t: dc.value(*t) for t in tgt}), (A, n)
 
 
 def test_h0_is_invariants():
@@ -139,6 +158,20 @@ def _brute_force_coboundaries(A, n):
     }
 
 
+def _full_complex_generators(A, n):
+    """The representatives' rule applied to every cocycle table, normalized or not."""
+    mvec = list(A.moduli) * (A.group.order**n)
+    plan = list(face_plan(A.group, n))
+    cocycles = [
+        vec
+        for vec in itertools.product(*(range(m) for m in mvec))
+        if not any(coboundary_coordinates(A, plan, vec))
+    ]
+    bset = _brute_force_coboundaries(A, n)
+    factors = abelian.factors_by_counting(cocycles, bset, mvec)
+    return abelian.canonical_generators(cocycles, bset, mvec, factors)
+
+
 def test_h3_s3_z2():
     A = cyclic_module(symmetric_group(3), 2)
     H = cohomology_group(A, 3)
@@ -157,16 +190,34 @@ def test_h2_s3_sign_z3_odd_acts_by_2():
     assert is_cocycle(H.representatives[0])[0]
 
 
+def test_h2_s4_z2():
+    # beyond the enumeration cap: H^2(S4, Z/2) = Z/2 x Z/2, with the orders of
+    # the full complex, |B^2| = |C^1| / |Z^1| = 2^24 / 2
+    A = cyclic_module(symmetric_group(4), 2)
+    H = cohomology_group(A, 2)
+    assert H.invariant_factors == (2, 2)
+    assert (H.cocycle_order, H.coboundary_order) == (2**25, 2**23)
+    assert all(is_cocycle(rep)[0] for rep in H.representatives)
+
+
 def test_representatives_agree_between_paths():
     # one rule picks the representatives on both routes, so the tables are
-    # identical on every module and degree within the enumeration cap
+    # identical on every module and degree within the enumeration cap.
+    # FiniteGroup takes the unit wherever the table puts it: with the unit
+    # labelled 2 (or 1) the smallest table of a class can take a value at a
+    # tuple with the unit, and both routes still pick the smallest normalized one
     cap = 1 << 16
+    z3 = FiniteGroup([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+    z2 = FiniteGroup([[1, 0], [0, 1]])
     modules = suite_modules() + [
         cyclic_module(cyclic_group(4), 2),
         cyclic_module(cyclic_group(4), 4),
         GModule(cyclic_group(2), (2, 4)),
+        cyclic_module(z3, 3),
+        cyclic_module(z2, 2),
+        cyclic_module(z2, 4),
     ]
-    checked = 0
+    checked, unnormalized = 0, []
     for A in modules:
         for n in range(4):
             if A.size ** (A.group.order**n) > cap:
@@ -177,8 +228,14 @@ def test_representatives_agree_between_paths():
             assert [r.table for r in fast.representatives] == [
                 r.table for r in slow.representatives
             ], (A, n)
+            if [r.values for r in slow.representatives] != _full_complex_generators(A, n):
+                unnormalized.append((A.group.identity, A.moduli, n))
             checked += 1
-    assert checked == 33
+    assert checked == 44
+    # H^2(Z3, Z/3) with the unit labelled 2: the class of the normalized
+    # (0,1,0,1,1,0,0,0,0) holds the smaller (0,0,1,0,1,1,1,1,1), its sum with
+    # the coboundary of the 1-cochain that is 1 at the unit
+    assert unnormalized == [(2, (3,), 2), (1, (2,), 2), (1, (2,), 3), (1, (4,), 2), (1, (4,), 3)]
 
 
 def test_degree_and_size_caps():
@@ -233,5 +290,12 @@ def test_routes_agree_on_a_seeded_module(seed):
     assert fast.cocycle_order == slow.cocycle_order, where
     assert fast.coboundary_order == slow.coboundary_order, where
     assert [r.values for r in fast.representatives] == [
+        r.values for r in slow.representatives
+    ], where
+    # with the unit labelled 0 the smallest normalized table of each class is
+    # the smallest table of the whole class, so the representatives are those
+    # of the full complex
+    assert G.identity == 0
+    assert _full_complex_generators(A, n) == [
         r.values for r in slow.representatives
     ], where

@@ -89,7 +89,7 @@ def test_smith_normal_form_transforms():
 
 def test_kernel_and_solve():
     A = [[2, 4, 6], [1, 2, 3]]
-    ker = intmat.kernel_mod(A, [6, 6], 3)
+    ker = intmat.kernel_mod([list(enumerate(row)) for row in A], [6, 6], 3)
     assert len(ker) == 3
     for v in ker:
         assert all(sum(A[i][j] * v[j] for j in range(3)) % 6 == 0 for i in range(2))
@@ -128,7 +128,8 @@ def test_modular_routines_match_smith_route():
             moduli = [rng.choice((2, 3, 4, 6, 12))] * r
         e = math.lcm(*moduli)
         smith = hermite_basis(_smith_route_kernel(A, moduli, n) + _scaled_identity(e, n), n)
-        assert intmat.kernel_mod(A, moduli, n) == smith, (A, moduli)
+        sparse = [list(enumerate(row)) for row in A]
+        assert intmat.kernel_mod(sparse, moduli, n) == smith, (A, moduli)
 
         gens = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(rng.randint(0, 4))]
         e = rng.choice((2, 3, 4, 6, 12))

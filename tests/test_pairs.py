@@ -242,6 +242,22 @@ def test_pairs_equivalent_recovers_shift():
     assert coboundary_pair(ctx, psi) == coboundary_pair(ctx, psi0)
 
 
+def test_pointed_solve_needs_the_ratio_to_be_1_at_the_unit():
+    # the solve reads d1 on the pairs without the unit; a ratio that is not 1
+    # at a pair with the unit still has no solution, over F_p and over Q
+    from fractions import Fraction
+
+    from tfalgebra.pairs import _solve_pointed_coboundary
+
+    G = cyclic_group(3)
+    for F, psi0 in ((F5, {0: 1, 1: 2, 2: 3}), (RationalField(), {0: 1, 1: Fraction(2), 2: -3})):
+        ctx = trivial_context(G, trivial_module(G), F)
+        ratio = coboundary_pair(ctx, psi0).g1
+        assert _solve_pointed_coboundary(ctx, ratio) == psi0
+        for key in ((1, 0), (0, 2), (0, 0)):
+            assert _solve_pointed_coboundary(ctx, {**ratio, key: F.neg(F.one)}) is None, (F, key)
+
+
 def test_distinct_classes_not_equivalent():
     ctx = context_I1()
     cg = enumerate_pairs(ctx).class_group
@@ -311,6 +327,17 @@ def test_classification_counts():
     cls = classify_simple(ctx)
     assert cls.class_group.order == 1
     assert cls.isomorphism_class_count == 4
+
+
+@pytest.mark.parametrize("p,count", [(5, 32), (7, 48)])
+def test_classification_over_s4(p, count):
+    # H^2(S4, F_p^*) = Z/2 x Z/2 and the character group of Z/2 adds a
+    # third factor; each class carries p - 1 rescalings
+    G = symmetric_group(4)
+    cls = classify_simple(trivial_context(G, cyclic_module(G, 2), PrimeField(p)))
+    assert cls.class_group.invariant_factors == (2, 2, 2)
+    assert len(cls.class_pairs) == cls.class_group.order == 8
+    assert cls.isomorphism_class_count == count
 
 
 def test_classification_representatives_inequivalent():

@@ -186,12 +186,15 @@ PAIR_CASES = [(name, ctx) for name, ctx in listing_contexts() if name.startswith
 @pytest.mark.parametrize("name,module,degree", RUNGS, ids=[name for name, _, _ in RUNGS])
 def test_rung_representatives_form_a_direct_sum_basis(name, module, degree, no_listing):
     H = cohomology.cohomology_group(module, degree)
-    moduli = cohomology._moduli_vector(module, degree)
+    # the lattices live on the normalized cochains, the tuples without the unit
+    moduli = cohomology._normalized_moduli(module, degree)
     Z = cohomology._cocycle_lattice(module, degree)
     B = cohomology._boundary_lattice(module, degree)
+    tuples = list(cohomology._normalized_tuples(module.group, degree))
+    reps = []
     for rep in H.representatives:
         assert is_cocycle(rep)[0]
-    reps = [rep.values for rep in H.representatives]
+        reps.append([x for t in tuples for x in rep.value(*t)])
     _assert_direct_sum_basis(Z, B, moduli, H.invariant_factors, reps)
 
 
@@ -200,12 +203,12 @@ def test_pair_representatives_form_a_direct_sum_basis(name, ctx, no_listing):
     F, G = ctx.field, ctx.group
     cg = pairs.enumerate_pairs(ctx).class_group
     m = F.unit_order
-    N = ctx.module.rank + G.order**2
+    # the lattices leave out the table's values at the pairs with the unit
+    N = ctx.module.rank + (G.order - 1) ** 2
     H, B = pairs._pair_lattices(ctx)
     reps = []
     for rep in cg.representatives:
         assert pairs.is_kappa_pair(ctx, rep)[0]
-        g1 = (rep.g1[(a, b)] for a in G.elements() for b in G.elements())
+        g1 = (rep.g1[t] for t in cohomology._normalized_tuples(G, 2))
         reps.append([F.dlog(v) for v in itertools.chain(rep.g2, g1)])
     _assert_direct_sum_basis(H, B, [m] * N, cg.invariant_factors, reps, pairs._unit_values(F))
-
