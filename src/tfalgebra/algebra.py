@@ -27,7 +27,7 @@ from .errors import NotHomogeneous, NotNormalized, ShapeMismatch, ZeroScale
 from .fields import Field
 from .gmodule import GModule
 from .groups import FiniteGroup
-from .linalg import Matrix, apply_map
+from .linalg import Matrix, _product, apply_map
 
 
 @dataclass(frozen=True)
@@ -148,22 +148,8 @@ class TFAlgebra:
     # -- arithmetic on graded vectors -----------------------------------------
     def multiply(self, a: int, u: list, b: int, v: list) -> list:
         """Product of u in V_a with v in V_b, landing in V_{ab}."""
-        F = self.context.field
         G = self.context.group
-        tensor = self.mult[(a, b)]
-        out = [F.zero] * self.dims[G.mul(a, b)]
-        for i, ui in enumerate(u):
-            if F.is_zero(ui):
-                continue
-            for j, vj in enumerate(v):
-                if F.is_zero(vj):
-                    continue
-                coeff = F.mul(ui, vj)
-                tgt = tensor[i][j]
-                for t, w in enumerate(tgt):
-                    if not F.is_zero(w):
-                        out[t] = F.add(out[t], F.mul(coeff, w))
-        return out
+        return _product(self.context.field, u, v, self.mult[(a, b)], self.dims[G.mul(a, b)])
 
     def act(self, a: int, x: tuple, v: list) -> list:
         """The module element x acting on v in V_a."""
@@ -174,20 +160,6 @@ class TFAlgebra:
         d = self.dims[a]
         for i in range(d):
             yield [F.one if j == i else F.zero for j in range(d)]
-
-    def eta_pair(self, a: int, u: list, ainv: int, v: list):
-        """eta(u v tensor unit) for u in V_a, v in V_{a^-1}."""
-        F = self.context.field
-        prod = self.multiply(a, u, ainv, v)
-        acc = F.zero
-        for i, x in enumerate(prod):
-            if F.is_zero(x):
-                continue
-            row = self.eta.rows[i]
-            for j, w in enumerate(self.unit):
-                if not F.is_zero(w):
-                    acc = F.add(acc, F.mul(x, F.mul(row[j], w)))
-        return acc
 
     # -- misc -------------------------------------------------------------------
     def total_dim(self) -> int:

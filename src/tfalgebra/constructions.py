@@ -31,7 +31,7 @@ from .errors import (
 from .fields import Field
 from .gmodule import GModule, trivial_module
 from .groups import FiniteGroup, trivial_group
-from .linalg import Matrix
+from .linalg import Matrix, apply_map, bilinear_value
 from .pairs import KappaPair, require_kappa_pair
 
 
@@ -71,11 +71,8 @@ def extract_kappa_pair(V: TFAlgebra) -> tuple[KappaPair, dict[int, list]]:
     e = G.identity
     if any(d != 1 for d in V.dims):
         raise NotSimple(f"dims {V.dims} are not all 1")
-    unit_norm = V.eta_pair(e, V.unit, e, V.unit)
-    # eta(unit v tensor unit) coincides with eta(unit, unit) once the unit law
-    # holds; compute the raw form value directly to avoid assuming it
-    from .linalg import bilinear_value
-
+    # eta(unit unit tensor unit) coincides with eta(unit, unit) once the unit
+    # law holds; read the raw form value directly to avoid assuming it
     raw = bilinear_value(V.eta, V.unit, V.unit)
     if raw != F.one:
         raise UnitFormNotOne(f"eta(unit, unit) = {raw!r}, expected 1")
@@ -131,9 +128,7 @@ def coboundary_transform(V: TFAlgebra, omega: Cochain) -> TFAlgebra:
             ab = G.mul(a, b)
             scale = V.a_action[(ab, A.inv(omega.value(a, b)))]
             tensor = V.mult[(a, b)]
-            mult[(a, b)] = [
-                [list(_apply_rows(scale, vec)) for vec in row] for row in tensor
-            ]
+            mult[(a, b)] = [[apply_map(scale, vec) for vec in row] for row in tensor]
     phi = {}
     for b in G.elements():
         for a in G.elements():
@@ -149,12 +144,6 @@ def coboundary_transform(V: TFAlgebra, omega: Cochain) -> TFAlgebra:
         V.eta,
         phi,
     )
-
-
-def _apply_rows(block: Matrix, vec: list) -> list:
-    from .linalg import apply_map
-
-    return apply_map(block, vec)
 
 
 def from_crossed_frobenius(

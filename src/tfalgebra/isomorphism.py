@@ -58,7 +58,6 @@ def is_isomorphic(V: TFAlgebra, W: TFAlgebra, search_cap: int = 4):
     if V.dims != W.dims:
         return None
     G, F = V.context.group, V.context.field
-    e = G.identity
 
     if all(d == 1 for d in V.dims):
         nv = bilinear_value(V.eta, V.unit, V.unit)
@@ -143,13 +142,9 @@ def _search_isomorphism(V: TFAlgebra, W: TFAlgebra):
 
 def _is_isomorphism(V: TFAlgebra, W: TFAlgebra, iso: GradedIsomorphism) -> bool:
     """Exact check of all the defining conditions on basis vectors."""
-    G, A, F = V.context.group, V.context.module, V.context.field
+    G, A = V.context.group, V.context.module
     e = G.identity
-
-    def eq(u, v):
-        return all(x == y for x, y in zip(u, v))
-
-    if not eq(iso.apply(e, V.unit), W.unit):
+    if iso.apply(e, V.unit) != W.unit:
         return False
     for a in G.elements():
         blk = iso.blocks[a]
@@ -167,10 +162,7 @@ def _is_isomorphism(V: TFAlgebra, W: TFAlgebra, iso: GradedIsomorphism) -> bool:
                 fu = iso.apply(a, u)
                 for v in V.basis(b):
                     fv = iso.apply(b, v)
-                    if not eq(
-                        iso.apply(ab, V.multiply(a, u, b, v)),
-                        W.multiply(a, fu, b, fv),
-                    ):
+                    if iso.apply(ab, V.multiply(a, u, b, v)) != W.multiply(a, fu, b, fv):
                         return False
     fe = iso.blocks[e]
     if fe.mul(W.eta).mul(fe.transpose()) != V.eta:

@@ -8,6 +8,14 @@ and Q.
 Graded maps elsewhere in the library use the row-as-image convention
 (row i of a block is the image of the i-th source basis vector); see
 :func:`apply_map`.  Plain matrix algebra here is convention-free.
+
+Outside elimination, every field loop of the library is one of four private
+row-list functions at the end of this module: ``_comb`` (a vector times a
+list of rows), ``_product`` (two vectors through a multiplication tensor),
+``_dot`` and ``_matmul``.  ``Matrix.mul``, :func:`apply_map`,
+:func:`bilinear_value`, ``TFAlgebra.multiply`` and the verifier all call
+them, so this module is the one owner of dense field arithmetic.  They take
+plain lists and check no shapes.
 """
 
 from __future__ import annotations
@@ -51,9 +59,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows!r})"
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.rows)
-
     def transpose(self) -> "Matrix":
         return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
 
@@ -61,26 +66,10 @@ class Matrix:
         F = self.field
         return Matrix(F, [[F.mul(c, x) for x in row] for row in self.rows])
 
-    def add(self, other: "Matrix") -> "Matrix":
-        F = self.field
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ShapeMismatch("matrix shapes disagree")
-        return Matrix(F, [[F.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
-
     def mul(self, other: "Matrix") -> "Matrix":
-        F = self.field
         if self.ncols != other.nrows:
             raise ShapeMismatch("inner dimensions disagree")
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = F.zero
-                for k in range(self.ncols):
-                    acc = F.add(acc, F.mul(self.rows[i][k], other.rows[k][j]))
-                row.append(acc)
-            out.append(row)
-        return Matrix(F, out, ncols=other.ncols)
+        return Matrix(self.field, _matmul(self.field, self.rows, other.rows, other.ncols), ncols=other.ncols)
 
     # -- elimination ----------------------------------------------------------
     def _echelon(self):
@@ -167,28 +156,51 @@ class Matrix:
 
 def apply_map(block: Matrix, vec: list) -> list:
     """Image of ``vec`` under a block whose row i is the image of basis i."""
-    F = block.field
     if len(vec) != block.nrows:
         raise ShapeMismatch("vector length != number of block rows")
-    out = [F.zero] * block.ncols
-    for i, c in enumerate(vec):
-        if F.is_zero(c):
-            continue
-        row = block.rows[i]
-        for j in range(block.ncols):
-            out[j] = F.add(out[j], F.mul(c, row[j]))
-    return out
+    return _comb(block.field, vec, block.rows, block.ncols)
 
 
 def bilinear_value(form: Matrix, u: list, v: list):
     """u^T * form * v."""
     F = form.field
+    return _dot(F, _comb(F, u, form.rows, form.ncols), v)
+
+
+# -- the row-list kernel ------------------------------------------------------
+
+def _comb(F, coeffs, rows, n: int) -> list:
+    """sum_k coeffs[k] rows[k], of length n: the image of coeffs under rows."""
+    add, mul = F.add, F.mul
+    out = [F.zero] * n
+    for c, row in zip(coeffs, rows):
+        t = 0
+        for w in row:
+            out[t] = add(out[t], mul(c, w))
+            t += 1
+    return out
+
+
+def _product(F, u, v, tensor, n: int) -> list:
+    """sum_{k,l} u_k v_l tensor[k][l], of length n: the product of u and v."""
+    add, mul = F.add, F.mul
+    out = [F.zero] * n
+    for x, row in zip(u, tensor):
+        for y, w in zip(v, row):
+            c, t = mul(x, y), 0
+            for z in w:
+                out[t] = add(out[t], mul(c, z))
+                t += 1
+    return out
+
+
+def _dot(F, u, v):
     acc = F.zero
-    for i, ui in enumerate(u):
-        if F.is_zero(ui):
-            continue
-        row = form.rows[i]
-        for j, vj in enumerate(v):
-            if not F.is_zero(vj):
-                acc = F.add(acc, F.mul(ui, F.mul(row[j], vj)))
+    for x, y in zip(u, v):
+        acc = F.add(acc, F.mul(x, y))
     return acc
+
+
+def _matmul(F, X, Y, n: int) -> list:
+    """Rows of X Y, where n is the width of Y (Y may have no rows)."""
+    return [_comb(F, row, Y, n) for row in X]

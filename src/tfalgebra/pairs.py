@@ -30,15 +30,19 @@ order p-1):
 
 :func:`pairs_equivalent` solves for the pointed map psi exactly, on the same
 normalized d1, after checking that the ratio is 1 at every pair with the
-unit: modulo p - 1 on discrete logs over F_p,
-and over Q by splitting psi into signs and prime exponents, each exponent
-system solved over Q and kept only when its unique solution is integral.
+unit: modulo p - 1 on discrete logs over F_p.  Over Q the solution is
+unique and has a closed form: b -> ab permutes G, so the product of
+ratio(a, b) over b is psi(a)^|G|, and |psi(a)| is its exact |G|-th root,
+taken on the numerator and the denominator by Newton's method on integers.
+The signs solve mod 2 on d1.  The result is kept only when d1(psi) equals
+the ratio at every pair, so no step relies on the ratio being a cocycle.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import prod
 
 from . import abelian, cohomology, intmat
@@ -52,7 +56,6 @@ from .errors import (
 )
 from .fields import PrimeField
 from .gmodule import DEFAULT_ENUM_CAP, cyclic_module
-from .linalg import Matrix
 
 
 @dataclass
@@ -427,8 +430,7 @@ def pairs_equivalent(
     context: AlgebraContext, p: KappaPair, q: KappaPair
 ) -> dict[int, object] | None:
     """A pointed psi with p = q * (d1 psi, 1), or None when no such psi exists."""
-    G, F = context.group, context.field
-    e = G.identity
+    F = context.field
     require_kappa_pair(context, p)
     require_kappa_pair(context, q)
     if p.g2 != q.g2:
@@ -465,53 +467,34 @@ def _solve_pointed_coboundary(context: AlgebraContext, ratio) -> dict[int, objec
             return None
         return {e: F.one, **{a: F.unit_exp(x % m) for a, x in zip(unknowns, sol)}}
 
-    # rationals: split multiplicatively into sign and prime exponents
-    from fractions import Fraction
-
-    from .fields import factorize
-
-    primes = set()
-    for k in keys:
-        v = Fraction(ratio[k])
-        primes |= set(factorize(v.numerator if v > 0 else -v.numerator))
-        primes |= set(factorize(v.denominator))
-    primes.discard(1)
-    exps = {a: {} for a in unknowns}
-    dense = [[0] * len(unknowns) for _ in rows]
-    for out, row in zip(dense, rows):
-        for c, v in row:
-            out[c] = v
-    for prime in sorted(primes):
-        rhs = []
-        for k in keys:
-            v = Fraction(ratio[k])
-            num = abs(v.numerator)
-            den = v.denominator
-            ep = factorize(num).get(prime, 0) - factorize(den).get(prime, 0)
-            rhs.append(ep)
-        # x(a) + x(b) - x(ab) has kernel Hom(G, Z) = 0, so the solution over
-        # Q is unique, and an integral one exists exactly when it is integral
-        try:
-            sol = Matrix(F, dense).solve(rhs)
-        except NoSolution:
-            return None
-        if any(Fraction(x).denominator != 1 for x in sol):
-            return None
-        for a, x in zip(unknowns, sol):
-            exps[a][prime] = int(x)
-    # signs mod 2
-    sol = _solve_mod(rows, [0 if Fraction(ratio[k]) > 0 else 1 for k in keys], 2, len(unknowns))
-    if sol is None:
+    # rationals: |psi(a)| is the exact |G|-th root of the product of
+    # ratio(a, b) over b, and the signs solve mod 2
+    signs = _solve_mod(rows, [0 if ratio[k] > 0 else 1 for k in keys], 2, len(unknowns))
+    if signs is None:
         return None
     psi = {e: F.one}
-    for a, sign in zip(unknowns, sol):
-        val = Fraction(1)
-        for prime, ep in exps[a].items():
-            val *= Fraction(prime) ** ep
-        if sign % 2 == 1:
-            val = -val
-        psi[a] = val
+    for a, sign in zip(unknowns, signs):
+        power = abs(Fraction(prod(ratio[(a, b)] for b in G.elements())))
+        num, den = _exact_root(power.numerator, G.order), _exact_root(power.denominator, G.order)
+        if num is None or den is None:
+            return None
+        psi[a] = Fraction(-num if sign % 2 else num, den)
+    if any(coboundary_pair(context, psi).g1[k] != ratio[k] for k in G.tuples(2)):
+        return None
     return psi
+
+
+def _exact_root(x: int, n: int) -> int | None:
+    """The positive integer r with r**n == x, or None; Newton's method on ints."""
+    if x < 1:
+        return None
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        # r stays above the floor of the root until the step stops shrinking it
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r if r**n == x else None
+        r = s
 
 
 def _solve_mod(

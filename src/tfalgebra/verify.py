@@ -32,7 +32,10 @@ Each call first builds private index tables (group and module products,
 inverses and actions as lists, kappa as an index cube, the stored blocks and
 tensors as row lists), so that a product with a basis vector is a row read
 and a kappa-scalar three lookups.  The tables live for that call only.  The
-checks still run every quantifier in full.  Every stored entry is reduced in
+checks still run every quantifier in full.  Every combination of rows on the
+tables goes through the row-list kernel of :mod:`linalg` (``_comb``,
+``_product``, ``_dot``, ``_matmul``), the same loops that ``Matrix.mul``,
+``apply_map`` and ``TFAlgebra.multiply`` run.  Every stored entry is reduced in
 the field as the tables are built, so an entry stored unreduced (6 over F5)
 compares as its residue in vector and block identities alike.
 """
@@ -43,7 +46,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .algebra import TFAlgebra
-from .linalg import Matrix
+from .linalg import Matrix, _comb, _dot, _matmul, _product
 
 PRIMARY_TAGS = (
     "bimodule",
@@ -169,7 +172,7 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# per-call index tables and row-list arithmetic
+# per-call index tables
 # ---------------------------------------------------------------------------
 
 
@@ -231,43 +234,6 @@ def _h_value(T: _Tables, c: int, b: int, a: int) -> int:
     """The A-element relating phi_{cb} with phi_c . phi_b on V_a."""
     kap, m, cb = T.kap, T.amul, T.mul[c][b]
     return m[m[kap[T.conj[cb][a]][c][b]][T.ainv[kap[c][T.conj[b][a]][b]]]][kap[c][b][a]]
-
-
-def _comb(F, coeffs, rows, n: int) -> list:
-    """sum_k coeffs[k] rows[k], of length n: the image of coeffs under rows."""
-    add, mul = F.add, F.mul
-    out = [F.zero] * n
-    for c, row in zip(coeffs, rows):
-        t = 0
-        for w in row:
-            out[t] = add(out[t], mul(c, w))
-            t += 1
-    return out
-
-
-def _product(F, u, v, tensor, n: int) -> list:
-    """sum_{k,l} u_k v_l tensor[k][l], of length n: the product of u and v."""
-    add, mul = F.add, F.mul
-    out = [F.zero] * n
-    for x, row in zip(u, tensor):
-        for y, w in zip(v, row):
-            c, t = mul(x, y), 0
-            for z in w:
-                out[t] = add(out[t], mul(c, z))
-                t += 1
-    return out
-
-
-def _dot(F, u, v):
-    acc = F.zero
-    for x, y in zip(u, v):
-        acc = F.add(acc, F.mul(x, y))
-    return acc
-
-
-def _matmul(F, X, Y, n: int) -> list:
-    """Rows of X Y, where n is the width of Y (Y may have no rows)."""
-    return [_comb(F, row, Y, n) for row in X]
 
 
 def _is_image(F, vec, coeffs, rows) -> bool:
@@ -381,7 +347,7 @@ def _check_phi_commute(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     F = T.F
     for b in T.G:
         for a in T.G:
-            n, blk = T.dims[T.mul[b][a]], T.phi[b][a]
+            blk = T.phi[b][a]
             vus, cols = T.mult[b][a], T.mcol[T.conj[b][a]][b]
             for j, vu in enumerate(vus):
                 for i, pu in enumerate(blk):
@@ -515,10 +481,10 @@ def _check_lemma_d(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
 
 def _check_bilinearity(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     """x(uv) = (xu)v = u(xv): the module acts by central scalars on products."""
-    F, dims = T.F, T.dims
+    F = T.F
     for a in T.G:
         for b in T.G:
-            n, uvs, cols = dims[T.mul[a][b]], T.mult[a][b], T.mcol[a][b]
+            uvs, cols = T.mult[a][b], T.mcol[a][b]
             for x, wholes in enumerate(T.mk[a][b]):
                 xus, xvs, xe = T.act[a][x], T.act[b][x], T.el[x]
                 for i, whole_row in enumerate(wholes):

@@ -312,6 +312,30 @@ def test_pairs_equivalent_over_rationals():
     assert psi[1] in (Fraction(2), Fraction(-2))
 
 
+def test_pairs_equivalent_over_rationals_on_s3():
+    # n = 6, and the sign character makes psi unique only up to sign
+    from fractions import Fraction
+
+    G = symmetric_group(3)
+    ctx = trivial_context(G, trivial_module(G), RationalField())
+    base = trivial_pair(ctx)
+    perms = sorted(itertools.permutations(range(3)))
+    odd = [sum(1 for i in range(3) for j in range(i + 1, 3) if p[i] > p[j]) % 2 for p in perms]
+    assert odd == [0, 1, 1, 0, 0, 1]
+    psi0 = {a: Fraction((-2) ** a, 3 ** odd[a]) for a in G.elements()}
+    shifted = pair_mul(ctx, base, coboundary_pair(ctx, psi0))
+    psi = pairs_equivalent(ctx, shifted, base)
+    assert psi is not None
+    assert coboundary_pair(ctx, psi) == coboundary_pair(ctx, psi0)
+    # 2 on two odd permutations: psi(a)^6 would be 2^3 there, no rational root
+    g1 = {(a, b): Fraction(2 ** (odd[a] * odd[b])) for a in G.elements() for b in G.elements()}
+    assert pairs_equivalent(ctx, KappaPair(g1, ()), base) is None
+    # 4 there is d1 of psi = 2 on the odd permutations
+    g1 = {k: v * v for k, v in g1.items()}
+    psi = pairs_equivalent(ctx, KappaPair(g1, ()), base)
+    assert psi == {a: Fraction(2 if odd[a] else 1) for a in G.elements()}
+
+
 # -- classification --------------------------------------------------------------------
 
 
