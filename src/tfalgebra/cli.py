@@ -24,8 +24,9 @@ Machine-readable summaries or output instances are written to -o; report
 commands print a human-readable account on stdout either way.  All output
 is deterministic for identical input.
 
-The environment variable TFA_ENUM_CAP overrides the default brute-force
-enumeration cap; --cap overrides both.
+The environment variable TFA_ENUM_CAP overrides the default enumeration
+cap; --cap overrides both.  The cap bounds only the explicit pair listing
+of ``classify``, which the command never reads.
 """
 
 from __future__ import annotations
@@ -34,10 +35,12 @@ import argparse
 import os
 import sys
 
+from .algebra import z_rescale
 from .cochains import is_cocycle, is_normalized
 from .cohomology import cohomology_group
 from .constructions import build_simple, coboundary_transform, extract_kappa_pair
 from .errors import (
+    ContextMismatch,
     DegreeOutOfRange,
     NonCyclicUnits,
     NotNormalized,
@@ -54,6 +57,7 @@ from .serialize import (
     emit_cochain_table,
     emit_instance,
     emit_pair,
+    emit_scalar,
     load_instance,
     parse_scalar,
 )
@@ -76,29 +80,28 @@ def _cap(args) -> int:
     return DEFAULT_ENUM_CAP
 
 
-def _write_output(args, document: dict) -> None:
-    text = dump_json(document)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _write_summary(args, document: dict) -> None:
+def _write(args, document: dict, stdout: bool = False) -> None:
+    """``document`` to ``-o``; with no ``-o``, to stdout if ``stdout`` is set."""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(dump_json(document))
+    elif stdout:
+        sys.stdout.write(dump_json(document))
+
+
+def _section(inst, name: str):
+    """The instance's ``name`` section, which the command needs."""
+    value = getattr(inst, name)
+    if value is None:
+        raise SchemaError(f"instance has no '{name}' section", key=name)
+    return value
 
 
 def cmd_verify(args) -> int:
-    inst = load_instance(args.input)
-    if inst.algebra is None:
-        raise SchemaError("instance has no 'algebra' section", key="algebra")
-    report = verify(inst.algebra)
+    report = verify(_section(load_instance(args.input), "algebra"))
     for line in report.to_lines():
         print(line)
-    _write_summary(args, report.to_summary())
+    _write(args, report.to_summary())
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -118,7 +121,7 @@ def cmd_cohomology(args) -> int:
             if any(val):
                 print(f"  {','.join(map(str, key))} -> {list(val)}")
         reps.append(emit_cochain_table(rep))
-    _write_summary(
+    _write(
         args,
         {
             "status": "pass",
@@ -155,7 +158,7 @@ def cmd_classify(args) -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(dump_json(emit_instance(inst.context, algebra=algebra)))
         print(f"wrote {len(result.algebras)} algebra files to {args.emit_algebras}")
-    _write_summary(
+    _write(
         args,
         {
             "status": "pass",
@@ -173,12 +176,8 @@ def cmd_classify(args) -> int:
 
 def cmd_transform(args) -> int:
     inst = load_instance(args.input)
-    if inst.algebra is None:
-        raise SchemaError("instance has no 'algebra' section", key="algebra")
-    if inst.omega is None:
-        raise SchemaError("instance has no 'omega' section", key="omega")
-    W = coboundary_transform(inst.algebra, inst.omega)
-    _write_output(args, emit_instance(W.context, algebra=W))
+    W = coboundary_transform(_section(inst, "algebra"), _section(inst, "omega"))
+    _write(args, emit_instance(W.context, algebra=W), stdout=True)
     return EXIT_PASS
 
 
@@ -189,7 +188,7 @@ def cmd_check_cocycle(args) -> int:
     normalized = is_normalized(kappa)
     print(f"cocycle: {'yes' if ok else f'no (violated at {witness})'}")
     print(f"normalized: {'yes' if normalized else 'no'}")
-    _write_summary(
+    _write(
         args,
         {
             "status": "pass" if ok and normalized else "fail",
@@ -203,33 +202,25 @@ def cmd_check_cocycle(args) -> int:
 
 def cmd_build_simple(args) -> int:
     inst = load_instance(args.input)
-    if inst.pair is None:
-        raise SchemaError("instance has no 'pair' section", key="pair")
-    V = build_simple(inst.context, inst.pair)
-    _write_output(args, emit_instance(inst.context, algebra=V))
+    V = build_simple(inst.context, _section(inst, "pair"))
+    _write(args, emit_instance(inst.context, algebra=V), stdout=True)
     return EXIT_PASS
 
 
 def cmd_extract_pair(args) -> int:
     inst = load_instance(args.input)
-    if inst.algebra is None:
-        raise SchemaError("instance has no 'algebra' section", key="algebra")
-    pair, _basis = extract_kappa_pair(inst.algebra)
-    _write_output(args, {**emit_instance(inst.context), "pair": emit_pair(inst.context, pair)})
+    pair, _basis = extract_kappa_pair(_section(inst, "algebra"))
+    _write(args, {**emit_instance(inst.context), "pair": emit_pair(inst.context, pair)}, stdout=True)
     return EXIT_PASS
 
 
 def cmd_rescale(args) -> int:
     inst = load_instance(args.input)
-    if inst.algebra is None:
-        raise SchemaError("instance has no 'algebra' section", key="algebra")
+    V = _section(inst, "algebra")
     if args.z is None:
         raise SchemaError("--z is required", key="<args>")
-    from .algebra import z_rescale
-
     z = parse_scalar(inst.context.field, _scalar_arg(args.z, inst.context.field), "--z")
-    W = z_rescale(inst.algebra, z)
-    _write_output(args, emit_instance(inst.context, algebra=W))
+    _write(args, emit_instance(inst.context, algebra=z_rescale(V, z)), stdout=True)
     return EXIT_PASS
 
 
@@ -249,25 +240,16 @@ def cmd_pairs_equal(args) -> int:
     inst2 = load_instance(args.input2)
     if inst1.pair is None or inst2.pair is None:
         raise SchemaError("both instances need a 'pair' section", key="pair")
-    from .errors import ContextMismatch
-
-    if (
-        inst1.context.group != inst2.context.group
-        or inst1.context.module != inst2.context.module
-        or inst1.context.kappa != inst2.context.kappa
-        or inst1.context.field != inst2.context.field
-    ):
+    if inst1.context != inst2.context:
         raise ContextMismatch("the two instances have different contexts")
     psi = pairs_equivalent(inst1.context, inst1.pair, inst2.pair)
     if psi is None:
         print("pairs: not equivalent")
-        _write_summary(args, {"status": "fail", "equivalent": False})
+        _write(args, {"status": "fail", "equivalent": False})
         return EXIT_FAIL
-    from .serialize import emit_scalar
-
     shown = {str(a): emit_scalar(inst1.context.field, v) for a, v in sorted(psi.items())}
     print(f"pairs: equivalent via psi = {shown}")
-    _write_summary(args, {"status": "pass", "equivalent": True, "psi": shown})
+    _write(args, {"status": "pass", "equivalent": True, "psi": shown})
     return EXIT_PASS
 
 

@@ -75,9 +75,6 @@ class Field:
     def is_zero(self, a) -> bool:
         return a == self.zero
 
-    def from_int(self, n: int):
-        raise NotImplementedError
-
     def power(self, a, k: int):
         """a**k for any integer k (negative k inverts first)."""
         if k < 0:
@@ -90,10 +87,6 @@ class Field:
             a = self.mul(a, a)
             k >>= 1
         return out
-
-    def check(self, a) -> bool:
-        """Is ``a`` a valid element?"""
-        raise NotImplementedError
 
 
 class PrimeField(Field):
@@ -136,12 +129,6 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError("inversion of zero in F_p")
         return pow(a, -1, self.p)
-
-    def from_int(self, n: int):
-        return n % self.p
-
-    def check(self, a) -> bool:
-        return isinstance(a, int) and 0 <= a < self.p
 
     # -- unit group as a cyclic group of order p-1 --------------------------
     @property
@@ -201,7 +188,7 @@ class RationalField(Field):
     """The rationals with arbitrary-precision integers.
 
     >>> Q = RationalField()
-    >>> Q.inv(Q.from_int(4))
+    >>> Q.inv(Fraction(4))
     Fraction(1, 4)
     """
 
@@ -225,12 +212,6 @@ class RationalField(Field):
         if a == 0:
             raise ZeroDivisionError("inversion of zero in Q")
         return Fraction(1) / a
-
-    def from_int(self, n: int):
-        return Fraction(n)
-
-    def check(self, a) -> bool:
-        return isinstance(a, (Fraction, int))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -39,7 +39,7 @@ class GModule:
 
     __slots__ = ("group", "moduli", "action", "size", "rank")
 
-    def __init__(self, group: FiniteGroup, moduli, action=None, enum_cap: int = DEFAULT_ENUM_CAP):
+    def __init__(self, group: FiniteGroup, moduli, action=None):
         moduli = tuple(int(m) for m in moduli)
         for m in moduli:
             if m < 1:
@@ -64,10 +64,10 @@ class GModule:
                 M = tuple(tuple(x % m for x in row) for row, m in zip(M, moduli))
                 mats[g] = M
         self.action = mats
-        self._validate(enum_cap)
+        self._validate()
 
     # -- validation ------------------------------------------------------------
-    def _validate(self, enum_cap: int) -> None:
+    def _validate(self) -> None:
         G, k = self.group, self.rank
         if self.action[G.identity] != self._identity():
             raise NotAModule("identity element must act as the identity matrix", witness=(G.identity,))
@@ -95,9 +95,9 @@ class GModule:
                                 witness=(a, b, i, j),
                             )
         # bijectivity of each action map, checked extensionally
-        if self.size > enum_cap:
+        if self.size > DEFAULT_ENUM_CAP:
             raise TooLarge(
-                f"module of size {self.size} exceeds the validation cap {enum_cap}"
+                f"module of size {self.size} exceeds the validation cap {DEFAULT_ENUM_CAP}"
             )
         elems = list(self.elements())
         for g in G.elements():

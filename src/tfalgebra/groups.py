@@ -2,8 +2,8 @@
 
 Elements are the indices 0..n-1.  Construction checks the full group axioms
 (associativity over all triples, two-sided identity, inverses), so a
-:class:`FiniteGroup` that exists is honest.  The default order cap keeps the
-O(n^3) associativity sweep cheap; it can be raised explicitly.
+:class:`FiniteGroup` that exists is honest.  The order cap
+``DEFAULT_ORDER_CAP`` keeps the O(n^3) associativity sweep cheap.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ class FiniteGroup:
 
     __slots__ = ("table", "order", "identity", "inverse", "_abelian")
 
-    def __init__(self, table, order_cap: int = DEFAULT_ORDER_CAP):
+    def __init__(self, table):
         table = tuple(tuple(row) for row in table)
         n = len(table)
         if n == 0:
             raise NotAGroup("empty multiplication table")
-        if n > order_cap:
-            raise TooLarge(f"group order {n} exceeds cap {order_cap}")
+        if n > DEFAULT_ORDER_CAP:
+            raise TooLarge(f"group order {n} exceeds cap {DEFAULT_ORDER_CAP}")
         for a, row in enumerate(table):
             if len(row) != n:
                 raise NotAGroup(f"row {a} has length {len(row)} != {n}", witness=(a,))
@@ -103,9 +103,9 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def group_from_table(table, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def group_from_table(table) -> FiniteGroup:
     """Validate a square index table as a group; raises NotAGroup with a witness."""
-    return FiniteGroup(table, order_cap=order_cap)
+    return FiniteGroup(table)
 
 
 def trivial_group() -> FiniteGroup:

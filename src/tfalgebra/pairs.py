@@ -327,16 +327,8 @@ def enumerate_pairs(
     if method != "normal-form":
         raise ValueError(f"unknown enumeration method {method!r}")
     F = _require_prime_field(context)
-    m = F.unit_order
-    if m == 1:
-        # F_2: the unit group is trivial, so only the trivial pair can exist
-        triv = trivial_pair(context)
-        require_kappa_pair(context, triv)
-        cg = PairClassGroup((), (), 1, 1)
-        return PairEnumeration(cg, (triv,), (triv,))
-
     H, B = _pair_lattices(context)
-    moduli = [m] * len(H)
+    moduli = [F.unit_order] * len(H)
     # canonical generators: lexicographically minimal in (g2, g1) value
     # order, exactly as the brute-force route picks them
     factors, reps, h_order, b_order = intmat.quotient(H, B, moduli, _unit_values(F))

@@ -23,6 +23,12 @@ index, coefficient elements in mixed-radix order):
 
 Scalars are plain integers 0..p-1 over a prime field and "num/den" strings
 over the rationals (bare integers are accepted on input).
+
+Every nested array is read by one reader, ``_array``, against a shape taken
+from data already read (|G|, the module rank, ``dims``), so a malformed one
+is refused under the key of its block, ``algebra.mult[a][b]`` say.
+``pair.g1`` is an n x n table only.  Every scalar array is written by one
+writer, ``_emit``.
 """
 
 from __future__ import annotations
@@ -30,10 +36,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from operator import mod
 
 from .algebra import AlgebraContext, TFAlgebra
 from .cochains import Cochain
-from .errors import SchemaError, ShapeMismatch, TFAError
+from .errors import SchemaError, TFAError
 from .fields import Field, PrimeField, RationalField
 from .gmodule import GModule
 from .groups import FiniteGroup
@@ -49,19 +57,13 @@ class Instance:
     omega: Cochain | None = None
 
 
-# -- scalars -----------------------------------------------------------------
+# -- scalars and arrays ---------------------------------------------------------
 
 
 def _integer(raw, key: str) -> int:
     """``raw`` if it is a JSON integer; ``true``/``false`` are not integers."""
     if not isinstance(raw, int) or isinstance(raw, bool):
         raise SchemaError(f"{key}: expected an integer, got {raw!r}", key=key)
-    return raw
-
-
-def _list(raw, key: str) -> list:
-    if not isinstance(raw, list):
-        raise SchemaError(f"{key}: expected a list, got {raw!r}", key=key)
     return raw
 
 
@@ -86,6 +88,30 @@ def emit_scalar(field: Field, value):
     return f"{f.numerator}/{f.denominator}"
 
 
+def _array(leaf, raw, shape: tuple, key: str) -> list:
+    """``raw`` as nested lists of exactly ``shape``, with ``leaf(x, key)`` at the bottom.
+
+    A dimension of ``None`` takes any length.  Anything else raises
+    :class:`SchemaError` under ``key``.
+    """
+    n = shape[0]
+    if not isinstance(raw, list) or n is not None and len(raw) != n:
+        want = "a list" if n is None else f"a list of length {n}"
+        raise SchemaError(f"{key}: expected {want}", key=key)
+    if len(shape) == 1:
+        return [leaf(x, key) for x in raw]
+    return [_array(leaf, x, shape[1:], key) for x in raw]
+
+
+def _emit(field: Field, value):
+    """Lists, tuples and ``Matrix`` rows of any depth, with every scalar emitted."""
+    if isinstance(value, Matrix):
+        value = value.rows
+    if isinstance(value, (list, tuple)):
+        return [_emit(field, x) for x in value]
+    return emit_scalar(field, value)
+
+
 # -- element tables ------------------------------------------------------------
 
 
@@ -102,22 +128,14 @@ def _parse_index_key(raw: str, arity: int, order: int, key: str) -> tuple[int, .
     return idx
 
 
-def _parse_module_element(module: GModule, raw, key: str) -> tuple[int, ...]:
-    if not isinstance(raw, list) or len(raw) != module.rank:
-        raise SchemaError(
-            f"{key}: expected an exponent vector of length {module.rank}", key=key
-        )
-    return tuple(_integer(x, key) % m for x, m in zip(raw, module.moduli))
-
-
 def parse_cochain_table(module: GModule, obj, degree: int, key: str) -> Cochain:
     if not isinstance(obj, dict):
         raise SchemaError(f"{key}: expected an object of index-tuple keys", key=key)
     table = {}
-    order = module.group.order
     for raw_key, raw_val in obj.items():
-        idx = _parse_index_key(raw_key, degree, order, key)
-        table[idx] = _parse_module_element(module, raw_val, f"{key}[{raw_key}]")
+        idx = _parse_index_key(raw_key, degree, module.group.order, key)
+        vec = _array(_integer, raw_val, (module.rank,), f"{key}[{raw_key}]")
+        table[idx] = tuple(map(mod, vec, module.moduli))
     return Cochain(module, degree, table)
 
 
@@ -147,33 +165,31 @@ def parse_instance(obj: dict) -> Instance:
     else:
         raise SchemaError("field must give 'prime' or 'rational'", key="field")
 
-    if not isinstance(obj.get("group"), list):
+    rows = obj.get("group")
+    if not isinstance(rows, list):
         raise SchemaError("missing or malformed 'group'", key="group")
-    gobj = [[_integer(x, "group") for x in _list(row, "group")] for row in obj["group"]]
+    table = _array(_integer, rows, (len(rows), len(rows)), "group")
     try:
-        group = FiniteGroup(gobj)
+        group = FiniteGroup(table)
     except TFAError as err:
         raise SchemaError(f"group: {err}", key="group")
 
     mobj = obj.get("module")
     if not isinstance(mobj, dict) or "factors" not in mobj:
         raise SchemaError("missing or malformed 'module'", key="module")
-    factors = mobj["factors"]
-    if not isinstance(factors, list):
-        raise SchemaError("module.factors must be a list", key="module")
-    factors = [_integer(m, "module.factors") for m in factors]
+    factors = _array(_integer, mobj["factors"], (None,), "module.factors")
     action = None
     if "action" in mobj:
         if not isinstance(mobj["action"], dict):
-            raise SchemaError("module.action must map element index to matrix", key="module")
+            raise SchemaError("module.action must map element index to matrix", key="module.action")
         action = {}
+        k = len(factors)
         for raw_key, mat in mobj["action"].items():
             try:
                 g = int(raw_key)
             except ValueError:
-                raise SchemaError(f"module.action key {raw_key!r} not an index", key="module")
-            rows = _list(mat, "module.action")
-            action[g] = [[_integer(x, "module.action") for x in _list(r, "module.action")] for r in rows]
+                raise SchemaError(f"module.action key {raw_key!r} not an index", key="module.action")
+            action[g] = _array(_integer, mat, (k, k), "module.action")
     try:
         module = GModule(group, factors, action=action)
     except TFAError as err:
@@ -200,81 +216,33 @@ def parse_algebra(context: AlgebraContext, obj) -> TFAlgebra:
     if not isinstance(obj, dict):
         raise SchemaError("'algebra' must be an object", key="algebra")
     G, A, F = context.group, context.module, context.field
-    n = G.order
+    n, e = G.order, G.identity
     for req in ("dims", "mult", "a_action", "unit", "eta", "phi"):
         if req not in obj:
             raise SchemaError(f"algebra.{req} is missing", key=f"algebra.{req}")
-    dims_raw = obj["dims"]
-    if not isinstance(dims_raw, list) or len(dims_raw) != n:
-        raise SchemaError("algebra.dims must list one dimension per element", key="algebra.dims")
-    dims = {g: _integer(dims_raw[g], "algebra.dims") for g in G.elements()}
+    dims = _array(_integer, obj["dims"], (n,), "algebra.dims")
+    if any(d < 0 for d in dims):
+        raise SchemaError(f"algebra.dims: negative dimension in {dims}", key="algebra.dims")
 
-    def scal(raw, key):
-        return parse_scalar(F, raw, key)
+    scalar = partial(parse_scalar, F)
 
-    mult_raw = obj["mult"]
-    if not isinstance(mult_raw, list) or len(mult_raw) != n:
-        raise SchemaError("algebra.mult must be an n x n array of tensors", key="algebra.mult")
-    mult = {}
-    for a in G.elements():
-        if not isinstance(mult_raw[a], list) or len(mult_raw[a]) != n:
-            raise SchemaError(f"algebra.mult[{a}] malformed", key="algebra.mult")
-        for b in G.elements():
-            tensor = mult_raw[a][b]
-            key = f"algebra.mult[{a}][{b}]"
-            try:
-                mult[(a, b)] = [
-                    [[scal(x, key) for x in vec] for vec in row] for row in tensor
-                ]
-            except TypeError:
-                raise SchemaError(f"{key}: malformed tensor", key=key)
+    def blocks(name: str, inner: int, shape) -> dict:
+        """``algebra.<name>``: an n x ``inner`` array whose block (i, j) has ``shape(i, j)``."""
+        raw = _array(lambda x, _key: x, obj[name], (n, inner), f"algebra.{name}")
+        return {
+            (i, j): _array(scalar, raw[i][j], shape(i, j), f"algebra.{name}[{i}][{j}]")
+            for i in range(n)
+            for j in range(inner)
+        }
 
-    act_raw = obj["a_action"]
-    if not isinstance(act_raw, list) or len(act_raw) != n:
-        raise SchemaError("algebra.a_action must have one row per element", key="algebra.a_action")
-    a_action = {}
+    # TFAlgebra makes matrices of the a_action, eta and phi blocks
+    mult = blocks("mult", n, lambda a, b: (dims[a], dims[b], dims[G.mul(a, b)]))
     elems = list(A.elements())
-    for a in G.elements():
-        row = act_raw[a]
-        if not isinstance(row, list) or len(row) != len(elems):
-            raise SchemaError(
-                f"algebra.a_action[{a}] must list one matrix per coefficient element",
-                key="algebra.a_action",
-            )
-        for xi, x in enumerate(elems):
-            key = f"algebra.a_action[{a}][{xi}]"
-            try:
-                a_action[(a, x)] = Matrix(
-                    F, [[scal(v, key) for v in r] for r in row[xi]], ncols=dims[a]
-                )
-            except (TypeError, ShapeMismatch):
-                raise SchemaError(f"{key}: malformed matrix", key=key)
-
-    unit = [scal(v, "algebra.unit") for v in _list(obj["unit"], "algebra.unit")]
-    eta_rows = obj["eta"]
-    try:
-        eta = Matrix(F, [[scal(v, "algebra.eta") for v in r] for r in eta_rows])
-    except (TypeError, ShapeMismatch):
-        raise SchemaError("algebra.eta: malformed matrix", key="algebra.eta")
-
-    phi_raw = obj["phi"]
-    if not isinstance(phi_raw, list) or len(phi_raw) != n:
-        raise SchemaError("algebra.phi must be an n x n array of blocks", key="algebra.phi")
-    phi = {}
-    for b in G.elements():
-        if not isinstance(phi_raw[b], list) or len(phi_raw[b]) != n:
-            raise SchemaError(f"algebra.phi[{b}] malformed", key="algebra.phi")
-        for a in G.elements():
-            key = f"algebra.phi[{b}][{a}]"
-            try:
-                phi[(b, a)] = Matrix(
-                    F,
-                    [[scal(v, key) for v in r] for r in phi_raw[b][a]],
-                    ncols=dims[G.conj(b, a)],
-                )
-            except (TypeError, ShapeMismatch):
-                raise SchemaError(f"{key}: malformed block", key=key)
-
+    action = blocks("a_action", len(elems), lambda a, _x: (dims[a], dims[a]))
+    a_action = {(a, elems[xi]): rows for (a, xi), rows in action.items()}
+    unit = _array(scalar, obj["unit"], (dims[e],), "algebra.unit")
+    eta = _array(scalar, obj["eta"], (dims[e], dims[e]), "algebra.eta")
+    phi = blocks("phi", n, lambda b, a: (dims[a], dims[G.conj(b, a)]))
     try:
         return TFAlgebra(context, dims, mult, a_action, unit, eta, phi)
     except TFAError as err:
@@ -284,31 +252,11 @@ def parse_algebra(context: AlgebraContext, obj) -> TFAlgebra:
 def parse_pair(context: AlgebraContext, obj) -> KappaPair:
     if not isinstance(obj, dict) or "g1" not in obj or "g2" not in obj:
         raise SchemaError("'pair' needs 'g1' and 'g2'", key="pair")
-    G, F = context.group, context.field
-    n = G.order
-    raw_g1 = obj["g1"]
-    g1 = {}
-    if isinstance(raw_g1, list):
-        if len(raw_g1) != n or any(len(_list(r, "pair.g1")) != n for r in raw_g1):
-            raise SchemaError("pair.g1 must be an n x n scalar table", key="pair.g1")
-        for a in G.elements():
-            for b in G.elements():
-                g1[(a, b)] = parse_scalar(F, raw_g1[a][b], "pair.g1")
-    elif isinstance(raw_g1, dict):
-        for raw_key, v in raw_g1.items():
-            idx = _parse_index_key(raw_key, 2, n, "pair.g1")
-            g1[idx] = parse_scalar(F, v, "pair.g1")
-        for a in G.elements():
-            for b in G.elements():
-                g1.setdefault((a, b), F.one)
-    else:
-        raise SchemaError("pair.g1 must be a table", key="pair.g1")
-    raw_g2 = obj["g2"]
-    if not isinstance(raw_g2, list) or len(raw_g2) != context.module.rank:
-        raise SchemaError(
-            "pair.g2 must list one scalar per cyclic generator", key="pair.g2"
-        )
-    g2 = tuple(parse_scalar(F, v, "pair.g2") for v in raw_g2)
+    G = context.group
+    scalar = partial(parse_scalar, context.field)
+    table = _array(scalar, obj["g1"], (G.order, G.order), "pair.g1")
+    g1 = {(a, b): table[a][b] for a in G.elements() for b in G.elements()}
+    g2 = tuple(_array(scalar, obj["g2"], (context.module.rank,), "pair.g2"))
     return KappaPair(g1, g2)
 
 
@@ -333,46 +281,21 @@ def emit_context(context: AlgebraContext) -> dict:
 
 def emit_algebra(V: TFAlgebra) -> dict:
     G, A, F = V.context.group, V.context.module, V.context.field
-    elems = list(A.elements())
     return {
         "dims": list(V.dims),
-        "mult": [
-            [
-                [
-                    [[emit_scalar(F, x) for x in vec] for vec in row]
-                    for row in V.mult[(a, b)]
-                ]
-                for b in G.elements()
-            ]
-            for a in G.elements()
-        ],
-        "a_action": [
-            [
-                [[emit_scalar(F, x) for x in r] for r in V.a_action[(a, x_el)].rows]
-                for x_el in elems
-            ]
-            for a in G.elements()
-        ],
-        "unit": [emit_scalar(F, x) for x in V.unit],
-        "eta": [[emit_scalar(F, x) for x in r] for r in V.eta.rows],
-        "phi": [
-            [
-                [[emit_scalar(F, x) for x in r] for r in V.phi[(b, a)].rows]
-                for a in G.elements()
-            ]
-            for b in G.elements()
-        ],
+        "mult": _emit(F, [[V.mult[(a, b)] for b in G.elements()] for a in G.elements()]),
+        "a_action": _emit(F, [[V.a_action[(a, x)] for x in A.elements()] for a in G.elements()]),
+        "unit": _emit(F, V.unit),
+        "eta": _emit(F, V.eta),
+        "phi": _emit(F, [[V.phi[(b, a)] for a in G.elements()] for b in G.elements()]),
     }
 
 
 def emit_pair(context: AlgebraContext, pair: KappaPair) -> dict:
     G, F = context.group, context.field
     return {
-        "g1": [
-            [emit_scalar(F, pair.g1[(a, b)]) for b in G.elements()]
-            for a in G.elements()
-        ],
-        "g2": [emit_scalar(F, v) for v in pair.g2],
+        "g1": _emit(F, [[pair.g1[(a, b)] for b in G.elements()] for a in G.elements()]),
+        "g2": _emit(F, pair.g2),
     }
 
 

@@ -326,6 +326,46 @@ def test_module_entries_must_be_integers(tmp_path, capsys, command, key, mutate)
     assert f"(at {key})" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, key, mutate",
+    [
+        ("verify", "algebra.mult[0][0]", lambda d: d["algebra"]["mult"][0].__setitem__(0, [[[]]])),
+        ("verify", "algebra.mult[0][0]", lambda d: d["algebra"]["mult"][0].__setitem__(0, [[]])),
+        ("verify", "algebra.phi[1][0]", lambda d: d["algebra"]["phi"][1].__setitem__(0, [])),
+        ("verify", "algebra.phi[1][0]", lambda d: d["algebra"]["phi"][1].__setitem__(0, [[1, 0]])),
+        ("verify", "algebra.eta", lambda d: d["algebra"].update(eta=[[1, 0, 0], [0, 1, 0]])),
+        ("verify", "algebra.unit", lambda d: d["algebra"].update(unit=[])),
+        ("verify", "algebra.a_action[0][0]", lambda d: d["algebra"]["a_action"][0].__setitem__(0, [[1, 0]])),
+        ("verify", "algebra.dims", lambda d: d["algebra"].update(dims=[-1, 1])),
+        ("build-simple", "pair.g1", lambda d: d["pair"].update(g1={"1,1": 1})),
+        ("check-cocycle", "module.action", lambda d: d["module"].update(action={"0": [[1]], "1": [[1, 0]]})),
+        ("check-cocycle", "module.factors", lambda d: d["module"].update(factors=2)),
+    ],
+    ids=[
+        "mult-short-vector",
+        "mult-short-row",
+        "phi-short",
+        "phi-wide",
+        "eta-2x3",
+        "unit-short",
+        "a-action-not-square",
+        "dims-negative",
+        "g1-dict",
+        "action-ragged",
+        "factors-not-list",
+    ],
+)
+def test_malformed_arrays_name_their_block(tmp_path, capsys, command, key, mutate):
+    # each array is shape-checked on reading, under the key of its block
+    ctx = context_I3()
+    pair = trivial_pair(ctx)
+    doc = emit_instance(ctx, algebra=build_simple(ctx, pair), pair=pair)
+    mutate(doc)
+    path = write(tmp_path, "bad.json", doc)
+    assert main([command, path, "-o", str(tmp_path / "out.json")]) == 2
+    assert f"(at {key})" in capsys.readouterr().err
+
+
 def test_ragged_block_is_an_input_error_under_optimize(tmp_path):
     # python -O strips asserts: the shape check must still name the key
     V = truncated_polynomial_algebra(F5, 3)

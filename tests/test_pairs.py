@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from tfalgebra.algebra import AlgebraContext, trivial_context
-from tfalgebra.cochains import Cochain
+from tfalgebra.cochains import Cochain, coboundary
 from tfalgebra.cohomology import cohomology_group
 from tfalgebra.errors import NonCyclicUnits, NotPointed, TooLarge
 from tfalgebra.fields import PrimeField, RationalField
@@ -141,8 +141,21 @@ def enumeration_contexts():
     return out
 
 
+def f2_contexts():
+    """Over F_2 the unit group is trivial, twisted or not: only the trivial pair."""
+    G2, G3, S3 = cyclic_group(2), cyclic_group(3), symmetric_group(3)
+    F2 = PrimeField(2)
+    A2, A22, B3 = cyclic_module(G2, 2), GModule(G2, (2, 2)), cyclic_module(S3, 3)
+    return [
+        trivial_context(G3, cyclic_module(G3, 2), F2),
+        AlgebraContext(G2, A2, Cochain(A2, 3, {(1, 1, 1): (1,)}), F2),
+        AlgebraContext(G2, A22, Cochain(A22, 3, {(1, 1, 1): (1, 0)}), F2),
+        AlgebraContext(S3, B3, coboundary(Cochain(B3, 2, {(1, 2): (1,), (3, 3): (2,)})), F2),
+    ]
+
+
 def test_routes_agree_everywhere():
-    for ctx in enumeration_contexts():
+    for ctx in enumeration_contexts() + f2_contexts():
         fast = enumerate_pairs(ctx)
         slow = enumerate_pairs(ctx, method="brute-force")
         assert fast.class_group.pair_group_order == slow.class_group.pair_group_order, ctx
