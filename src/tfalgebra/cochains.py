@@ -151,18 +151,23 @@ def face_plan(group, degree: int):
 
     An entry is (t, tail, faces): the target tuple t, the source index of its
     tail t[1:] (the face acted on by t[0]), and the (source index, sign) of
-    every other face.  Entries are made one at a time, so a single walk
-    holds none of them; a caller that walks the plan repeatedly lists it.
+    every other face, in digits of the target's own index T: the tail is
+    T mod |G|^n and the last face T // |G|.  Entries are made one at a time,
+    so a single walk holds none of them; a caller that walks the plan
+    repeatedly lists it.
     """
-    n = degree
-    src_index = {t: i for i, t in enumerate(group.tuples(n))}
-    for t in group.tuples(n + 1):
-        faces = []
-        for pos in range(1, n + 1):
-            merged = t[: pos - 1] + (group.mul(t[pos - 1], t[pos]),) + t[pos + 1 :]
-            faces.append((src_index[merged], -1 if pos % 2 == 1 else 1))
-        faces.append((src_index[t[:-1]], -1 if (n + 1) % 2 == 1 else 1))
-        yield t, src_index[t[1:]], faces
+    n, q, table = degree, group.order, group.table
+    # per inner face i: the place value q^(n-i) of the merged slot in the
+    # source, and q^(n-i+2), which leaves the target's slots before i-1
+    inner = [(pos, q ** (n - pos), q ** (n - pos + 2), (-1) ** pos) for pos in range(1, n + 1)]
+    last_sign, top = (-1) ** (n + 1), q**n
+    for T, t in enumerate(group.tuples(n + 1)):
+        faces = [
+            ((T // high * q + table[t[pos - 1]][t[pos]]) * low + T % low, sign)
+            for pos, low, high, sign in inner
+        ]
+        faces.append((T // q, last_sign))
+        yield t, T % top, faces
 
 
 def coboundary_coordinates(module: GModule, plan, vec):
@@ -186,15 +191,20 @@ def coboundary(c: Cochain) -> Cochain:
     return Cochain.from_vector(c.module, n + 1, vec)
 
 
+def _violation(module: GModule, degree: int, plan, values) -> tuple | None:
+    """The first (degree+1)-tuple where the walk of ``plan`` on ``values`` is nontrivial."""
+    for pos, x in enumerate(coboundary_coordinates(module, plan, values)):
+        if x:
+            return next(islice(module.group.tuples(degree + 1), pos // module.rank, None))
+    return None
+
+
 def is_cocycle(c: Cochain) -> tuple[bool, tuple | None]:
     """Is the coboundary identically trivial?  Returns (flag, first witness)."""
     if c.degree > 3:
         raise DegreeOutOfRange("cocycle test only defined for degrees 0..3")
-    G, n = c.module.group, c.degree
-    for pos, x in enumerate(coboundary_coordinates(c.module, face_plan(G, n), c.values)):
-        if x:
-            return False, next(islice(G.tuples(n + 1), pos // c.module.rank, None))
-    return True, None
+    witness = _violation(c.module, c.degree, face_plan(c.module.group, c.degree), c.values)
+    return witness is None, witness
 
 
 def is_normalized(c: Cochain) -> bool:

@@ -5,14 +5,19 @@ Two independent computations of H^n = ker(d^n) / im(d^{n-1}) for n <= 3:
 * :func:`cohomology_group` works on the normalized cochain complex, the
   cochains that vanish at every tuple with the unit in some slot, which has
   the same cohomology (Brown, *Cohomology of Groups*, III.1).  Cochains
-  become integer exponent vectors on the unit-free tuples, and the
-  coboundary sparse integer rows (:func:`coboundary_matrix`) acting modulo
-  the cyclic factor moduli.  The cocycles are its kernel modulo the moduli
-  and the coboundaries an image plus the moduli relations, both found by
-  modular Hermite elimination; :func:`intmat.quotient` reads the quotient
-  between them off their two Hermite bases.  The representatives are
-  zero-padded to the full layout and checked with :func:`is_cocycle`, and the
-  cocycle and coboundary orders are those of the full complex.
+  become integer exponent vectors on the unit-free tuples.  The coboundaries
+  are the image of d^(n-1) (sparse rows, :func:`coboundary_matrix`) plus
+  the moduli relations.  The cocycles are solved on generator coordinates:
+  df(s, a, u) = 0 reads f(s a, u) = s.f(a, u) + (faces led by s), so for a
+  generating set S the values at the tuples led by S fix f along a
+  breadth-first tree from the unit, and each edge off the tree gives
+  constraint rows; conversely df(s, -) = 0 for s in S gives df = 0, by
+  dd f(s, h, -) = 0 and induction on word length.  The expanded solutions
+  and the moduli relations span the cocycle lattice, so its canonical
+  Hermite basis is that of the kernel over every coordinate.
+  :func:`intmat.quotient` reads the quotient off the two Hermite bases.
+  The representatives are zero-padded and checked on one face plan, and
+  the orders are those of the full complex.
 
 * :func:`brute_force_cohomology` enumerates every cochain below a size cap,
   filters the cocycles and lists the coboundaries by walking the pointwise
@@ -21,8 +26,8 @@ Two independent computations of H^n = ker(d^n) / im(d^{n-1}) for n <= 3:
   structure by counting and picks generators.  It exists to validate the
   normal-form path and shares none of its linear algebra: it counts on the
   full complex, picks the representatives among the tables that vanish at
-  the tuples with the unit, and the matrix of :func:`coboundary_matrix` is
-  built separately and never from the plan.
+  the tuples with the unit, and :func:`coboundary_matrix` and the
+  generator rows compute their faces themselves, never from the plan.
 
 Both return invariant factors in increasing divisibility order together with
 representative cocycles, one per factor: the canonical generators of
@@ -46,7 +51,7 @@ from dataclasses import dataclass, field
 from math import lcm, prod
 
 from . import abelian, intmat
-from .cochains import Cochain, coboundary_coordinates, face_plan, is_cocycle
+from .cochains import Cochain, _violation, coboundary_coordinates, face_plan
 from .errors import DegreeOutOfRange, NotACocycle, TooLarge
 from .gmodule import DEFAULT_ENUM_CAP, GModule
 
@@ -120,11 +125,109 @@ def _normalized_moduli(module: GModule, degree: int) -> list[int]:
     return list(module.moduli) * (module.group.order - 1) ** degree
 
 
-def _cocycle_lattice(module: GModule, degree: int) -> list[list[int]]:
-    """Hermite basis of the normalized cocycles {x : D x == 0 mod target moduli}."""
+def _span(group, gens) -> list[int]:
+    """The subgroup generated by ``gens``, in breadth-first order from the unit."""
+    seen = [group.identity]
+    for a in seen:
+        seen += [b for b in (group.mul(s, a) for s in gens) if b not in seen]
+    return seen
+
+
+def _generating_set(group) -> list[int]:
+    """S: greedily in element order, or the first generating pair if that takes three or more."""
+    S, reached = [], [group.identity]
+    for g in group.elements():
+        if g not in reached:
+            S.append(g)
+            reached = _span(group, S)
+    if len(S) > 2:
+        for pair in itertools.combinations(group.elements(), 2):
+            if len(_span(group, pair)) == group.order:
+                return list(pair)
+    return S
+
+
+def _generator_system(module: GModule, degree: int, kappa=None):
+    """Normalized n-cochains f with df = y(kappa), on the values f(s, u) for s in S.
+
+    Columns: the exponents y of a character of kappa's module (none without
+    kappa, when f is a cocycle; rank-1 ``module`` only), then f(s, u) for s
+    in S and unit-free u, factor by factor.  Returns ``(rows, ncols,
+    expand)``: the constraint rows, factor by factor, the column count, and
+    one sparse list per coordinate of [y | normalized cochain] writing it in
+    the columns.  Degree 0 keeps the d0 rows.
+    """
+    G, k, moduli = module.group, module.rank, module.moduli
+    e, n, width = G.identity, degree, kappa.module.rank if kappa else 0
+    if n == 0:
+        return coboundary_matrix(module, 0), k, [[(i, 1)] for i in range(k)]
+    S = _generating_set(G)
+    rest = [g for g in G.elements() if g != e]
+    U = list(itertools.product(rest, repeat=n - 1))
+    first = {u: width + r * k for r, u in enumerate(U)}
+    block = len(U) * k
+    # values[g][r][i]: factor i of f(g, U[r]) as a sparse {column: coefficient}
+    values = {e: [[{}] * k] * len(U)}
+    for si, s in enumerate(S):
+        values[s] = [[{first[u] + si * block + i: 1} for i in range(k)] for u in U]
+    rows = []
+    for a in _span(G, S)[1:]:
+        for si, s in enumerate(S):
+            M, shift, new = module.action[s], si * block, []
+            for u, fa in zip(U, values[a]):
+                # df(s, a, u) = y(kappa): f(s a, u) = s.f(a, u) + faces led by s - y(kappa)
+                r = (a,) + u
+                terms = [(c, -v) for c, v in enumerate(kappa.value(s, *r))] if kappa else []
+                terms.append((first[r[:-1]] + shift, (-1) ** (n + 1)))
+                for pos in range(2, n + 1):
+                    merged = r[: pos - 2] + (G.mul(r[pos - 2], r[pos - 1]),) + r[pos:]
+                    if e not in merged:
+                        terms.append((first[merged] + shift, (-1) ** pos))
+                value = []
+                for i, m in enumerate(moduli):
+                    acc = {}
+                    for j, c in enumerate(M[i]):
+                        if c:
+                            for col, v in fa[j].items():
+                                acc[col] = acc.get(col, 0) + c * v
+                    for col, v in terms:
+                        acc[col + i] = acc.get(col + i, 0) + v
+                    value.append({col: v % m for col, v in acc.items() if v % m})
+                new.append(value)
+            g = G.mul(s, a)
+            if g not in values:  # the tree edge that reaches g
+                values[g] = new
+                continue
+            for value, fg in zip(new, values[g]):
+                for acc, fgi, m in zip(value, fg, moduli):
+                    for col, v in fgi.items():
+                        acc[col] = acc.get(col, 0) - v
+                    rows.append(sorted((c, v % m) for c, v in acc.items() if v % m))
+    expand = [sorted(fi.items()) for g in rest for fu in values[g] for fi in fu]
+    return rows, width + len(S) * block, [[(c, 1)] for c in range(width)] + expand
+
+
+def _cocycle_lattice(module: GModule, degree: int, kappa=None, head=()):
+    """Hermite basis of the normalized f with df = y(kappa), on generator coordinates.
+
+    The character's exponents y are held to the sparse rows ``head`` modulo
+    the exponent e.  :func:`intmat.kernel_mod` solves the rows of
+    :func:`_generator_system`, each basis row is expanded, and
+    :func:`intmat.hermite_mod` puts their span plus the moduli relations in
+    Hermite form in full coordinates: the basis a kernel over every
+    normalized coordinate gives.
+    """
+    rows, ncols, expand = _generator_system(module, degree, kappa)
+    e = lcm(*module.moduli)
+    row_moduli = [e] * len(head) + list(module.moduli) * (len(rows) // module.rank)
+    solved = intmat.kernel_mod(list(head) + rows, row_moduli, ncols)
     mvec = _normalized_moduli(module, degree)
-    D = coboundary_matrix(module, degree)
-    return intmat.kernel_mod(D, _normalized_moduli(module, degree + 1), len(mvec))
+    mvec = [e] * (len(expand) - len(mvec)) + mvec
+    gens = [[m if j == i else 0 for j in range(len(mvec))] for i, m in enumerate(mvec) if m != e]
+    # a basis row e * unit expands to zero modulo e
+    gens += [[sum(v * z[c] for c, v in ex) for ex in expand] for j, z in enumerate(solved)
+             if z[j] != e]
+    return intmat.hermite_mod(gens, len(mvec), e)
 
 
 def _boundary_lattice(module: GModule, degree: int) -> list[list[int]]:
@@ -179,12 +282,13 @@ def cohomology_group(module: GModule, degree: int) -> CohomologyGroup:
     factors, reps, z_order, b_order = intmat.quotient(Z, B, mvec)
     k = module.rank
     tuples = list(_normalized_tuples(module.group, degree))
+    plan = list(face_plan(module.group, degree))
     cochains = []
     for vec in reps:
         values = (tuple(vec[s : s + k]) for s in range(0, len(vec), k))
         c = Cochain(module, degree, dict(zip(tuples, values)))
-        ok, witness = is_cocycle(c)
-        if not ok:
+        witness = _violation(module, degree, plan, c.values)
+        if witness is not None:
             raise NotACocycle(f"representative is not a cocycle (violated at {witness})", witness)
         cochains.append(c)
     return CohomologyGroup(

@@ -15,10 +15,15 @@ order p-1):
   group out of Z^N as the kernel of one integer system mod p-1 and span the
   coboundary pairs, both by modular Hermite elimination.  A table is
   normalized, so N counts the character's exponents and the table's values
-  at the pairs without the unit only.  The system's compatibility rows are
-  d2 and the coboundary pairs the columns of d1, both read off the
-  normalized :func:`cohomology.coboundary_matrix` for the trivial rank-1
-  module.  The quotient comes off the two Hermite bases with
+  at the pairs without the unit only.  The tables x with d2(x) = y(kappa)
+  for a G-invariant character y are solved on generator coordinates by the
+  builder of the cocycle lattices, with y as extra columns on each row:
+  once y(kappa) is a normalized 3-cocycle, the values of x at the pairs led
+  by a generating set fix x, as for cocycles (see :mod:`cohomology`), and
+  the Hermite basis is that of the kernel over every pair.  The coboundary
+  pairs are the columns of the normalized d1 of
+  :func:`cohomology.coboundary_matrix` for the trivial rank-1 module.  The
+  quotient comes off the two Hermite bases with
   :func:`intmat.quotient`, which orders residues by their field values and
   so picks the oracle's representatives.  The ``KappaPair`` tuples of
   ``PairEnumeration.pairs`` and ``.coboundary_pairs`` are listed when they
@@ -273,9 +278,10 @@ def _pair_lattices(context: AlgebraContext) -> tuple[list[list[int]], list[list[
 
     Coordinates are [y | x]: the character's exponents, then the table on the
     pairs without the unit, in lexicographic order.  A table is normalized,
-    so it is 1 on the other pairs, and so is d1 of a pointed map.  Since the
-    twisting cocycle is normalized too, the compatibility conditions at the
-    triples with the unit read 1 == 1 and only the normalized d2 is left.
+    so it is 1 on the other pairs, and so is d1 of a pointed map.  H holds
+    the G-invariant characters y and the tables x with d2(x) = y(kappa),
+    solved on generator coordinates by :func:`cohomology._cocycle_lattice`
+    for the trivial rank-1 module.
     """
     G, A = context.group, context.module
     m, k = context.field.unit_order, A.rank
@@ -289,12 +295,7 @@ def _pair_lattices(context: AlgebraContext) -> tuple[list[list[int]], list[list[
             row[i] -= 1
             if any(row):
                 rows.append([(j, c) for j, c in enumerate(row) if c])
-    # coboundary of the table equals the character of the twisting value
-    d2 = _scalar_coboundary(G, 2)
-    for t, d2row in zip(cohomology._normalized_tuples(G, 3), d2):
-        kv = context.kappa.value(*t)
-        rows.append([(j, -c) for j, c in enumerate(kv) if c] + [(k + c, v) for c, v in d2row])
-    H = intmat.kernel_mod(rows, [m] * len(rows), N)
+    H = cohomology._cocycle_lattice(cyclic_module(G, m), 2, context.kappa, rows)
     # d1 of the pointed maps: one generator per non-unit element
     gens = [[0] * N for _ in range(G.order - 1)]
     for r, row in enumerate(_scalar_coboundary(G, 1)):

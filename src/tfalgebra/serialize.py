@@ -5,12 +5,14 @@ An instance file is a single JSON object with the keys
 ``field``     {"prime": p} or {"rational": true}
 ``group``     n x n multiplication table of element indices
 ``module``    {"factors": [m1, ...], "action": {"<g>": k x k int matrix, ...}}
-              (``action`` may be omitted for the trivial action)
+              (``action`` may be omitted for the trivial action; its keys
+              are the element indices "0".."n-1")
 ``cocycle``   degree-3 table {"i,j,k": exponent vector, ...}; missing keys
-              mean the trivial value; must be a normalized 3-cocycle
+              mean the trivial value, and only nontrivial values are
+              written; must be a normalized 3-cocycle
 ``algebra``   optional: {"dims", "mult", "a_action", "unit", "eta", "phi"}
 ``pair``      optional: {"g1": n x n scalar table, "g2": [scalar, ...]}
-``omega``     optional degree-2 table {"i,j": exponent vector, ...}
+``omega``     optional degree-2 table {"i,j": [...], ...}, like ``cocycle``
 
 Dense array layouts for the algebra section (all indexed by group-element
 index, coefficient elements in mixed-radix order):
@@ -140,8 +142,9 @@ def parse_cochain_table(module: GModule, obj, degree: int, key: str) -> Cochain:
 
 
 def emit_cochain_table(c: Cochain) -> dict:
+    """The nontrivial values only: a missing key reads as the trivial value."""
     keys = c.module.group.tuples(c.degree)
-    return {",".join(map(str, key)): list(v) for key, v in zip(keys, c.entries())}
+    return {",".join(map(str, key)): list(v) for key, v in zip(keys, c.entries()) if any(v)}
 
 
 # -- the instance --------------------------------------------------------------
@@ -184,12 +187,12 @@ def parse_instance(obj: dict) -> Instance:
             raise SchemaError("module.action must map element index to matrix", key="module.action")
         action = {}
         k = len(factors)
+        index = {str(g): g for g in group.elements()}
         for raw_key, mat in mobj["action"].items():
-            try:
-                g = int(raw_key)
-            except ValueError:
-                raise SchemaError(f"module.action key {raw_key!r} not an index", key="module.action")
-            action[g] = _array(_integer, mat, (k, k), "module.action")
+            if raw_key not in index:
+                msg = f"module.action key {raw_key!r} is not an element index 0..{group.order - 1}"
+                raise SchemaError(msg, key="module.action")
+            action[index[raw_key]] = _array(_integer, mat, (k, k), "module.action")
     try:
         module = GModule(group, factors, action=action)
     except TFAError as err:

@@ -5,12 +5,17 @@ The library computes every lattice by modular Hermite elimination
 the two Hermite bases (``intmat.quotient``).  The general routines below
 work over Z without a modulus.  The tests compare the modular routines
 against them and test lattice membership with :func:`solve_in_lattice`, so
-they live here and not in the package.
+they live here and not in the package.  The cocycle and pair lattices are
+solved in the library on generator coordinates; :func:`kernel_cocycle_lattice`
+and :func:`kernel_pair_lattice` solve them as kernels over every normalized
+coordinate, for the tests to compare with.
 """
 
 from __future__ import annotations
 
-from tfalgebra.intmat import _leading, _normalize, _pivots, xgcd
+from tfalgebra.cohomology import _normalized_moduli, _normalized_tuples, coboundary_matrix
+from tfalgebra.gmodule import cyclic_module
+from tfalgebra.intmat import _leading, _normalize, _pivots, kernel_mod, xgcd
 
 
 def hermite_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
@@ -187,3 +192,38 @@ def solve_in_lattice(basis: list[list[int]], vec: list[int]) -> list[int] | None
     if any(vec):
         return None
     return coeffs
+
+
+def kernel_cocycle_lattice(module, degree: int) -> list[list[int]]:
+    """Hermite basis of the normalized cocycles, as the kernel of d^degree on every coordinate.
+
+    The library solves on the coordinates of the tuples led by a generating
+    set and expands; this is the kernel it replaced, one sparse row per
+    target coordinate of the normalized coboundary matrix.
+    """
+    rows = coboundary_matrix(module, degree)
+    ncols = len(_normalized_moduli(module, degree))
+    return kernel_mod(rows, _normalized_moduli(module, degree + 1), ncols)
+
+
+def kernel_pair_lattice(context) -> list[list[int]]:
+    """Hermite basis of the pair group in coordinates [y | x], as a kernel on every pair.
+
+    The rows say that y is killed by each factor modulus and invariant under
+    the action, and that d2(x) = y(kappa) at every normalized triple, read
+    off the normalized d2 of the trivial rank-1 module.
+    """
+    G, A = context.group, context.module
+    m, k = context.field.unit_order, A.rank
+    rows = [[(i, mi)] for i, mi in enumerate(A.moduli)]
+    for a in G.elements():
+        for i, gen in enumerate(A.generators()):
+            row = list(A.act(a, gen))
+            row[i] -= 1
+            if any(row):
+                rows.append([(j, c) for j, c in enumerate(row) if c])
+    d2 = coboundary_matrix(cyclic_module(G, 2), 2)
+    for t, d2row in zip(_normalized_tuples(G, 3), d2):
+        kv = context.kappa.value(*t)
+        rows.append([(j, -c) for j, c in enumerate(kv) if c] + [(k + c, v) for c, v in d2row])
+    return kernel_mod(rows, [m] * len(rows), k + (G.order - 1) ** 2)

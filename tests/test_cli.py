@@ -366,6 +366,19 @@ def test_malformed_arrays_name_their_block(tmp_path, capsys, command, key, mutat
     assert f"(at {key})" in capsys.readouterr().err
 
 
+def test_action_keys_must_be_element_indices(tmp_path, capsys):
+    # "7" and "-1" are integers but no element of Z2: the action is refused,
+    # not read on its valid keys only
+    ctx = context_I3()
+    doc = emit_instance(ctx)
+    doc["module"]["action"] = {"0": [[1]], "1": [[1]], "7": [[1]], "-1": [[1]]}
+    path = write(tmp_path, "stray.json", doc)
+    assert main(["check-cocycle", path]) == 2
+    out, err = capsys.readouterr()
+    assert "(at module.action)" in err
+    assert "cocycle: yes" not in out
+
+
 def test_ragged_block_is_an_input_error_under_optimize(tmp_path):
     # python -O strips asserts: the shape check must still name the key
     V = truncated_polynomial_algebra(F5, 3)

@@ -16,6 +16,7 @@ from tfalgebra.samples import (
 )
 from tfalgebra.serialize import (
     dump_json,
+    emit_cochain_table,
     emit_instance,
     parse_instance,
     parse_scalar,
@@ -88,6 +89,24 @@ def test_instance_round_trip_pairs_and_omega():
             assert inst.pair == pair
             assert inst.omega == omega
             assert inst.context == ctx
+
+
+def test_cochain_tables_are_written_sparse():
+    # only the nontrivial values are written; a missing key reads as trivial
+    import json
+
+    rng = random.Random(29)
+    for make in ACCEPTANCE_CONTEXTS:
+        ctx = make()
+        omega = Cochain.random(ctx.module, 2, rng)
+        for c in (ctx.kappa, omega, Cochain.trivial(ctx.module, 2)):
+            table = emit_cochain_table(c)
+            assert all(any(v) for v in table.values())
+            assert len(table) == sum(map(any, c.entries()))
+        doc = emit_instance(ctx, pair=trivial_pair(ctx), omega=omega)
+        inst = parse_instance(json.loads(dump_json(doc)))
+        assert inst.context == ctx and inst.omega == omega
+        assert inst.context.kappa == ctx.kappa
 
 
 def test_schema_errors_name_the_key():
