@@ -21,6 +21,17 @@ from .errors import NotAGroup
 from .fields import factorize
 
 
+class _FactorGroup:
+    """``order`` and ``describe`` of a class group read off its ``invariant_factors``."""
+
+    @property
+    def order(self) -> int:
+        return prod(self.invariant_factors)
+
+    def describe(self) -> str:
+        return " x ".join(f"Z/{d}" for d in self.invariant_factors) or "trivial"
+
+
 def _add(u, v, moduli, canon=None):
     w = tuple((a + b) % m for a, b, m in zip(u, v, moduli))
     return w if canon is None else canon(w)

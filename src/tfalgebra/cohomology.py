@@ -14,8 +14,9 @@ Two independent computations of H^n = ker(d^n) / im(d^{n-1}) for n <= 3:
   constraint rows; conversely df(s, -) = 0 for s in S gives df = 0, by
   dd f(s, h, -) = 0 and induction on word length.  The expanded solutions
   and the moduli relations span the cocycle lattice, so its canonical
-  Hermite basis is that of the kernel over every coordinate.
-  :func:`intmat.quotient` reads the quotient off the two Hermite bases.
+  Hermite basis is that of the kernel over every coordinate.  One builder
+  gives both Hermite bases, here and for the pair group of :mod:`pairs`,
+  and :func:`intmat.quotient` reads the quotient off them.
   The representatives are zero-padded and checked on one face plan, and
   the orders are those of the full complex.
 
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import lcm, prod
+from math import lcm
 
 from . import abelian, intmat
 from .cochains import Cochain, _violation, coboundary_coordinates, face_plan
@@ -57,7 +58,7 @@ from .gmodule import DEFAULT_ENUM_CAP, GModule
 
 
 @dataclass(frozen=True)
-class CohomologyGroup:
+class CohomologyGroup(abelian._FactorGroup):
     """Invariant factors (d1 | d2 | ...) and representative cocycles."""
 
     module: GModule
@@ -66,15 +67,6 @@ class CohomologyGroup:
     representatives: tuple[Cochain, ...] = field(compare=False)
     cocycle_order: int = field(compare=False, default=0)
     coboundary_order: int = field(compare=False, default=0)
-
-    @property
-    def order(self) -> int:
-        return prod(self.invariant_factors) if self.invariant_factors else 1
-
-    def describe(self) -> str:
-        if not self.invariant_factors:
-            return "trivial"
-        return " x ".join(f"Z/{d}" for d in self.invariant_factors)
 
 
 def _normalized_tuples(group, degree: int):
@@ -207,42 +199,35 @@ def _generator_system(module: GModule, degree: int, kappa=None):
     return rows, width + len(S) * block, [[(c, 1)] for c in range(width)] + expand
 
 
-def _cocycle_lattice(module: GModule, degree: int, kappa=None, head=()):
-    """Hermite basis of the normalized f with df = y(kappa), on generator coordinates.
+def _lattices(module: GModule, degree: int, kappa=None, head=()):
+    """Hermite bases (Z, B) of the normalized f with df = y(kappa) and of im(d^(degree-1)).
 
-    The character's exponents y are held to the sparse rows ``head`` modulo
-    the exponent e.  :func:`intmat.kernel_mod` solves the rows of
-    :func:`_generator_system`, each basis row is expanded, and
-    :func:`intmat.hermite_mod` puts their span plus the moduli relations in
-    Hermite form in full coordinates: the basis a kernel over every
-    normalized coordinate gives.
+    Coordinates: the exponents y of a character of kappa's module (none
+    without kappa), then the normalized cochain; both lattices hold the
+    moduli relations.  The y are held to the sparse rows ``head`` modulo the
+    exponent e.  :func:`intmat.kernel_mod` solves the rows of
+    :func:`_generator_system` and each basis row is expanded, so Z is the
+    basis a kernel over every normalized coordinate gives.  B is spanned by
+    the columns of d^(degree-1), placed after the y columns.
     """
-    rows, ncols, expand = _generator_system(module, degree, kappa)
     e = lcm(*module.moduli)
+    width = kappa.module.rank if kappa else 0
+    mvec = [e] * width + _normalized_moduli(module, degree)
+    N = len(mvec)
+    relations = [[m if j == i else 0 for j in range(N)] for i, m in enumerate(mvec) if m != e]
+    rows, ncols, expand = _generator_system(module, degree, kappa)
     row_moduli = [e] * len(head) + list(module.moduli) * (len(rows) // module.rank)
     solved = intmat.kernel_mod(list(head) + rows, row_moduli, ncols)
-    mvec = _normalized_moduli(module, degree)
-    mvec = [e] * (len(expand) - len(mvec)) + mvec
-    gens = [[m if j == i else 0 for j in range(len(mvec))] for i, m in enumerate(mvec) if m != e]
     # a basis row e * unit expands to zero modulo e
-    gens += [[sum(v * z[c] for c, v in ex) for ex in expand] for j, z in enumerate(solved)
-             if z[j] != e]
-    return intmat.hermite_mod(gens, len(mvec), e)
-
-
-def _boundary_lattice(module: GModule, degree: int) -> list[list[int]]:
-    """Hermite basis of the normalized im(d^{degree-1}) + (moduli relations)."""
-    mvec = _normalized_moduli(module, degree)
-    N = len(mvec)
-    e = lcm(*module.moduli)
-    gens = [[m if j == i else 0 for j in range(N)] for i, m in enumerate(mvec) if m != e]
+    Z = relations + [[sum(v * z[c] for c, v in ex) for ex in expand] for j, z in enumerate(solved)
+                     if z[j] != e]
+    columns = []
     if degree >= 1:
         columns = [[0] * N for _ in _normalized_moduli(module, degree - 1)]
         for r, row in enumerate(coboundary_matrix(module, degree - 1)):
             for c, v in row:
-                columns[c][r] = v
-        gens += columns
-    return intmat.hermite_mod(gens, N, e)
+                columns[c][width + r] = v
+    return intmat.hermite_mod(Z, N, e), intmat.hermite_mod(relations + columns, N, e)
 
 
 def _degenerate_order(module: GModule, degree: int) -> int:
@@ -277,8 +262,7 @@ def cohomology_group(module: GModule, degree: int) -> CohomologyGroup:
     if not mvec:
         # no normalized coordinates: every group vanishes
         return CohomologyGroup(module, degree, (), (), degenerate, degenerate)
-    Z = _cocycle_lattice(module, degree)
-    B = _boundary_lattice(module, degree)
+    Z, B = _lattices(module, degree)
     factors, reps, z_order, b_order = intmat.quotient(Z, B, mvec)
     k = module.rank
     tuples = list(_normalized_tuples(module.group, degree))

@@ -2,12 +2,19 @@
 
 Every error that corresponds to bad *mathematical* input (as opposed to a
 programming mistake) derives from :class:`TFAError` so callers can catch the
-whole family at once.  The CLI maps these to exit code 2.
+whole family at once.  The CLI exits with code 2 on :class:`SchemaError`,
+:class:`DegreeOutOfRange`, :class:`NonCyclicUnits`, :class:`NotNormalized`,
+:class:`NotPointed` and :class:`TooLarge`, which name bad input, and with
+code 1 on every other error here.
 """
 
 
 class TFAError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; ``witness`` holds the offending data, if any."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class NotAGroup(TFAError):
@@ -17,17 +24,9 @@ class NotAGroup(TFAError):
     associativity failure, or a single index for a missing inverse/identity.
     """
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class NotAModule(TFAError):
     """An action table does not define automorphisms, or is not a homomorphism."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class NoSolution(TFAError):
@@ -77,17 +76,9 @@ class DegenerateProduct(TFAError):
 class InvalidPair(TFAError):
     """A scalar pair fails one of its defining conditions."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class NotACocycle(TFAError):
     """A cochain expected to be a cocycle has a nonzero coboundary."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class NotNormalized(TFAError):

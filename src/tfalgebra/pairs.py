@@ -15,14 +15,15 @@ order p-1):
   group out of Z^N as the kernel of one integer system mod p-1 and span the
   coboundary pairs, both by modular Hermite elimination.  A table is
   normalized, so N counts the character's exponents and the table's values
-  at the pairs without the unit only.  The tables x with d2(x) = y(kappa)
-  for a G-invariant character y are solved on generator coordinates by the
-  builder of the cocycle lattices, with y as extra columns on each row:
-  once y(kappa) is a normalized 3-cocycle, the values of x at the pairs led
-  by a generating set fix x, as for cocycles (see :mod:`cohomology`), and
-  the Hermite basis is that of the kernel over every pair.  The coboundary
-  pairs are the columns of the normalized d1 of
-  :func:`cohomology.coboundary_matrix` for the trivial rank-1 module.  The
+  at the pairs without the unit only.  The quotient has the shape of H^2
+  of the trivial rank-1 module: tables x, with the character's exponents y
+  as extra columns, modulo the image of d1.  So both lattices come from
+  the one builder of :mod:`cohomology`, given the rows that make y a
+  G-invariant character.  The tables x with d2(x) = y(kappa) are solved on
+  generator coordinates: once y(kappa) is a normalized 3-cocycle, the
+  values of x at the pairs led by a generating set fix x, as for cocycles,
+  and the Hermite basis is that of the kernel over every pair.  The
+  coboundary pairs are spanned by the columns of the normalized d1.  The
   quotient comes off the two Hermite bases with
   :func:`intmat.quotient`, which orders residues by their field values and
   so picks the oracle's representatives.  The ``KappaPair`` tuples of
@@ -98,22 +99,13 @@ class KappaPair:
 
 
 @dataclass(frozen=True)
-class PairClassGroup:
+class PairClassGroup(abelian._FactorGroup):
     """The quotient of the pair group by its coboundary subgroup."""
 
     invariant_factors: tuple[int, ...]
     representatives: tuple[KappaPair, ...]
     pair_group_order: int
     coboundary_order: int
-
-    @property
-    def order(self) -> int:
-        return prod(self.invariant_factors) if self.invariant_factors else 1
-
-    def describe(self) -> str:
-        if not self.invariant_factors:
-            return "trivial"
-        return " x ".join(f"Z/{d}" for d in self.invariant_factors)
 
 
 class PairEnumeration:
@@ -263,29 +255,17 @@ def _pairs_from_vectors(
     return tuple(out)
 
 
-def _scalar_coboundary(group, degree: int) -> list[list[tuple[int, int]]]:
-    """Sparse rows of the normalized d^degree with trivial rank-1 coefficients.
-
-    Any modulus above 1 gives the same integer matrix, since the trivial
-    action is the 1 x 1 identity; the moduli go to the lattice routines
-    separately, so one matrix serves both F_p and Q.
-    """
-    return cohomology.coboundary_matrix(cyclic_module(group, 2), degree)
-
-
 def _pair_lattices(context: AlgebraContext) -> tuple[list[list[int]], list[list[int]]]:
     """Hermite bases of the pair group H and its coboundary subgroup B, mod p-1.
 
     Coordinates are [y | x]: the character's exponents, then the table on the
     pairs without the unit, in lexicographic order.  A table is normalized,
-    so it is 1 on the other pairs, and so is d1 of a pointed map.  H holds
-    the G-invariant characters y and the tables x with d2(x) = y(kappa),
-    solved on generator coordinates by :func:`cohomology._cocycle_lattice`
-    for the trivial rank-1 module.
+    so it is 1 on the other pairs, and so is d1 of a pointed map.  Both come
+    from :func:`cohomology._lattices` for the trivial rank-1 module, with the
+    rows below on y: H holds the G-invariant characters y and the tables x
+    with d2(x) = y(kappa), and B the pairs (d1(psi), 1).
     """
     G, A = context.group, context.module
-    m, k = context.field.unit_order, A.rank
-    N = k + (G.order - 1) ** 2
     # character is killed by each factor modulus
     rows = [[(i, mi)] for i, mi in enumerate(A.moduli)]
     # character is invariant under the group action
@@ -295,13 +275,8 @@ def _pair_lattices(context: AlgebraContext) -> tuple[list[list[int]], list[list[
             row[i] -= 1
             if any(row):
                 rows.append([(j, c) for j, c in enumerate(row) if c])
-    H = cohomology._cocycle_lattice(cyclic_module(G, m), 2, context.kappa, rows)
-    # d1 of the pointed maps: one generator per non-unit element
-    gens = [[0] * N for _ in range(G.order - 1)]
-    for r, row in enumerate(_scalar_coboundary(G, 1)):
-        for s, v in row:
-            gens[s][k + r] = v
-    return H, intmat.hermite_mod(gens, N, m)
+    module = cyclic_module(G, context.field.unit_order)
+    return cohomology._lattices(module, 2, context.kappa, rows)
 
 
 def _unit_values(F: PrimeField) -> list:
@@ -450,7 +425,9 @@ def _solve_pointed_coboundary(context: AlgebraContext, ratio) -> dict[int, objec
     if any(ratio[k] != F.one for k in G.tuples(2) if e in k):
         return None
     unknowns = [a for a in G.elements() if a != e]
-    rows = _scalar_coboundary(G, 1)
+    # the trivial action is the 1 x 1 identity, so any modulus above 1 gives
+    # the same integer d1 and one matrix serves both F_p and Q
+    rows = cohomology.coboundary_matrix(cyclic_module(G, 2), 1)
     keys = list(cohomology._normalized_tuples(G, 2))
 
     if isinstance(F, PrimeField):
@@ -518,14 +495,12 @@ class Classification:
         return self.class_group.order * self.rescaling_count
 
 
-def classify_simple(
-    context: AlgebraContext, method: str = "normal-form", cap: int = DEFAULT_ENUM_CAP
-) -> Classification:
+def classify_simple(context: AlgebraContext, cap: int = DEFAULT_ENUM_CAP) -> Classification:
     """One algebra per class; total classes = |quotient| x |units|."""
     from .constructions import build_simple
 
     F = _require_prime_field(context)
-    enum = enumerate_pairs(context, method=method, cap=cap)
+    enum = enumerate_pairs(context, cap=cap)
     cg = enum.class_group
     # all products of representative powers, one per quotient element
     class_pairs = [trivial_pair(context)]

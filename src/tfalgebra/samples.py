@@ -182,31 +182,15 @@ def dual_number_group_ring(field: Field) -> TFAlgebra:
 
     G = cyclic_group(2)
     one, zero = field.one, field.zero
-    # bases: component 0 = (1, t), component 1 = (s, ts)
-    e00 = [
+    # bases: component 0 = (1, t), component 1 = (s, ts); every component
+    # pair multiplies by the same tensor (TFAlgebra copies each one)
+    tensor = [
         [[one, zero], [zero, one]],
         [[zero, one], [zero, zero]],
     ]
-    e01 = [
-        [[one, zero], [zero, one]],
-        [[zero, one], [zero, zero]],
-    ]
-    e10 = [
-        [[one, zero], [zero, one]],
-        [[zero, one], [zero, zero]],
-    ]
-    e11 = [
-        [[one, zero], [zero, one]],
-        [[zero, one], [zero, zero]],
-    ]
-    mult = {(0, 0): e00, (0, 1): e01, (1, 0): e10, (1, 1): e11}
+    mult = dict.fromkeys(G.tuples(2), tensor)
     dims = {0: 2, 1: 2}
     unit = [one, zero]
     eta = Matrix(field, [[zero, one], [one, zero]])
-    phi = {
-        (0, 0): Matrix.identity(field, 2),
-        (0, 1): Matrix.identity(field, 2),
-        (1, 0): Matrix.identity(field, 2),
-        (1, 1): Matrix.identity(field, 2),
-    }
+    phi = {t: Matrix.identity(field, 2) for t in G.tuples(2)}
     return from_crossed_frobenius(G, field, dims, mult, unit, eta, phi)

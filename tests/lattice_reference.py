@@ -8,14 +8,21 @@ against them and test lattice membership with :func:`solve_in_lattice`, so
 they live here and not in the package.  The cocycle and pair lattices are
 solved in the library on generator coordinates; :func:`kernel_cocycle_lattice`
 and :func:`kernel_pair_lattice` solve them as kernels over every normalized
-coordinate, for the tests to compare with.
+coordinate, for the tests to compare with.  The library spans the
+coboundary lattices by the columns of ``cohomology.coboundary_matrix``;
+:func:`pointwise_boundary_lattice` and :func:`pointwise_pair_boundary` span
+them by pointwise coboundaries instead and never read that matrix.
 """
 
 from __future__ import annotations
 
+from math import lcm
+
+from tfalgebra.cochains import Cochain, coboundary
 from tfalgebra.cohomology import _normalized_moduli, _normalized_tuples, coboundary_matrix
 from tfalgebra.gmodule import cyclic_module
-from tfalgebra.intmat import _leading, _normalize, _pivots, kernel_mod, xgcd
+from tfalgebra.intmat import _leading, _normalize, _pivots, hermite_mod, kernel_mod, xgcd
+from tfalgebra.pairs import coboundary_pair
 
 
 def hermite_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
@@ -227,3 +234,45 @@ def kernel_pair_lattice(context) -> list[list[int]]:
         kv = context.kappa.value(*t)
         rows.append([(j, -c) for j, c in enumerate(kv) if c] + [(k + c, v) for c, v in d2row])
     return kernel_mod(rows, [m] * len(rows), k + (G.order - 1) ** 2)
+
+
+def pointwise_boundary_lattice(module, degree: int) -> list[list[int]]:
+    """Hermite basis of the normalized coboundaries plus the moduli relations.
+
+    The generators are ``cochains.coboundary`` of each normalized
+    (degree-1)-cochain with one unit value, restricted to the tuples
+    without the unit; the coboundary of a normalized cochain is normalized,
+    so the restriction loses nothing.
+    """
+    G, k, moduli = module.group, module.rank, module.moduli
+    e = lcm(*moduli)
+    unit_free = (T for T, t in enumerate(G.tuples(degree)) if G.identity not in t)
+    keep = [T * k + i for T in unit_free for i in range(k)]
+    mvec = list(moduli) * (len(keep) // k)
+    gens = [[m if j == i else 0 for j in range(len(mvec))] for i, m in enumerate(mvec) if m != e]
+    for t in G.tuples(degree - 1) if degree else ():
+        if G.identity in t:
+            continue
+        for i, m in enumerate(moduli):
+            unit = tuple(int(j == i) % m for j in range(k))
+            values = coboundary(Cochain(module, degree - 1, {t: unit})).values
+            gens.append([values[c] for c in keep])
+    return hermite_mod(gens, len(mvec), e)
+
+
+def pointwise_pair_boundary(context) -> list[list[int]]:
+    """Hermite basis, mod p-1, of the coboundary pairs in coordinates [y | x].
+
+    The generators are the discrete logs of ``pairs.coboundary_pair`` of
+    psi_a, the primitive root at a and 1 elsewhere, for each a off the unit.
+    """
+    G, F = context.group, context.field
+    e = G.identity
+    free = [t for t in G.tuples(2) if e not in t]
+    gens = []
+    for a in G.elements():
+        if a != e:
+            psi = {g: F.primitive_root if g == a else F.one for g in G.elements()}
+            pair = coboundary_pair(context, psi)
+            gens.append([F.dlog(v) for v in pair.g2] + [F.dlog(pair.g1[t]) for t in free])
+    return hermite_mod(gens, context.module.rank + len(free), F.unit_order)

@@ -2,11 +2,14 @@
 
 A normalized cochain f with df(s, -) = 0 for every s in a generating set S
 is a cocycle, and its values at the tuples led by S fix it.
-``cohomology._cocycle_lattice`` solves the constraints on those coordinates
-and expands the solutions; ``pairs._pair_lattices`` does the same with the
+``cohomology._lattices`` solves the constraints on those coordinates and
+expands the solutions; ``pairs._pair_lattices`` calls it with the
 character's exponents as extra columns.  Their Hermite bases must equal
 those of the kernels over every normalized coordinate in
-``lattice_reference``, on a fixed list of groups and modules.
+``lattice_reference``, on a fixed list of groups and modules.  The
+coboundary lattices, spanned by the columns of the normalized coboundary
+matrix, must equal the spans of the pointwise coboundaries there, on the
+same modules and on every pair-listing context.
 
 Past the enumeration cap the oracle cannot check ``cohomology_group``, so
 the mod-2 dimensions of H^n(G, Z/2) for the dihedral group D8, the
@@ -29,7 +32,12 @@ from tfalgebra.fields import PrimeField
 from tfalgebra.gmodule import GModule, cyclic_module
 from tfalgebra.groups import cyclic_group, direct_product, group_from_table, symmetric_group
 
-from lattice_reference import kernel_cocycle_lattice, kernel_pair_lattice
+from lattice_reference import (
+    kernel_cocycle_lattice,
+    kernel_pair_lattice,
+    pointwise_boundary_lattice,
+    pointwise_pair_boundary,
+)
 from test_pairs_listing import listing_contexts
 
 
@@ -143,11 +151,31 @@ def _cocycle_cases():
 
 
 COCYCLE_CASES = _cocycle_cases()
+_LATTICES = {}
+
+
+def _library_lattices(name, module, degree):
+    """``cohomology._lattices`` of a case, computed once for the two tests that read it."""
+    if name not in _LATTICES:
+        _LATTICES[name] = cohomology._lattices(module, degree)
+    return _LATTICES[name]
 
 
 @pytest.mark.parametrize("name,module,degree", COCYCLE_CASES, ids=[c[0] for c in COCYCLE_CASES])
 def test_cocycle_lattice_matches_the_full_kernel(name, module, degree):
-    assert cohomology._cocycle_lattice(module, degree) == kernel_cocycle_lattice(module, degree)
+    Z, _ = _library_lattices(name, module, degree)
+    assert Z == kernel_cocycle_lattice(module, degree)
+
+
+# degree 3 over D8 and Q8 (343 and 686 coordinates) would add seconds; every
+# other case, up to 250 coordinates, is far past the enumeration cap
+BOUNDARY_CASES = [c for c in COCYCLE_CASES if not c[0].startswith(("H3(D8,", "H3(Q8,"))]
+
+
+@pytest.mark.parametrize("name,module,degree", BOUNDARY_CASES, ids=[c[0] for c in BOUNDARY_CASES])
+def test_boundary_lattice_matches_the_pointwise_coboundaries(name, module, degree):
+    _, B = _library_lattices(name, module, degree)
+    assert B == pointwise_boundary_lattice(module, degree)
 
 
 # -- pair lattices against the kernel on every pair ----------------------------------
@@ -164,8 +192,11 @@ def _seeded_twisted_context():
     return AlgebraContext(S3, A, kappa, PrimeField(5))
 
 
+LISTING_CONTEXTS = listing_contexts()
+
+
 def _pair_cases():
-    cases = [(name, ctx) for name, ctx in listing_contexts() if name.startswith("benchmark/")]
+    cases = [(name, ctx) for name, ctx in LISTING_CONTEXTS if name.startswith("benchmark/")]
     cases.append(("seeded-twist/S3,Z/2,F5", _seeded_twisted_context()))
     cases.append(("S4,Z/2,F5", trivial_context(S4, cyclic_module(S4, 2), PrimeField(5))))
     return cases
@@ -183,6 +214,12 @@ def test_pair_cases():
 def test_pair_lattice_matches_the_full_kernel(name, ctx):
     H, _ = pairs._pair_lattices(ctx)
     assert H == kernel_pair_lattice(ctx)
+
+
+@pytest.mark.parametrize("name,ctx", LISTING_CONTEXTS, ids=[c[0] for c in LISTING_CONTEXTS])
+def test_pair_boundary_matches_the_pointwise_coboundary_pairs(name, ctx):
+    _, B = pairs._pair_lattices(ctx)
+    assert B == pointwise_pair_boundary(ctx)
 
 
 # -- mod-2 cohomology pins from theory -----------------------------------------------

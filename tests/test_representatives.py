@@ -188,8 +188,7 @@ def test_rung_representatives_form_a_direct_sum_basis(name, module, degree, no_l
     H = cohomology.cohomology_group(module, degree)
     # the lattices live on the normalized cochains, the tuples without the unit
     moduli = cohomology._normalized_moduli(module, degree)
-    Z = cohomology._cocycle_lattice(module, degree)
-    B = cohomology._boundary_lattice(module, degree)
+    Z, B = cohomology._lattices(module, degree)
     tuples = list(cohomology._normalized_tuples(module.group, degree))
     reps = []
     for rep in H.representatives:
