@@ -16,6 +16,9 @@ Blocks use the row-as-image convention: row i of ``phi[b][a]`` is the image
 of the i-th basis vector of V_a.  The constructor validates shapes only; the
 axioms themselves are the verifier's job, so that perturbed algebras can be
 represented and diagnosed.
+
+``KappaPair`` is the data of a scalar pair, as instance files carry it;
+:mod:`pairs` checks pairs against the context and classifies them.
 """
 
 from __future__ import annotations
@@ -56,6 +59,43 @@ class AlgebraContext:
             f"|G|={self.group.order}, A={self.module.moduli}, "
             f"field={self.field!r}, twisted={'yes' if not self.kappa.is_trivial() else 'no'}"
         )
+
+
+@dataclass
+class KappaPair:
+    """A scalar pair: g1 a table on pairs of group indices, g2 values on the cyclic generators.
+
+    :mod:`pairs` holds the defining predicate and the group structure.
+    """
+
+    g1: dict[tuple[int, int], object]
+    g2: tuple
+
+    def g2_value(self, field, element: tuple):
+        """Evaluate the character on an exponent tuple."""
+        out = field.one
+        for gi, e in zip(self.g2, element):
+            if e:
+                out = field.mul(out, field.power(gi, e))
+        return out
+
+    def key(self, group) -> tuple:
+        """Deterministic sort key: the g2 tuple first, then the flat g1 table."""
+        flat = tuple(
+            self.g1[(a, b)] for a in group.elements() for b in group.elements()
+        )
+        return (self.g2, flat)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, KappaPair)
+            and other.g2 == self.g2
+            and other.g1 == self.g1
+        )
+
+    def __repr__(self):
+        support = sum(1 for v in self.g1.values() if v != 1)
+        return f"KappaPair(g2={self.g2}, nontrivial_g1_entries={support})"
 
 
 def trivial_context(group: FiniteGroup, module: GModule, field: Field) -> AlgebraContext:

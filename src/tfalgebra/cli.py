@@ -27,6 +27,12 @@ is deterministic for identical input.
 The environment variable TFA_ENUM_CAP overrides the default enumeration
 cap; --cap overrides both.  The cap bounds only the explicit pair listing
 of ``classify``, which the command never reads.
+
+A command imports only what it runs.  At the top this module imports the
+instance parser and what it needs (``serialize``, ``algebra``, ``cochains``,
+``linalg``, ``fields``, ``gmodule``, ``groups``, ``errors``), which is all
+that ``check-cocycle`` and ``rescale`` use.  Every other handler imports its
+command's module after the input checks, so refused input never loads it.
 """
 
 from __future__ import annotations
@@ -37,8 +43,6 @@ import sys
 
 from .algebra import z_rescale
 from .cochains import is_cocycle, is_normalized
-from .cohomology import cohomology_group
-from .constructions import build_simple, coboundary_transform, extract_kappa_pair
 from .errors import (
     ContextMismatch,
     DegreeOutOfRange,
@@ -51,7 +55,6 @@ from .errors import (
 )
 from .fields import PrimeField
 from .gmodule import DEFAULT_ENUM_CAP
-from .pairs import classify_simple, pairs_equivalent
 from .serialize import (
     dump_json,
     emit_cochain_table,
@@ -61,7 +64,6 @@ from .serialize import (
     load_instance,
     parse_scalar,
 )
-from .verify import verify
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -98,7 +100,10 @@ def _section(inst, name: str):
 
 
 def cmd_verify(args) -> int:
-    report = verify(_section(load_instance(args.input), "algebra"))
+    V = _section(load_instance(args.input), "algebra")
+    from .verify import verify
+
+    report = verify(V)
     for line in report.to_lines():
         print(line)
     _write(args, report.to_summary())
@@ -111,6 +116,8 @@ def cmd_cohomology(args) -> int:
         raise SchemaError("--degree is required", key="<args>")
     if not (0 <= args.degree <= 3):
         raise DegreeOutOfRange(f"--degree must be 0..3, got {args.degree}")
+    from .cohomology import cohomology_group
+
     H = cohomology_group(inst.context.module, args.degree)
     print(f"H^{args.degree}: {H.describe()}")
     print(f"cocycles: {H.cocycle_order}, coboundaries: {H.coboundary_order}")
@@ -139,6 +146,8 @@ def cmd_classify(args) -> int:
     inst = load_instance(args.input)
     if not isinstance(inst.context.field, PrimeField):
         raise NonCyclicUnits("classification requires a prime field")
+    from .pairs import classify_simple
+
     result = classify_simple(inst.context, cap=_cap(args))
     cg = result.class_group
     print(f"pair group order: {cg.pair_group_order}")
@@ -176,7 +185,10 @@ def cmd_classify(args) -> int:
 
 def cmd_transform(args) -> int:
     inst = load_instance(args.input)
-    W = coboundary_transform(_section(inst, "algebra"), _section(inst, "omega"))
+    V, omega = _section(inst, "algebra"), _section(inst, "omega")
+    from .constructions import coboundary_transform
+
+    W = coboundary_transform(V, omega)
     _write(args, emit_instance(W.context, algebra=W), stdout=True)
     return EXIT_PASS
 
@@ -202,14 +214,20 @@ def cmd_check_cocycle(args) -> int:
 
 def cmd_build_simple(args) -> int:
     inst = load_instance(args.input)
-    V = build_simple(inst.context, _section(inst, "pair"))
+    pair = _section(inst, "pair")
+    from .constructions import build_simple
+
+    V = build_simple(inst.context, pair)
     _write(args, emit_instance(inst.context, algebra=V), stdout=True)
     return EXIT_PASS
 
 
 def cmd_extract_pair(args) -> int:
     inst = load_instance(args.input)
-    pair, _basis = extract_kappa_pair(_section(inst, "algebra"))
+    V = _section(inst, "algebra")
+    from .constructions import extract_kappa_pair
+
+    pair, _basis = extract_kappa_pair(V)
     _write(args, {**emit_instance(inst.context), "pair": emit_pair(inst.context, pair)}, stdout=True)
     return EXIT_PASS
 
@@ -242,6 +260,8 @@ def cmd_pairs_equal(args) -> int:
         raise SchemaError("both instances need a 'pair' section", key="pair")
     if inst1.context != inst2.context:
         raise ContextMismatch("the two instances have different contexts")
+    from .pairs import pairs_equivalent
+
     psi = pairs_equivalent(inst1.context, inst1.pair, inst2.pair)
     if psi is None:
         print("pairs: not equivalent")

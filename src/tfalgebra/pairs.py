@@ -52,7 +52,7 @@ from fractions import Fraction
 from math import prod
 
 from . import abelian, cohomology, intmat
-from .algebra import AlgebraContext
+from .algebra import AlgebraContext, KappaPair
 from .errors import (
     InvalidPair,
     NonCyclicUnits,
@@ -62,40 +62,6 @@ from .errors import (
 )
 from .fields import PrimeField
 from .gmodule import DEFAULT_ENUM_CAP, cyclic_module
-
-
-@dataclass
-class KappaPair:
-    """g1: table on pairs of group indices; g2: values on the cyclic generators."""
-
-    g1: dict[tuple[int, int], object]
-    g2: tuple
-
-    def g2_value(self, field, element: tuple):
-        """Evaluate the character on an exponent tuple."""
-        out = field.one
-        for gi, e in zip(self.g2, element):
-            if e:
-                out = field.mul(out, field.power(gi, e))
-        return out
-
-    def key(self, group) -> tuple:
-        """Deterministic sort key: the g2 tuple first, then the flat g1 table."""
-        flat = tuple(
-            self.g1[(a, b)] for a in group.elements() for b in group.elements()
-        )
-        return (self.g2, flat)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KappaPair)
-            and other.g2 == self.g2
-            and other.g1 == self.g1
-        )
-
-    def __repr__(self):
-        support = sum(1 for v in self.g1.values() if v != 1)
-        return f"KappaPair(g2={self.g2}, nontrivial_g1_entries={support})"
 
 
 @dataclass(frozen=True)
@@ -144,7 +110,7 @@ class PairEnumeration:
 def is_kappa_pair(context: AlgebraContext, pair: KappaPair) -> tuple[bool, tuple | None]:
     """Check the four defining conditions; returns (ok, witness)."""
     G, A, F = context.group, context.module, context.field
-    e = G.identity
+    e, table, g1 = G.identity, G.table, pair.g1
     if len(pair.g2) != A.rank:
         return False, ("g2-shape", len(pair.g2))
     for i, (gi, m) in enumerate(zip(pair.g2, A.moduli)):
@@ -152,24 +118,23 @@ def is_kappa_pair(context: AlgebraContext, pair: KappaPair) -> tuple[bool, tuple
             return False, ("g2-zero", i)
         if F.power(gi, m) != F.one:
             return False, ("g2-order", i)
+    chi = {x: pair.g2_value(F, x) for x in A.elements()}
     for a in G.elements():
-        for x in A.elements():
-            if pair.g2_value(F, A.act(a, x)) != pair.g2_value(F, x):
+        for x, value in chi.items():
+            if chi[A.act(a, x)] != value:
                 return False, ("g2-invariance", a, x)
+    for a, b in G.tuples(2):
+        v = g1.get((a, b))
+        if v is None or F.is_zero(v):
+            return False, ("g1-zero", a, b)
     for a in G.elements():
-        for b in G.elements():
-            v = pair.g1.get((a, b))
-            if v is None or F.is_zero(v):
-                return False, ("g1-zero", a, b)
-    for a in G.elements():
-        if pair.g1[(a, e)] != F.one or pair.g1[(e, a)] != F.one:
+        if g1[(a, e)] != F.one or g1[(e, a)] != F.one:
             return False, ("g1-normalization", a)
+    inv = {ab: F.inv(g1[ab]) for ab in G.tuples(2)}
     for (a, b, c), kv in zip(G.tuples(3), context.kappa.entries()):
-        d2 = F.mul(
-            F.mul(pair.g1[(b, c)], F.inv(pair.g1[(G.mul(a, b), c)])),
-            F.mul(pair.g1[(a, G.mul(b, c))], F.inv(pair.g1[(a, b)])),
-        )
-        if d2 != pair.g2_value(F, kv):
+        ab, bc = table[a][b], table[b][c]
+        d2 = F.mul(F.mul(g1[(b, c)], inv[(ab, c)]), F.mul(g1[(a, bc)], inv[(a, b)]))
+        if d2 != chi[kv]:
             return False, ("compatibility", a, b, c)
     return True, None
 

@@ -41,14 +41,13 @@ from fractions import Fraction
 from functools import partial
 from operator import mod
 
-from .algebra import AlgebraContext, TFAlgebra
+from .algebra import AlgebraContext, KappaPair, TFAlgebra
 from .cochains import Cochain
 from .errors import SchemaError, TFAError
 from .fields import Field, PrimeField, RationalField
 from .gmodule import GModule
 from .groups import FiniteGroup
 from .linalg import Matrix
-from .pairs import KappaPair
 
 
 @dataclass

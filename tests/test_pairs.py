@@ -62,6 +62,37 @@ def test_normalization_violation_detected():
     assert not ok and witness[0] == "g1-normalization"
 
 
+def _z3_table(**changes):
+    """The trivial table on Z3 with entry ``kab`` set to a value, or removed by None."""
+    g1 = {(a, b): 1 for a in range(3) for b in range(3)}
+    for name, value in changes.items():
+        key = (int(name[1]), int(name[2]))
+        if value is None:
+            del g1[key]
+        else:
+            g1[key] = value
+    return g1
+
+
+def test_each_failure_kind_names_its_first_witness():
+    Z2, Z3 = cyclic_group(2), cyclic_group(3)
+    # Z2 inverts Z/3, and 2 has order 3 in F7: the character is not invariant
+    sign = trivial_context(Z2, GModule(Z2, (3,), action={0: [[1]], 1: [[2]]}), PrimeField(7))
+    plain = trivial_context(Z3, trivial_module(Z3), F5)
+    cases = [
+        (sign, KappaPair({(a, b): 1 for a in range(2) for b in range(2)}, (2,)),
+         ("g2-invariance", 1, (1,))),
+        # a zero and a missing entry: the first in row order is named
+        (plain, KappaPair(_z3_table(k21=0, k12=None), ()), ("g1-zero", 1, 2)),
+        (plain, KappaPair(_z3_table(k20=3, k01=4), ()), ("g1-normalization", 1)),
+        # d2 g1 is 1 at (1, 1, 1) and 1/2 at (1, 1, 2)
+        (plain, KappaPair(_z3_table(k11=2), ()), ("compatibility", 1, 1, 2)),
+        (plain, KappaPair(_z3_table(k22=3, k12=2), ()), ("compatibility", 1, 1, 1)),
+    ]
+    for ctx, pair, witness in cases:
+        assert is_kappa_pair(ctx, pair) == (False, witness)
+
+
 # -- coboundary pairs -----------------------------------------------------------------
 
 
