@@ -27,7 +27,7 @@ from types import ModuleType
 
 # home module -> the public names it defines
 _HOMES = {
-    "algebra": ("AlgebraContext", "KappaPair", "TFAlgebra", "mu", "z_rescale"),
+    "algebra": ("AlgebraContext", "KappaPair", "TFAlgebra", "is_kappa_pair", "mu", "z_rescale"),
     "cochains": ("Cochain", "coboundary", "is_cocycle", "is_normalized", "normalize_cocycle"),
     "cohomology": ("CohomologyGroup", "brute_force_cohomology", "cohomology_group"),
     "constructions": (
@@ -54,7 +54,6 @@ _HOMES = {
         "classify_simple",
         "coboundary_pair",
         "enumerate_pairs",
-        "is_kappa_pair",
         "pairs_equivalent",
     ),
     "verify": ("VerificationReport", "verify"),

@@ -17,32 +17,27 @@ of the i-th basis vector of V_a.  The constructor validates shapes only; the
 axioms themselves are the verifier's job, so that perturbed algebras can be
 represented and diagnosed.
 
-``KappaPair`` is the data of a scalar pair, as instance files carry it;
-:mod:`pairs` checks pairs against the context and classifies them.
+``KappaPair`` is the data of a scalar pair, as instance files carry it, and
+:func:`is_kappa_pair` its defining predicate against the context; :mod:`pairs`
+classifies pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import _FrozenRecord
 from .cochains import Cochain, is_normalized
-from .errors import NotHomogeneous, NotNormalized, ShapeMismatch, ZeroScale
+from .errors import InvalidPair, NotHomogeneous, NotNormalized, ShapeMismatch, ZeroScale
 from .fields import Field
 from .gmodule import GModule
 from .groups import FiniteGroup
 from .linalg import Matrix, _product, apply_map
 
 
-@dataclass(frozen=True)
-class AlgebraContext:
+class AlgebraContext(_FrozenRecord):
     """The fixed data (G, A, kappa, K) an algebra is defined over."""
 
-    group: FiniteGroup
-    module: GModule
-    kappa: Cochain
-    field: Field
-
-    def __post_init__(self):
+    def __init__(self, group: FiniteGroup, module: GModule, kappa: Cochain, field: Field):
+        self._set(group, module, kappa, field)
         if self.module.group != self.group:
             raise ShapeMismatch("coefficient module is defined over a different group")
         if self.kappa.module != self.module or self.kappa.degree != 3:
@@ -61,15 +56,16 @@ class AlgebraContext:
         )
 
 
-@dataclass
 class KappaPair:
     """A scalar pair: g1 a table on pairs of group indices, g2 values on the cyclic generators.
 
-    :mod:`pairs` holds the defining predicate and the group structure.
+    :func:`is_kappa_pair` is the defining predicate; :mod:`pairs` holds the
+    group structure.
     """
 
-    g1: dict[tuple[int, int], object]
-    g2: tuple
+    def __init__(self, g1: dict[tuple[int, int], object], g2: tuple):
+        self.g1 = g1
+        self.g2 = g2
 
     def g2_value(self, field, element: tuple):
         """Evaluate the character on an exponent tuple."""
@@ -96,6 +92,44 @@ class KappaPair:
     def __repr__(self):
         support = sum(1 for v in self.g1.values() if v != 1)
         return f"KappaPair(g2={self.g2}, nontrivial_g1_entries={support})"
+
+
+def is_kappa_pair(context: AlgebraContext, pair: KappaPair) -> tuple[bool, tuple | None]:
+    """Check the four defining conditions; returns (ok, witness)."""
+    G, A, F = context.group, context.module, context.field
+    e, table, g1 = G.identity, G.table, pair.g1
+    if len(pair.g2) != A.rank:
+        return False, ("g2-shape", len(pair.g2))
+    for i, (gi, m) in enumerate(zip(pair.g2, A.moduli)):
+        if F.is_zero(gi):
+            return False, ("g2-zero", i)
+        if F.power(gi, m) != F.one:
+            return False, ("g2-order", i)
+    chi = {x: pair.g2_value(F, x) for x in A.elements()}
+    for a in G.elements():
+        for x, value in chi.items():
+            if chi[A.act(a, x)] != value:
+                return False, ("g2-invariance", a, x)
+    for a, b in G.tuples(2):
+        v = g1.get((a, b))
+        if v is None or F.is_zero(v):
+            return False, ("g1-zero", a, b)
+    for a in G.elements():
+        if g1[(a, e)] != F.one or g1[(e, a)] != F.one:
+            return False, ("g1-normalization", a)
+    inv = {ab: F.inv(g1[ab]) for ab in G.tuples(2)}
+    for (a, b, c), kv in zip(G.tuples(3), context.kappa.entries()):
+        ab, bc = table[a][b], table[b][c]
+        d2 = F.mul(F.mul(g1[(b, c)], inv[(ab, c)]), F.mul(g1[(a, bc)], inv[(a, b)]))
+        if d2 != chi[kv]:
+            return False, ("compatibility", a, b, c)
+    return True, None
+
+
+def require_kappa_pair(context: AlgebraContext, pair: KappaPair) -> None:
+    ok, witness = is_kappa_pair(context, pair)
+    if not ok:
+        raise InvalidPair(f"not a valid pair: {witness}", witness=witness)
 
 
 def trivial_context(group: FiniteGroup, module: GModule, field: Field) -> AlgebraContext:

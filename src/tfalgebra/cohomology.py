@@ -48,25 +48,36 @@ normalized once c(e) is trivial.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import lcm
 
 from . import abelian, intmat
+from ._record import _FrozenRecord
 from .cochains import Cochain, _violation, coboundary_coordinates, face_plan
 from .errors import DegreeOutOfRange, NotACocycle, TooLarge
 from .gmodule import DEFAULT_ENUM_CAP, GModule
 
 
-@dataclass(frozen=True)
-class CohomologyGroup(abelian._FactorGroup):
-    """Invariant factors (d1 | d2 | ...) and representative cocycles."""
+class CohomologyGroup(_FrozenRecord, abelian._FactorGroup):
+    """Invariant factors (d1 | d2 | ...) and representative cocycles.
 
-    module: GModule
-    degree: int
-    invariant_factors: tuple[int, ...]
-    representatives: tuple[Cochain, ...] = field(compare=False)
-    cocycle_order: int = field(compare=False, default=0)
-    coboundary_order: int = field(compare=False, default=0)
+    ``==`` and ``hash`` read only the module, the degree and the factors.
+    """
+
+    def __init__(
+        self,
+        module: GModule,
+        degree: int,
+        invariant_factors: tuple[int, ...],
+        representatives: tuple[Cochain, ...],
+        cocycle_order: int = 0,
+        coboundary_order: int = 0,
+    ):
+        self._set(
+            module, degree, invariant_factors, representatives, cocycle_order, coboundary_order
+        )
+
+    def _key(self) -> tuple:
+        return (self.module, self.degree, self.invariant_factors)
 
 
 def _normalized_tuples(group, degree: int):

@@ -20,7 +20,7 @@
 
 from __future__ import annotations
 
-from .algebra import AlgebraContext, KappaPair, TFAlgebra, trivial_context
+from .algebra import AlgebraContext, KappaPair, TFAlgebra, require_kappa_pair, trivial_context
 from .cochains import Cochain, coboundary, is_normalized
 from .errors import (
     DegenerateProduct,
@@ -32,7 +32,6 @@ from .fields import Field
 from .gmodule import GModule, trivial_module
 from .groups import FiniteGroup, trivial_group
 from .linalg import Matrix, apply_map, bilinear_value
-from .pairs import require_kappa_pair
 
 
 def build_simple(context: AlgebraContext, pair: KappaPair) -> TFAlgebra:

@@ -3,7 +3,8 @@
 No floating point is used anywhere in the library; every scalar is either a
 Python int reduced mod p or a :class:`fractions.Fraction`.  A field object
 bundles the arithmetic so that matrix code and the algebra verifier can stay
-generic.
+generic.  :mod:`fractions` is imported where a rational is made, first in
+:class:`RationalField`, so work over F_p never loads it.
 
 For F_p the unit group F_p* is cyclic of order p-1.  :class:`PrimeField`
 exposes a discrete-log table against the smallest primitive root, which is
@@ -11,8 +12,6 @@ what lets scalar-valued cochain problems be linearized over Z/(p-1).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import NonCyclicUnits, NoSolution, TFAError
 
@@ -193,6 +192,8 @@ class RationalField(Field):
     """
 
     def __init__(self):
+        from fractions import Fraction
+
         self.zero = Fraction(0)
         self.one = Fraction(1)
 
@@ -211,7 +212,7 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inversion of zero in Q")
-        return Fraction(1) / a
+        return self.one / a
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

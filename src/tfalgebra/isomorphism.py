@@ -16,8 +16,8 @@ and otherwise return the honest :data:`UNDECIDED` sentinel.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from ._record import _Record
 from .algebra import TFAlgebra, z_rescale
 from .errors import ContextMismatch
 from .fields import PrimeField
@@ -38,11 +38,11 @@ class _Undecided:
 UNDECIDED = _Undecided()
 
 
-@dataclass
-class GradedIsomorphism:
+class GradedIsomorphism(_Record):
     """One block per group element, row-as-image convention."""
 
-    blocks: dict[int, Matrix]
+    def __init__(self, blocks: dict[int, Matrix]):
+        self._set(blocks)
 
     def apply(self, component: int, vec: list) -> list:
         return apply_map(self.blocks[component], vec)

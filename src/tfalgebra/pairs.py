@@ -6,7 +6,9 @@ g1 equals g2 composed with the twisting cocycle.  Pairs form an abelian
 group H under pointwise multiplication; the pairs (d1(psi), 1) built from
 pointed scalar maps psi on G form the coboundary subgroup.  The quotient
 classifies the simple algebras up to isomorphism, jointly with one free
-scalar rescaling parameter.
+scalar rescaling parameter.  The defining predicate ``is_kappa_pair`` and
+``require_kappa_pair`` sit beside ``KappaPair`` in :mod:`algebra`; this
+module re-exports all three.
 
 Two enumeration routes over a prime field (where the unit group is cyclic of
 order p-1):
@@ -47,12 +49,11 @@ the ratio at every pair, so no step relies on the ratio being a cocycle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 from . import abelian, cohomology, intmat
-from .algebra import AlgebraContext, KappaPair
+from ._record import _FrozenRecord
+from .algebra import AlgebraContext, KappaPair, is_kappa_pair, require_kappa_pair
 from .errors import (
     InvalidPair,
     NonCyclicUnits,
@@ -64,14 +65,17 @@ from .fields import PrimeField
 from .gmodule import DEFAULT_ENUM_CAP, cyclic_module
 
 
-@dataclass(frozen=True)
-class PairClassGroup(abelian._FactorGroup):
+class PairClassGroup(_FrozenRecord, abelian._FactorGroup):
     """The quotient of the pair group by its coboundary subgroup."""
 
-    invariant_factors: tuple[int, ...]
-    representatives: tuple[KappaPair, ...]
-    pair_group_order: int
-    coboundary_order: int
+    def __init__(
+        self,
+        invariant_factors: tuple[int, ...],
+        representatives: tuple[KappaPair, ...],
+        pair_group_order: int,
+        coboundary_order: int,
+    ):
+        self._set(invariant_factors, representatives, pair_group_order, coboundary_order)
 
 
 class PairEnumeration:
@@ -100,49 +104,6 @@ class PairEnumeration:
     @property
     def coboundary_pairs(self) -> tuple[KappaPair, ...] | None:
         return self._listing(1)
-
-
-# ---------------------------------------------------------------------------
-# the defining predicate
-# ---------------------------------------------------------------------------
-
-
-def is_kappa_pair(context: AlgebraContext, pair: KappaPair) -> tuple[bool, tuple | None]:
-    """Check the four defining conditions; returns (ok, witness)."""
-    G, A, F = context.group, context.module, context.field
-    e, table, g1 = G.identity, G.table, pair.g1
-    if len(pair.g2) != A.rank:
-        return False, ("g2-shape", len(pair.g2))
-    for i, (gi, m) in enumerate(zip(pair.g2, A.moduli)):
-        if F.is_zero(gi):
-            return False, ("g2-zero", i)
-        if F.power(gi, m) != F.one:
-            return False, ("g2-order", i)
-    chi = {x: pair.g2_value(F, x) for x in A.elements()}
-    for a in G.elements():
-        for x, value in chi.items():
-            if chi[A.act(a, x)] != value:
-                return False, ("g2-invariance", a, x)
-    for a, b in G.tuples(2):
-        v = g1.get((a, b))
-        if v is None or F.is_zero(v):
-            return False, ("g1-zero", a, b)
-    for a in G.elements():
-        if g1[(a, e)] != F.one or g1[(e, a)] != F.one:
-            return False, ("g1-normalization", a)
-    inv = {ab: F.inv(g1[ab]) for ab in G.tuples(2)}
-    for (a, b, c), kv in zip(G.tuples(3), context.kappa.entries()):
-        ab, bc = table[a][b], table[b][c]
-        d2 = F.mul(F.mul(g1[(b, c)], inv[(ab, c)]), F.mul(g1[(a, bc)], inv[(a, b)]))
-        if d2 != chi[kv]:
-            return False, ("compatibility", a, b, c)
-    return True, None
-
-
-def require_kappa_pair(context: AlgebraContext, pair: KappaPair) -> None:
-    ok, witness = is_kappa_pair(context, pair)
-    if not ok:
-        raise InvalidPair(f"not a valid pair: {witness}", witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +365,8 @@ def _solve_pointed_coboundary(context: AlgebraContext, ratio) -> dict[int, objec
 
     # rationals: |psi(a)| is the exact |G|-th root of the product of
     # ratio(a, b) over b, and the signs solve mod 2
+    from fractions import Fraction
+
     signs = _solve_mod(rows, [0 if ratio[k] > 0 else 1 for k in keys], 2, len(unknowns))
     if signs is None:
         return None
@@ -446,14 +409,17 @@ def _solve_mod(
     return top[1:] if top[0] == 1 else None
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_FrozenRecord):
     """One built representative per quotient class, plus the free rescaling note."""
 
-    class_group: PairClassGroup
-    class_pairs: tuple[KappaPair, ...]
-    algebras: tuple
-    rescaling_count: int
+    def __init__(
+        self,
+        class_group: PairClassGroup,
+        class_pairs: tuple[KappaPair, ...],
+        algebras: tuple,
+        rescaling_count: int,
+    ):
+        self._set(class_group, class_pairs, algebras, rescaling_count)
 
     @property
     def isomorphism_class_count(self) -> int:

@@ -36,11 +36,10 @@ writer, ``_emit``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from operator import mod
 
+from ._record import _Record
 from .algebra import AlgebraContext, KappaPair, TFAlgebra
 from .cochains import Cochain
 from .errors import SchemaError, TFAError
@@ -50,12 +49,15 @@ from .groups import FiniteGroup
 from .linalg import Matrix
 
 
-@dataclass
-class Instance:
-    context: AlgebraContext
-    algebra: TFAlgebra | None = None
-    pair: KappaPair | None = None
-    omega: Cochain | None = None
+class Instance(_Record):
+    def __init__(
+        self,
+        context: AlgebraContext,
+        algebra: TFAlgebra | None = None,
+        pair: KappaPair | None = None,
+        omega: Cochain | None = None,
+    ):
+        self._set(context, algebra, pair, omega)
 
 
 # -- scalars and arrays ---------------------------------------------------------
@@ -71,6 +73,8 @@ def _integer(raw, key: str) -> int:
 def parse_scalar(field: Field, raw, key: str):
     if isinstance(field, PrimeField):
         return _integer(raw, key) % field.p
+    from fractions import Fraction
+
     if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
     if isinstance(raw, str):
@@ -85,6 +89,8 @@ def parse_scalar(field: Field, raw, key: str):
 def emit_scalar(field: Field, value):
     if isinstance(field, PrimeField):
         return int(value)
+    from fractions import Fraction
+
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
 

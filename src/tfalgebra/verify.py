@@ -43,8 +43,8 @@ compares as its residue in vector and block identities alike.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
+from ._record import _FrozenRecord, _Record
 from .algebra import TFAlgebra
 from .linalg import Matrix, _comb, _dot, _matmul, _product
 
@@ -88,23 +88,20 @@ def tag_family(tag: str) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    tag: str
-    passed: bool
-    witness: tuple | None = None
-    detail: str = ""
+class CheckResult(_FrozenRecord):
+    def __init__(self, tag: str, passed: bool, witness: tuple | None = None, detail: str = ""):
+        self._set(tag, passed, witness, detail)
 
     @property
     def internal(self) -> bool:
         return self.tag in INTERNAL_TAGS or self.tag in LEMMA_TAGS
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Record):
     """Per-axiom outcomes, in canonical check order."""
 
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self, checks: list[CheckResult] | None = None):
+        self._set([] if checks is None else checks)
 
     @property
     def passed(self) -> bool:

@@ -11,6 +11,7 @@ executed does not count.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -30,14 +31,17 @@ SRC = Path(tfalgebra.__file__).resolve().parent.parent
 
 # what parsing an instance needs; ``check-cocycle`` and refused input stop here
 SERIALIZE_CHAIN = {
-    "__init__", "cli", "errors", "groups", "gmodule", "fields", "linalg", "cochains", "algebra",
-    "serialize",
+    "__init__", "cli", "_record", "errors", "groups", "gmodule", "fields", "linalg", "cochains",
+    "algebra", "serialize",
 }
 HEAVY = {"verify", "pairs", "intmat", "cohomology"}
+# standard-library modules no command over F_p needs: the value classes are
+# plain classes, and ``fractions`` loads only where a rational is made
+STDLIB_UNUSED = {"dataclasses", "inspect", "fractions", "decimal"}
 
 # the 41 names of __all__ by home module
 HOMES = {
-    "algebra": ("AlgebraContext", "KappaPair", "TFAlgebra", "mu", "z_rescale"),
+    "algebra": ("AlgebraContext", "KappaPair", "TFAlgebra", "is_kappa_pair", "mu", "z_rescale"),
     "cochains": ("Cochain", "coboundary", "is_cocycle", "is_normalized", "normalize_cocycle"),
     "cohomology": ("CohomologyGroup", "brute_force_cohomology", "cohomology_group"),
     "constructions": (
@@ -53,8 +57,7 @@ HOMES = {
     "isomorphism": ("UNDECIDED", "GradedIsomorphism", "is_isomorphic"),
     "linalg": ("Matrix",),
     "pairs": (
-        "PairClassGroup", "classify_simple", "coboundary_pair", "enumerate_pairs", "is_kappa_pair",
-        "pairs_equivalent",
+        "PairClassGroup", "classify_simple", "coboundary_pair", "enumerate_pairs", "pairs_equivalent",
     ),
     "verify": ("VerificationReport", "verify"),
 }
@@ -63,11 +66,13 @@ RUN_COMMAND = """
 import json, os, sys
 ran = set()
 sys.addaudithook(lambda event, args: event == "exec" and ran.add(getattr(args[0], "co_filename", "")))
+before = set(sys.modules)
 from tfalgebra.cli import main
 code = main(sys.argv[1:])
 package = os.path.dirname(sys.modules["tfalgebra"].__file__)
 loaded = sorted(os.path.basename(f)[:-3] for f in ran if os.path.dirname(f) == package)
-print(json.dumps({"code": code, "loaded": loaded}))
+added = sorted(set(sys.modules) - before)
+print(json.dumps({"code": code, "loaded": loaded, "added": added}))
 """
 
 
@@ -81,9 +86,14 @@ def _fresh(code: str, *args: str):
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def _command(*argv: str) -> tuple[int, set[str]]:
+def _command(*argv: str) -> tuple[int, set[str], set[str]]:
+    """The exit code, the package modules executed, and every module added to ``sys.modules``.
+
+    ``sys.modules`` is read before ``tfalgebra`` is imported, so what the
+    interpreter's ``site`` hooks import does not count.
+    """
     result = _fresh(RUN_COMMAND, *argv)
-    return result["code"], set(result["loaded"])
+    return result["code"], set(result["loaded"]), set(result["added"])
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +116,12 @@ def instances(tmp_path_factory):
         "bad-omega": {**full, "omega": [1]},
         "bad-pair": {**full, "pair": {"g1": [[1]], "g2": []}},
         "bad-group": {**full, "group": [[0, 1], [1]]},
+        "rational": {
+            "group": [[0, 1], [1, 0]],
+            "module": {"factors": []},
+            "field": {"rational": True},
+            "pair": {"g1": [[1, 1], [1, "4/9"]], "g2": []},
+        },
     }
     paths = {}
     for name, doc in docs.items():
@@ -116,7 +132,7 @@ def instances(tmp_path_factory):
 
 
 def test_check_cocycle_loads_only_the_serialize_chain(instances):
-    code, loaded = _command("check-cocycle", instances["twisted"])
+    code, loaded, _ = _command("check-cocycle", instances["twisted"])
     assert code == 0
     assert loaded <= SERIALIZE_CHAIN and not loaded & HEAVY, sorted(loaded)
 
@@ -127,15 +143,57 @@ def test_check_cocycle_loads_only_the_serialize_chain(instances):
 )
 def test_refused_input_loads_only_the_serialize_chain(instances, name, command):
     # the pair section of bad-omega is valid and parsed before the omega
-    code, loaded = _command(command, instances[name])
+    code, loaded, _ = _command(command, instances[name])
     assert code == 2
     assert loaded <= SERIALIZE_CHAIN and not loaded & HEAVY, sorted(loaded)
 
 
 def test_verify_adds_only_the_verifier(instances):
-    code, loaded = _command("verify", instances["full"])
+    code, loaded, _ = _command("verify", instances["full"])
     assert code == 0
     assert loaded == SERIALIZE_CHAIN | {"verify"}, sorted(loaded)
+
+
+@pytest.mark.parametrize("command", ["transform", "build-simple", "extract-pair"])
+def test_constructions_add_only_their_module(instances, command):
+    # the pair predicate sits in ``algebra``, so no pairs, cohomology or intmat
+    code, loaded, _ = _command(command, instances["full"])
+    assert code == 0
+    assert loaded == SERIALIZE_CHAIN | {"constructions"}, sorted(loaded)
+
+
+@pytest.mark.parametrize(
+    "command,name,expected",
+    [("verify", "full", 0), ("check-cocycle", "twisted", 0), ("verify", "bad-group", 2)],
+)
+def test_commands_over_f_p_load_no_dataclasses_or_fractions(instances, command, name, expected):
+    code, _, added = _command(command, instances[name])
+    assert code == expected
+    assert not added & STDLIB_UNUSED, sorted(added & STDLIB_UNUSED)
+
+
+def test_a_rational_pair_loads_fractions(instances):
+    code, _, added = _command("build-simple", instances["rational"])
+    assert code == 0
+    assert "fractions" in added and "dataclasses" not in added, sorted(added)
+
+
+def test_no_module_imports_dataclasses():
+    package = Path(tfalgebra.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert {"algebra.py", "verify.py", "cohomology.py"} <= {path.name for path in modules}
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "dataclasses"]
+    assert not found, f"dataclasses imported at {', '.join(found)}"
 
 
 def test_star_import_binds_every_public_name_to_its_home_object():
