@@ -60,17 +60,7 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "AlgebraContext", "Cochain", "CohomologyGroup", "FiniteGroup", "GModule",
-    "GradedIsomorphism", "KappaPair", "Matrix", "PairClassGroup", "PrimeField", "RationalField",
-    "TFAlgebra", "UNDECIDED", "VerificationReport", "brute_force_cohomology", "build_simple",
-    "classify_simple", "coboundary", "coboundary_pair", "coboundary_transform",
-    "cohomology_group", "cyclic_group", "cyclic_module", "direct_product", "enumerate_pairs",
-    "extract_kappa_pair", "from_a_frobenius", "from_crossed_frobenius", "group_from_table",
-    "is_cocycle", "is_isomorphic", "is_kappa_pair", "is_normalized", "mu", "normalize_cocycle",
-    "pairs_equivalent", "symmetric_group", "trivial_group", "trivial_module", "verify",
-    "z_rescale",
-]
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
 

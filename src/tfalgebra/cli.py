@@ -3,7 +3,7 @@
 Usage pattern::
 
     tfa <command> [--degree N] [--z SCALAR] [--emit-algebras DIR]
-                  [--cap N] INPUT [INPUT2] [-o OUTPUT]
+                  INPUT [INPUT2] [-o OUTPUT]
 
 Commands
 
@@ -19,14 +19,11 @@ Commands
 
 Exit codes: 0 = pass/success, 1 = kernel verdict fail (axioms violated,
 pairs inequivalent, extraction refused), 2 = the input never reached the
-kernel (schema errors, unsupported degree or field, unnormalized omega).
+kernel (schema errors, unsupported degree or field, unnormalized omega,
+a zero --z, an -o or --emit-algebras path that cannot be written).
 Machine-readable summaries or output instances are written to -o; report
 commands print a human-readable account on stdout either way.  All output
 is deterministic for identical input.
-
-The environment variable TFA_ENUM_CAP overrides the default enumeration
-cap; --cap overrides both.  The cap bounds only the explicit pair listing
-of ``classify``, which the command never reads.
 
 A command imports only what it runs.  At the top this module imports the
 instance parser and what it needs (``serialize``, ``algebra``, ``cochains``,
@@ -54,7 +51,6 @@ from .errors import (
     TooLarge,
 )
 from .fields import PrimeField
-from .gmodule import DEFAULT_ENUM_CAP
 from .serialize import (
     dump_json,
     emit_cochain_table,
@@ -70,25 +66,20 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 
-def _cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("TFA_ENUM_CAP")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise SchemaError(f"TFA_ENUM_CAP={env!r} is not an integer", key="<env>")
-    return DEFAULT_ENUM_CAP
-
-
 def _write(args, document: dict, stdout: bool = False) -> None:
     """``document`` to ``-o``; with no ``-o``, to stdout if ``stdout`` is set."""
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(dump_json(document))
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(dump_json(document))
+        except OSError as err:
+            raise _unwritable(err, "-o")
     elif stdout:
         sys.stdout.write(dump_json(document))
+
+
+def _unwritable(err: OSError, key: str) -> SchemaError:
+    return SchemaError(f"{key}: cannot write {err.filename}: {err.strerror}", key=key)
 
 
 def _section(inst, name: str):
@@ -148,7 +139,7 @@ def cmd_classify(args) -> int:
         raise NonCyclicUnits("classification requires a prime field")
     from .pairs import classify_simple
 
-    result = classify_simple(inst.context, cap=_cap(args))
+    result = classify_simple(inst.context)
     cg = result.class_group
     print(f"pair group order: {cg.pair_group_order}")
     print(f"coboundary subgroup order: {cg.coboundary_order}")
@@ -161,11 +152,14 @@ def cmd_classify(args) -> int:
         print(f"class {i}: g2 = [{', '.join(g2)}]")
         rows.append(emit_pair(inst.context, pair))
     if args.emit_algebras:
-        os.makedirs(args.emit_algebras, exist_ok=True)
-        for i, algebra in enumerate(result.algebras):
-            path = os.path.join(args.emit_algebras, f"class_{i}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(dump_json(emit_instance(inst.context, algebra=algebra)))
+        try:
+            os.makedirs(args.emit_algebras, exist_ok=True)
+            for i, algebra in enumerate(result.algebras):
+                path = os.path.join(args.emit_algebras, f"class_{i}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(dump_json(emit_instance(inst.context, algebra=algebra)))
+        except OSError as err:
+            raise _unwritable(err, "--emit-algebras")
         print(f"wrote {len(result.algebras)} algebra files to {args.emit_algebras}")
     _write(
         args,
@@ -238,6 +232,8 @@ def cmd_rescale(args) -> int:
     if args.z is None:
         raise SchemaError("--z is required", key="<args>")
     z = parse_scalar(inst.context.field, _scalar_arg(args.z, inst.context.field), "--z")
+    if inst.context.field.is_zero(z):
+        raise SchemaError("--z: rescaling scalar must be nonzero", key="--z")
     _write(args, emit_instance(inst.context, algebra=z_rescale(V, z)), stdout=True)
     return EXIT_PASS
 
@@ -297,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--degree", type=int, default=None, help="cohomology degree (0..3)")
     parser.add_argument("--z", default=None, help="rescaling scalar")
     parser.add_argument("--emit-algebras", default=None, metavar="DIR")
-    parser.add_argument("--cap", type=int, default=None, help="enumeration cap")
     parser.add_argument("-o", "--output", default=None, help="output file")
     return parser
 

@@ -38,7 +38,7 @@ class DegreeOutOfRange(TFAError):
 
 
 class TooLarge(TFAError):
-    """An enumeration would exceed the configured cap."""
+    """An enumeration would exceed the enumeration cap."""
 
 
 class ShapeMismatch(TFAError):

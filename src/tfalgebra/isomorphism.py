@@ -37,6 +37,9 @@ class _Undecided:
 
 UNDECIDED = _Undecided()
 
+# the largest total dimension that the non-simple search walks
+SEARCH_DIM_CAP = 4
+
 
 class GradedIsomorphism(_Record):
     """One block per group element, row-as-image convention."""
@@ -48,10 +51,10 @@ class GradedIsomorphism(_Record):
         return apply_map(self.blocks[component], vec)
 
 
-def is_isomorphic(V: TFAlgebra, W: TFAlgebra, search_cap: int = 4):
+def is_isomorphic(V: TFAlgebra, W: TFAlgebra):
     """An explicit isomorphism, None, or UNDECIDED.
 
-    ``search_cap`` bounds the total dimension for the non-simple search.
+    The non-simple search runs up to total dimension :data:`SEARCH_DIM_CAP`.
     """
     if V.context != W.context:
         raise ContextMismatch("algebras live over different (G, A, kappa, K) data")
@@ -86,7 +89,7 @@ def is_isomorphic(V: TFAlgebra, W: TFAlgebra, search_cap: int = 4):
         return iso if _is_isomorphism(V, W, iso) else None
 
     total = V.total_dim()
-    if total > search_cap or not isinstance(F, PrimeField):
+    if total > SEARCH_DIM_CAP or not isinstance(F, PrimeField):
         return UNDECIDED
     return _search_isomorphism(V, W)
 

@@ -426,12 +426,12 @@ class Classification(_FrozenRecord):
         return self.class_group.order * self.rescaling_count
 
 
-def classify_simple(context: AlgebraContext, cap: int = DEFAULT_ENUM_CAP) -> Classification:
+def classify_simple(context: AlgebraContext) -> Classification:
     """One algebra per class; total classes = |quotient| x |units|."""
     from .constructions import build_simple
 
     F = _require_prime_field(context)
-    enum = enumerate_pairs(context, cap=cap)
+    enum = enumerate_pairs(context)
     cg = enum.class_group
     # all products of representative powers, one per quotient element
     class_pairs = [trivial_pair(context)]

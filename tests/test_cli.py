@@ -238,15 +238,37 @@ def test_pairs_equal_reads_action_entries_as_residues(tmp_path, capsys):
     assert "equivalent" in capsys.readouterr().out
 
 
-def test_enum_cap_env(tmp_path, monkeypatch):
-    ctx = context_I1()
-    path = write(tmp_path, "c.json", emit_instance(ctx))
-    monkeypatch.setenv("TFA_ENUM_CAP", "1")
-    # the cap makes the explicit listing impossible but classification still
-    # goes through the normal-form lattice route
-    assert main(["classify", path]) == 0
+def test_cap_flag_is_gone_and_env_is_ignored(tmp_path, monkeypatch):
+    path = write(tmp_path, "c.json", emit_instance(context_I1()))
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", path, "--cap", "3"])
+    assert exc.value.code == 2
     monkeypatch.setenv("TFA_ENUM_CAP", "not-a-number")
-    assert main(["classify", path]) == 2
+    assert main(["classify", path]) == 0
+
+
+def test_unwritable_output_is_input_error(tmp_path, capsys):
+    path = write(tmp_path, "c.json", emit_instance(context_I1()))
+    assert main(["classify", path, "-o", str(tmp_path / "missing_dir" / "out.json")]) == 2
+    assert "input error (at -o)" in capsys.readouterr().err
+
+
+def test_emit_algebras_onto_a_file_is_input_error(tmp_path, capsys):
+    path = write(tmp_path, "c.json", emit_instance(context_I1()))
+    occupied = tmp_path / "occupied"
+    occupied.write_text("", encoding="utf-8")
+    assert main(["classify", path, "--emit-algebras", str(occupied)]) == 2
+    assert "input error (at --emit-algebras)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,z", [("F5", "0"), ("F5", "5"), ("Q", "0/1")])
+def test_rescale_by_zero_is_input_error(tmp_path, capsys, field, z):
+    from tfalgebra.fields import RationalField
+
+    V = truncated_polynomial_algebra(F5 if field == "F5" else RationalField(), 2)
+    path = write(tmp_path, "r.json", emit_instance(V.context, algebra=V))
+    assert main(["rescale", path, "--z", z]) == 2
+    assert "input error (at --z)" in capsys.readouterr().err
 
 
 def test_malformed_json_is_input_error(tmp_path):

@@ -1,4 +1,4 @@
-"""Every demo runs to completion as a script."""
+"""Every demo, and the README's library tour, runs to completion as a script."""
 
 import os
 import subprocess
@@ -23,3 +23,14 @@ def test_demo_exits_zero(demo, tmp_path):
         [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120
     )
     assert out.returncode == 0, out.stderr
+
+
+def test_readme_library_tour_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(Path(tfalgebra.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", tour], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "Z/2\n"

@@ -98,7 +98,7 @@ def test_simple_route_over_rationals():
 def test_small_search_finds_self_isomorphism():
     V = truncated_polynomial_algebra(PrimeField(3), 2)
     assert verify(V).passed
-    iso = is_isomorphic(V, V, search_cap=2)
+    iso = is_isomorphic(V, V)
     assert iso is not None and iso is not UNDECIDED
 
 
@@ -124,12 +124,13 @@ def test_small_search_distinguishes():
         {(0, 0): Matrix.identity(F3, 2)},
     )
     assert verify(W).passed
-    assert is_isomorphic(V, W, search_cap=2) is None
+    assert is_isomorphic(V, W) is None
 
 
 def test_undecided_beyond_cap():
-    V = dual_number_group_ring(F5)
-    assert is_isomorphic(V, V, search_cap=2) is UNDECIDED
+    V = truncated_polynomial_algebra(F5, 5)
+    assert V.total_dim() == 5
+    assert is_isomorphic(V, V) is UNDECIDED
     Q = RationalField()
     VQ = truncated_polynomial_algebra(Q, 2)
     assert is_isomorphic(VQ, VQ) is UNDECIDED
@@ -137,7 +138,7 @@ def test_undecided_beyond_cap():
 
 def test_search_handles_graded_two_dimensional_components():
     V = dual_number_group_ring(F5)
-    iso = is_isomorphic(V, V, search_cap=4)
+    iso = is_isomorphic(V, V)
     assert iso is not None and iso is not UNDECIDED
     # a genuinely different algebra with the same shape: flip one structure
     # scalar so the odd component squares to -1 instead of 1
@@ -150,5 +151,5 @@ def test_search_handles_graded_two_dimensional_components():
     W = V.replace(mult=mult)
     assert verify(W).passed
     # s -> 2s carries s^2 = 1 onto s^2 = 4 = -1, so they are isomorphic
-    iso = is_isomorphic(V, W, search_cap=4)
+    iso = is_isomorphic(V, W)
     assert iso is not None and iso is not UNDECIDED

@@ -54,9 +54,12 @@ def _dead_locals(tree) -> list[tuple[int, str]]:
 
 def _unused_imports(tree) -> list[tuple[int, str]]:
     read = _read_names(tree)
+    # a literal __all__ re-exports its names; a computed one re-exports none
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
         ):
             read.update(ast.literal_eval(node.value))
     found = []
