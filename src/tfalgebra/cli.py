@@ -20,7 +20,9 @@ Commands
 Exit codes: 0 = pass/success, 1 = kernel verdict fail (axioms violated,
 pairs inequivalent, extraction refused), 2 = the input never reached the
 kernel (schema errors, unsupported degree or field, unnormalized omega,
-a zero --z, an -o or --emit-algebras path that cannot be written).
+a zero --z, an -o or --emit-algebras path that cannot be written).  An -o
+path that is a directory or lies in no existing directory, and an
+--emit-algebras path that is a file, are refused before the command runs.
 Machine-readable summaries or output instances are written to -o; report
 commands print a human-readable account on stdout either way.  All output
 is deterministic for identical input.
@@ -80,6 +82,20 @@ def _write(args, document: dict, stdout: bool = False) -> None:
 
 def _unwritable(err: OSError, key: str) -> SchemaError:
     return SchemaError(f"{key}: cannot write {err.filename}: {err.strerror}", key=key)
+
+
+def _refuse_unwritable_paths(args) -> None:
+    """Refuse an output path that cannot be written before the command runs."""
+    if args.output:
+        if os.path.isdir(args.output):
+            raise SchemaError(f"-o: cannot write {args.output}: it is a directory", key="-o")
+        parent = os.path.dirname(args.output) or "."
+        if not os.path.isdir(parent):
+            raise SchemaError(f"-o: cannot write {args.output}: no directory {parent}", key="-o")
+    if args.emit_algebras and os.path.isfile(args.emit_algebras):
+        raise SchemaError(
+            f"--emit-algebras: cannot write {args.emit_algebras}: it is a file", key="--emit-algebras"
+        )
 
 
 def _section(inst, name: str):
@@ -302,6 +318,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = _COMMANDS[args.command]
     try:
+        _refuse_unwritable_paths(args)
         return handler(args)
     except (SchemaError, DegreeOutOfRange, NonCyclicUnits, NotNormalized, NotPointed, TooLarge) as err:
         key = getattr(err, "key", None)

@@ -129,6 +129,10 @@ class PrimeField(Field):
             raise ZeroDivisionError("inversion of zero in F_p")
         return pow(a, -1, self.p)
 
+    def is_zero(self, a) -> bool:
+        # the residue, as in inv: an unreduced 5 over F_5 is zero
+        return a % self.p == 0
+
     # -- unit group as a cyclic group of order p-1 --------------------------
     @property
     def unit_order(self) -> int:

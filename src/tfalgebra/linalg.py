@@ -15,7 +15,17 @@ list of rows), ``_product`` (two vectors through a multiplication tensor),
 ``_dot`` and ``_matmul``.  ``Matrix.mul``, :func:`apply_map`,
 :func:`bilinear_value`, ``TFAlgebra.multiply`` and the verifier all call
 them, so this module is the one owner of dense field arithmetic.  They take
-plain lists and check no shapes.
+plain lists and check no shapes; the caller keeps the shape contract: one
+row per coefficient (one tensor row per entry of ``u``, one vector per entry
+of ``v``), every row of width ``n``.
+
+The 1x1 case is written out.  A simple algebra has only one-dimensional
+components, so every block its verifier combines is 1x1, and there the
+general loop spends most of its time on set-up for a single product.
+``_comb``, ``_product`` and ``Matrix.inverse`` compute that one term as the
+same field expression the loop would, so the value and its type are the
+loop's; ``_matmul`` of a single row skips the comprehension.  The block
+shape alone picks the path, and wider blocks always take the general loop.
 """
 
 from __future__ import annotations
@@ -110,6 +120,9 @@ class Matrix:
             return None
         F = self.field
         n = self.nrows
+        if n == 1:
+            a = F.add(F.zero, self.rows[0][0])
+            return None if F.is_zero(a) else Matrix(F, [[F.inv(a)]])
         aug = Matrix(F, [list(self.rows[i]) + [F.one if i == j else F.zero for j in range(n)] for i in range(n)])
         M, pivots = aug._echelon()
         if pivots != list(range(n)):
@@ -171,6 +184,8 @@ def bilinear_value(form: Matrix, u: list, v: list):
 
 def _comb(F, coeffs, rows, n: int) -> list:
     """sum_k coeffs[k] rows[k], of length n: the image of coeffs under rows."""
+    if n == 1 and len(coeffs) == 1:
+        return [F.add(F.zero, F.mul(coeffs[0], rows[0][0]))]
     add, mul = F.add, F.mul
     out = [F.zero] * n
     for c, row in zip(coeffs, rows):
@@ -183,6 +198,8 @@ def _comb(F, coeffs, rows, n: int) -> list:
 
 def _product(F, u, v, tensor, n: int) -> list:
     """sum_{k,l} u_k v_l tensor[k][l], of length n: the product of u and v."""
+    if n == 1 and len(u) == 1 and len(v) == 1:
+        return [F.add(F.zero, F.mul(F.mul(u[0], v[0]), tensor[0][0][0]))]
     add, mul = F.add, F.mul
     out = [F.zero] * n
     for x, row in zip(u, tensor):
@@ -203,4 +220,6 @@ def _dot(F, u, v):
 
 def _matmul(F, X, Y, n: int) -> list:
     """Rows of X Y, where n is the width of Y (Y may have no rows)."""
+    if len(X) == 1:
+        return [_comb(F, X[0], Y, n)]
     return [_comb(F, row, Y, n) for row in X]

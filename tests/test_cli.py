@@ -250,7 +250,18 @@ def test_cap_flag_is_gone_and_env_is_ignored(tmp_path, monkeypatch):
 def test_unwritable_output_is_input_error(tmp_path, capsys):
     path = write(tmp_path, "c.json", emit_instance(context_I1()))
     assert main(["classify", path, "-o", str(tmp_path / "missing_dir" / "out.json")]) == 2
-    assert "input error (at -o)" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "input error (at -o)" in captured.err
+    # refused before the classification runs, so nothing is printed
+    assert captured.out == ""
+
+
+def test_output_onto_a_directory_is_refused_up_front(tmp_path, capsys):
+    path = write(tmp_path, "c.json", emit_instance(context_I1()))
+    assert main(["classify", path, "-o", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "input error (at -o)" in captured.err
+    assert captured.out == ""
 
 
 def test_emit_algebras_onto_a_file_is_input_error(tmp_path, capsys):
@@ -258,7 +269,10 @@ def test_emit_algebras_onto_a_file_is_input_error(tmp_path, capsys):
     occupied = tmp_path / "occupied"
     occupied.write_text("", encoding="utf-8")
     assert main(["classify", path, "--emit-algebras", str(occupied)]) == 2
-    assert "input error (at --emit-algebras)" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "input error (at --emit-algebras)" in captured.err
+    assert captured.out == ""
+    assert occupied.read_text(encoding="utf-8") == ""
 
 
 @pytest.mark.parametrize("field,z", [("F5", "0"), ("F5", "5"), ("Q", "0/1")])

@@ -94,6 +94,14 @@ def test_build_rejects_invalid_pair():
         build_simple(ctx, KappaPair(g1, ()))
 
 
+def test_build_rejects_unreduced_zero_entry():
+    ctx = context_I1()
+    g1 = {(a, b): 1 for a in range(2) for b in range(2)}
+    g1[(1, 1)] = 5  # zero in F5
+    with pytest.raises(InvalidPair):
+        build_simple(ctx, KappaPair(g1, ()))
+
+
 def test_every_enumerated_pair_builds_verified():
     for make in ACCEPTANCE_CONTEXTS + (context_I3_F5,):
         ctx = make()

@@ -21,7 +21,7 @@ from tfalgebra.groups import (
     symmetric_group,
     trivial_group,
 )
-from tfalgebra.linalg import Matrix, apply_map, bilinear_value
+from tfalgebra.linalg import Matrix, _comb, _matmul, _product, apply_map, bilinear_value
 
 from lattice_reference import hermite_basis, smith_normal_form, solve_in_lattice
 
@@ -38,6 +38,11 @@ def test_prime_field_axioms():
         assert F.mul(a, F.inv(a)) == 1
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
+
+
+def test_prime_field_is_zero_reads_the_residue():
+    F = PrimeField(5)
+    assert [a for a in range(-10, 11) if F.is_zero(a)] == [-10, -5, 0, 5, 10]
 
 
 def test_prime_field_dlog_roundtrip():
@@ -240,6 +245,53 @@ def test_matrix_inverse_exact_rationals():
             assert M.rank() < n
         else:
             assert M.mul(inv) == Matrix.identity(Q, n)
+
+
+# entries over F5 include unreduced residues and the unreduced zero 5; over Q, 0
+ONE_BY_ONE_ENTRIES = [
+    (PrimeField(5), list(range(-6, 11))),
+    (RationalField(), [Fraction(k, 3) for k in range(-4, 5)]),
+]
+
+
+def _same(fast, loop):
+    """Equal in value and in the type of every entry."""
+    assert fast == loop
+    assert [type(x) for x in fast] == [type(x) for x in loop]
+
+
+@pytest.mark.parametrize("F,entries", ONE_BY_ONE_ENTRIES, ids=["F5", "Q"])
+def test_one_by_one_kernel_matches_the_general_loop(F, entries):
+    # a zero coefficient and a zero row send each call through the general loop
+    z = F.zero
+    for c in entries:
+        for w in entries:
+            _same(_comb(F, [c], [[w]], 1), _comb(F, [c, z], [[w], [z]], 1))
+            for x in entries[::3]:
+                _same(
+                    _product(F, [c], [x], [[[w]]], 1),
+                    _product(F, [c, z], [x, z], [[[w], [z]], [[z], [z]]], 1),
+                )
+            # one row of X, against Y of width 1 and of width 2
+            for Y, n in (([[w]], 1), ([[w, c]], 2)):
+                _same(_matmul(F, [[c]], Y, n)[0], _matmul(F, [[c], [z]], Y, n)[0])
+
+
+@pytest.mark.parametrize("F,entries", ONE_BY_ONE_ENTRIES, ids=["F5", "Q"])
+def test_one_by_one_inverse_matches_the_general_loop(F, entries):
+    # the 2x2 block-diagonal embedding goes through elimination
+    z, one = F.zero, F.one
+    singular = []
+    for a in entries:
+        fast = Matrix(F, [[a]]).inverse()
+        loop = Matrix(F, [[a, z], [z, one]]).inverse()
+        if loop is None:
+            assert fast is None
+            singular.append(a)
+        else:
+            assert fast is not None and fast.ncols == 1
+            _same(fast.rows[0], loop.rows[0][:1])
+    assert singular == [a for a in entries if F.is_zero(a)] and singular
 
 
 def test_matrix_kernel():

@@ -93,6 +93,14 @@ def test_each_failure_kind_names_its_first_witness():
         assert is_kappa_pair(ctx, pair) == (False, witness)
 
 
+def test_unreduced_zero_g1_entry_is_named():
+    # 5 is zero in F5: the predicate names it instead of inverting it
+    ctx = context_I1()
+    g1 = {(a, b): 1 for a in range(2) for b in range(2)}
+    g1[(1, 1)] = 5
+    assert is_kappa_pair(ctx, KappaPair(g1, ())) == (False, ("g1-zero", 1, 1))
+
+
 # -- coboundary pairs -----------------------------------------------------------------
 
 

@@ -80,6 +80,14 @@ def test_rescale_preserves_verdict():
     assert z_rescale(z_rescale(V, 2), 3).eta == V.eta
 
 
+def test_rescale_by_unreduced_zero_raises():
+    # 5 and -5 are zero in F5, as 0 is
+    V = product_field_swap_algebra(F5)
+    for z in (5, -5, 10):
+        with pytest.raises(ZeroScale):
+            z_rescale(V, z)
+
+
 def test_rescale_of_broken_algebra_stays_broken():
     ctx = trivial_context(cyclic_group(2), trivial_module(cyclic_group(2)), F5)
     V = build_simple(ctx, trivial_pair(ctx))
