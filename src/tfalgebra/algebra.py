@@ -15,7 +15,8 @@ K-spaces V_a with
 Blocks use the row-as-image convention: row i of ``phi[b][a]`` is the image
 of the i-th basis vector of V_a.  The constructor validates shapes only; the
 axioms themselves are the verifier's job, so that perturbed algebras can be
-represented and diagnosed.
+represented and diagnosed.  It stores every entry as its residue, through
+the one reader of :mod:`linalg`, so nothing downstream re-reduces.
 
 ``KappaPair`` is the data of a scalar pair, as instance files carry it, and
 :func:`is_kappa_pair` its defining predicate against the context; :mod:`pairs`
@@ -30,7 +31,7 @@ from .errors import InvalidPair, NotHomogeneous, NotNormalized, ShapeMismatch, Z
 from .fields import Field
 from .gmodule import GModule
 from .groups import FiniteGroup
-from .linalg import Matrix, _product, apply_map
+from .linalg import Matrix, _product, _residues, apply_map
 
 
 class AlgebraContext(_FrozenRecord):
@@ -95,41 +96,51 @@ class KappaPair:
 
 
 def is_kappa_pair(context: AlgebraContext, pair: KappaPair) -> tuple[bool, tuple | None]:
-    """Check the four defining conditions; returns (ok, witness)."""
+    """Check the four defining conditions on the pair's residues; returns (ok, witness)."""
+    witness = _read_pair(context, pair)[1]
+    return witness is None, witness
+
+
+def require_kappa_pair(context: AlgebraContext, pair: KappaPair) -> KappaPair:
+    """The pair read as residues; raises :class:`InvalidPair` when it is none."""
+    pair, witness = _read_pair(context, pair)
+    if witness is not None:
+        raise InvalidPair(f"not a valid pair: {witness}", witness=witness)
+    return pair
+
+
+def _read_pair(context: AlgebraContext, pair: KappaPair) -> tuple[KappaPair, tuple | None]:
+    """The pair read as residues (6 over F5 is 1), and its first failed condition or None."""
     G, A, F = context.group, context.module, context.field
+    add, zero = F.add, F.zero
+    pair = KappaPair({k: add(zero, v) for k, v in pair.g1.items()}, tuple(add(zero, x) for x in pair.g2))
     e, table, g1 = G.identity, G.table, pair.g1
     if len(pair.g2) != A.rank:
-        return False, ("g2-shape", len(pair.g2))
+        return pair, ("g2-shape", len(pair.g2))
     for i, (gi, m) in enumerate(zip(pair.g2, A.moduli)):
         if F.is_zero(gi):
-            return False, ("g2-zero", i)
+            return pair, ("g2-zero", i)
         if F.power(gi, m) != F.one:
-            return False, ("g2-order", i)
+            return pair, ("g2-order", i)
     chi = {x: pair.g2_value(F, x) for x in A.elements()}
     for a in G.elements():
         for x, value in chi.items():
             if chi[A.act(a, x)] != value:
-                return False, ("g2-invariance", a, x)
+                return pair, ("g2-invariance", a, x)
     for a, b in G.tuples(2):
         v = g1.get((a, b))
         if v is None or F.is_zero(v):
-            return False, ("g1-zero", a, b)
+            return pair, ("g1-zero", a, b)
     for a in G.elements():
         if g1[(a, e)] != F.one or g1[(e, a)] != F.one:
-            return False, ("g1-normalization", a)
+            return pair, ("g1-normalization", a)
     inv = {ab: F.inv(g1[ab]) for ab in G.tuples(2)}
     for (a, b, c), kv in zip(G.tuples(3), context.kappa.entries()):
         ab, bc = table[a][b], table[b][c]
         d2 = F.mul(F.mul(g1[(b, c)], inv[(ab, c)]), F.mul(g1[(a, bc)], inv[(a, b)]))
         if d2 != chi[kv]:
-            return False, ("compatibility", a, b, c)
-    return True, None
-
-
-def require_kappa_pair(context: AlgebraContext, pair: KappaPair) -> None:
-    ok, witness = is_kappa_pair(context, pair)
-    if not ok:
-        raise InvalidPair(f"not a valid pair: {witness}", witness=witness)
+            return pair, ("compatibility", a, b, c)
+    return pair, None
 
 
 def trivial_context(group: FiniteGroup, module: GModule, field: Field) -> AlgebraContext:
@@ -171,7 +182,7 @@ class TFAlgebra:
                 except KeyError:
                     raise ShapeMismatch(f"missing multiplication tensor for ({a}, {b})")
                 da, db, dab = self.dims[a], self.dims[b], self.dims[G.mul(a, b)]
-                tensor = [[list(vec) for vec in row] for row in tensor]
+                tensor = [[_residues(F, vec) for vec in row] for row in tensor]
                 if len(tensor) != da or any(len(row) != db for row in tensor):
                     raise ShapeMismatch(f"multiplication tensor ({a}, {b}) has wrong shape")
                 for row in tensor:
@@ -194,7 +205,7 @@ class TFAlgebra:
                     raise ShapeMismatch(f"module action on component {a} is not square")
                 self.a_action[(a, x)] = M
 
-        self.unit = list(unit)
+        self.unit = _residues(F, unit)
         if len(self.unit) != de:
             raise ShapeMismatch("unit vector length != dim of identity component")
 

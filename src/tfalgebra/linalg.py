@@ -5,6 +5,12 @@ Rank, kernel, inverse and solving all go through fraction-free-enough
 Gaussian elimination in the field itself, so results are exact for both F_p
 and Q.
 
+Entries are stored as residues; nothing downstream re-reduces.
+:func:`_residues` reads a vector as the values the field's own arithmetic
+returns (6 over F5 becomes 1, an int over Q a ``Fraction``), and
+``Matrix.__init__`` and ``TFAlgebra.__init__`` are its only callers, so two
+stored values are equal in the field exactly when they compare equal.
+
 Graded maps elsewhere in the library use the row-as-image convention
 (row i of a block is the image of the i-th source basis vector); see
 :func:`apply_map`.  Plain matrix algebra here is convention-free.
@@ -41,7 +47,7 @@ class Matrix:
 
     def __init__(self, field: Field, rows, ncols: int | None = None):
         self.field = field
-        self.rows = [list(r) for r in rows]
+        self.rows = [_residues(field, r) for r in rows]
         self.nrows = len(self.rows)
         # the ncols hint matters only for empty matrices, where the row data
         # cannot speak for itself
@@ -85,9 +91,7 @@ class Matrix:
     def _echelon(self):
         """Row echelon form (copy) and pivot column list."""
         F = self.field
-        # reduce each entry first, so that an entry stored unreduced but zero
-        # in the field (5 over F_5) is never taken for a pivot
-        M = [[F.add(F.zero, x) for x in r] for r in self.rows]
+        M = list(self.rows)
         pivots = []
         r = 0
         for c in range(self.ncols):
@@ -121,7 +125,7 @@ class Matrix:
         F = self.field
         n = self.nrows
         if n == 1:
-            a = F.add(F.zero, self.rows[0][0])
+            a = self.rows[0][0]
             return None if F.is_zero(a) else Matrix(F, [[F.inv(a)]])
         aug = Matrix(F, [list(self.rows[i]) + [F.one if i == j else F.zero for j in range(n)] for i in range(n)])
         M, pivots = aug._echelon()
@@ -163,6 +167,12 @@ class Matrix:
                 vec[p] = F.neg(M[i][c])
             basis.append(vec)
         return basis
+
+
+def _residues(F: Field, vec) -> list:
+    """The entries of vec as residues: the values F's own arithmetic returns."""
+    add, zero = F.add, F.zero
+    return [add(zero, x) for x in vec]
 
 
 # -- graded-map helpers (row-as-image convention) -----------------------------

@@ -135,7 +135,7 @@ def coboundary_pair(context: AlgebraContext, psi: dict[int, object]) -> KappaPai
     """(d1(psi), trivial character) for a pointed scalar map psi on G."""
     G, F = context.group, context.field
     e = G.identity
-    if psi.get(e) != F.one:
+    if e not in psi or not F.is_zero(F.sub(psi[e], F.one)):
         raise NotPointed("psi must send the group unit to 1")
     for a in G.elements():
         if a not in psi or F.is_zero(psi[a]):
@@ -323,10 +323,12 @@ def _enumerate_brute(context: AlgebraContext, cap: int) -> PairEnumeration:
 def pairs_equivalent(
     context: AlgebraContext, p: KappaPair, q: KappaPair
 ) -> dict[int, object] | None:
-    """A pointed psi with p = q * (d1 psi, 1), or None when no such psi exists."""
+    """A pointed psi with p = q * (d1 psi, 1), or None when no such psi exists.
+
+    Both pairs are compared as the residues that ``require_kappa_pair`` reads.
+    """
     F = context.field
-    require_kappa_pair(context, p)
-    require_kappa_pair(context, q)
+    p, q = require_kappa_pair(context, p), require_kappa_pair(context, q)
     if p.g2 != q.g2:
         return None
     ratio = {k: F.div(p.g1[k], q.g1[k]) for k in p.g1}

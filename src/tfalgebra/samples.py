@@ -6,38 +6,24 @@ accepts.  They double as worked examples of the data layout.
 
 from __future__ import annotations
 
-from .algebra import AlgebraContext, TFAlgebra, trivial_context
+from .algebra import AlgebraContext, TFAlgebra
+from .constructions import from_a_frobenius, from_crossed_frobenius
 from .errors import ShapeMismatch
 from .fields import Field
 from .gmodule import GModule, trivial_module
-from .groups import FiniteGroup, cyclic_group, trivial_group
+from .groups import FiniteGroup, cyclic_group
 from .linalg import Matrix
 
 
 def scalar_field_algebra(field: Field) -> TFAlgebra:
-    """The base field itself, concentrated over the one-element group."""
-    G = trivial_group()
-    A = trivial_module(G)
-    context = trivial_context(G, A, field)
-    return TFAlgebra(
-        context,
-        dims={0: 1},
-        mult={(0, 0): [[[field.one]]]},
-        a_action={(0, ()): Matrix.identity(field, 1)},
-        unit=[field.one],
-        eta=Matrix(field, [[field.one]]),
-        phi={(0, 0): Matrix.identity(field, 1)},
-    )
+    """The base field itself, concentrated over the one-element group: K[t]/t."""
+    return truncated_polynomial_algebra(field, 1)
 
 
 def truncated_polynomial_algebra(field: Field, n: int) -> TFAlgebra:
     """K[t]/t^n with the top-coefficient Frobenius form, over the trivial group."""
     if n < 1:
         raise ShapeMismatch(f"K[t]/t^{n} needs n >= 1")
-    G = trivial_group()
-    A = trivial_module(G)
-    context = trivial_context(G, A, field)
-    mult = {(0, 0): _poly_tensor(field, n)}
     unit = [field.one if i == 0 else field.zero for i in range(n)]
     eta = Matrix(
         field,
@@ -46,15 +32,7 @@ def truncated_polynomial_algebra(field: Field, n: int) -> TFAlgebra:
             for i in range(n)
         ],
     )
-    return TFAlgebra(
-        context,
-        {0: n},
-        mult,
-        {(0, ()): Matrix.identity(field, n)},
-        unit,
-        eta,
-        {(0, 0): Matrix.identity(field, n)},
-    )
+    return from_a_frobenius((), field, n, _poly_tensor(field, n), {(): Matrix.identity(field, n)}, unit, eta)
 
 
 def _poly_tensor(field: Field, n: int):
@@ -178,8 +156,6 @@ def graded_truncated_polynomial_algebra(field: Field, group: FiniteGroup, n: int
 
 def dual_number_group_ring(field: Field) -> TFAlgebra:
     """(K[t]/t^2)[Z/2]: components (1, t) and (s, ts), commutative, all phi = id."""
-    from .constructions import from_crossed_frobenius
-
     G = cyclic_group(2)
     one, zero = field.one, field.zero
     # bases: component 0 = (1, t), component 1 = (s, ts); every component

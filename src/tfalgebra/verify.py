@@ -35,9 +35,11 @@ and a kappa-scalar three lookups.  The tables live for that call only.  The
 checks still run every quantifier in full.  Every combination of rows on the
 tables goes through the row-list kernel of :mod:`linalg` (``_comb``,
 ``_product``, ``_dot``, ``_matmul``), the same loops that ``Matrix.mul``,
-``apply_map`` and ``TFAlgebra.multiply`` run.  Every stored entry is reduced in
-the field as the tables are built, so an entry stored unreduced (6 over F5)
-compares as its residue in vector and block identities alike.
+``apply_map`` and ``TFAlgebra.multiply`` run.  Entries are stored as
+residues (``Matrix`` and ``TFAlgebra`` reduce them once, as they store them);
+nothing downstream re-reduces.  So the tables read the stored rows as they
+are, and an entry given unreduced (6 over F5) compares as its residue in
+vector and block identities alike.
 """
 
 from __future__ import annotations
@@ -177,8 +179,8 @@ class _Tables:
     """Everything one ``verify`` call reads, as lists indexed by integers.
 
     Module elements become positions in ``el`` (the order of ``A.elements()``)
-    with product, inverse, action and kappa tables over them.  Blocks and
-    tensors are the stored row lists with every entry reduced in the field:
+    with product, inverse, action and kappa tables over them.  Blocks, tensors
+    and the unit are the stored row lists, whose entries are residues already:
     ``mult[a][b][i][j]`` is e_i e_j and ``mcol[a][b][t][s]`` is e_s e_t.
     Derived: ``mk[a][b][x][i][j]`` is x.(e_i e_j), ``pk[b][a][x]`` the block
     of v -> x.phi_b(v) on V_a, and ``pm[a][i][j]`` the pairing
@@ -189,11 +191,6 @@ class _Tables:
         G, A, F = V.context.group, V.context.module, V.context.field
         Gs, dims, mul = G.elements(), V.dims, G.table
         self.F, self.dims, self.e, self.G = F, dims, G.identity, Gs
-        add, zero = F.add, F.zero
-
-        def reduced(rows):
-            return [[add(zero, x) for x in row] for row in rows]
-
         self.mul, self.inv = mul, G.inverse
         self.conj = conj = [[G.conj(b, a) for a in Gs] for b in Gs]
         self.el = el = list(A.elements())
@@ -203,10 +200,10 @@ class _Tables:
         self.aact = [[pos[A.act(g, x)] for x in el] for g in Gs]
         n, kap = G.order, [pos[v] for v in V.context.kappa.entries()]
         self.kap = [[kap[(a * n + b) * n : (a * n + b + 1) * n] for b in Gs] for a in Gs]
-        self.act = act = [[reduced(V.a_action[(a, x)].rows) for x in el] for a in Gs]
-        self.phi = phi = [[reduced(V.phi[(b, a)].rows) for a in Gs] for b in Gs]
-        self.mult = mult = [[[reduced(uvs) for uvs in V.mult[(a, b)]] for b in Gs] for a in Gs]
-        self.eta, self.unit = reduced(V.eta.rows), [add(zero, x) for x in V.unit]
+        self.act = act = [[V.a_action[(a, x)].rows for x in el] for a in Gs]
+        self.phi = phi = [[V.phi[(b, a)].rows for a in Gs] for b in Gs]
+        self.mult = mult = [[V.mult[(a, b)] for b in Gs] for a in Gs]
+        self.eta, self.unit = V.eta.rows, V.unit
         self.mcol = [[[[r[t] for r in mult[a][b]] for t in range(dims[b])] for b in Gs] for a in Gs]
         # x.(e_i e_j) and x.phi_b(e_i), one block per module element x
         self.mk = [[[[_matmul(F, r, K, dims[ab]) for r in mult[a][b]] for K in act[ab]]

@@ -234,6 +234,38 @@ def test_unreduced_zero_is_never_a_pivot():
     assert Matrix(F, [[5, 1], [1, 0]]).inverse() == Matrix(F, [[0, 1], [1, 0]])
 
 
+def test_matrix_and_algebra_store_residues():
+    # entries are stored as the values the field's own arithmetic returns
+    from tfalgebra.samples import truncated_polynomial_algebra
+
+    F5, Q = PrimeField(5), RationalField()
+    M = Matrix(F5, [[6, -1], [5, 3]])
+    assert M.rows == [[1, 4], [0, 3]]
+    assert all(type(x) is int for row in M.rows for x in row)
+    R = Matrix(Q, [[2, Fraction(1, 2)], [0, -3]])
+    assert R.rows == [[2, Fraction(1, 2)], [0, -3]]
+    assert all(type(x) is Fraction for row in R.rows for x in row)
+
+    # TFAlgebra stores its tensor vectors and unit, and its blocks are Matrix
+    V = truncated_polynomial_algebra(F5, 2)
+    W = V.replace(
+        mult={(0, 0): [[[6, 5], [-1, 0]], [[0, 11], [0, 0]]]},
+        unit=[6, -1],
+        eta=[[0, 6], [-4, 5]],
+    )
+    assert W.mult[(0, 0)] == [[[1, 0], [4, 0]], [[0, 1], [0, 0]]]
+    assert W.unit == [1, 4]
+    assert W.eta.rows == [[0, 1], [1, 0]]
+    stored = [x for row in W.mult[(0, 0)] for vec in row for x in vec] + W.unit
+    assert all(type(x) is int for x in stored)
+
+    VQ = truncated_polynomial_algebra(Q, 2)
+    WQ = VQ.replace(mult={(0, 0): [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}, unit=[1, 0], eta=[[0, 1], [1, 0]])
+    assert WQ.mult == VQ.mult and WQ.unit == VQ.unit and WQ.eta == VQ.eta
+    stored = [x for row in WQ.mult[(0, 0)] for vec in row for x in vec] + WQ.unit + WQ.eta.rows[0]
+    assert all(type(x) is Fraction for x in stored)
+
+
 def test_matrix_inverse_exact_rationals():
     Q = RationalField()
     rng = random.Random(3)

@@ -9,6 +9,7 @@ from tfalgebra.fields import PrimeField, RationalField
 from tfalgebra.gmodule import trivial_module
 from tfalgebra.groups import cyclic_group, trivial_group
 from tfalgebra.isomorphism import UNDECIDED, is_isomorphic
+from tfalgebra.linalg import Matrix
 from tfalgebra.pairs import coboundary_pair, enumerate_pairs, pair_mul, trivial_pair
 from tfalgebra.samples import dual_number_group_ring, truncated_polynomial_algebra
 from tfalgebra.verify import verify
@@ -23,6 +24,21 @@ def test_identity_isomorphism():
     V = build_simple(ctx, trivial_pair(ctx))
     iso = is_isomorphic(V, V)
     assert iso is not None and iso is not UNDECIDED
+
+
+def test_unreduced_entries_are_isomorphic_to_their_residues():
+    # 6 is 1 and 5 is 0 in F5: given unreduced, the same algebra comes back,
+    # on the simple route and on the search
+    ctx = context_I1()
+    V = build_simple(ctx, trivial_pair(ctx))
+    T = truncated_polynomial_algebra(F5, 2)
+    for left, right in (
+        (V.replace(eta=Matrix(F5, [[6]])), V),
+        (V, V.replace(unit=[6])),
+        (T, T.replace(unit=[6, 5])),
+    ):
+        iso = is_isomorphic(left, right)
+        assert iso is not None and iso is not UNDECIDED
 
 
 def test_coboundary_shift_gives_isomorphic_algebras():

@@ -7,6 +7,7 @@ import pytest
 from tfalgebra.algebra import AlgebraContext, trivial_context
 from tfalgebra.cochains import Cochain, coboundary
 from tfalgebra.cohomology import cohomology_group
+from tfalgebra.constructions import build_simple
 from tfalgebra.errors import NonCyclicUnits, NotPointed, TooLarge
 from tfalgebra.fields import PrimeField, RationalField
 from tfalgebra.gmodule import GModule, cyclic_module, trivial_module
@@ -101,6 +102,20 @@ def test_unreduced_zero_g1_entry_is_named():
     assert is_kappa_pair(ctx, KappaPair(g1, ())) == (False, ("g1-zero", 1, 1))
 
 
+def test_unreduced_g1_entries_are_read_as_residues():
+    # 6 and 7 are 1 and 2 in F5: an entry 6 at (1, 0) is normalized, as 1 is
+    ctx = context_I1()
+    trivial = build_simple(ctx, trivial_pair(ctx))
+    for key, value in (((1, 0), 6), ((1, 1), 7)):
+        g1 = {(a, b): 1 for a in range(2) for b in range(2)}
+        g1[key] = value
+        assert is_kappa_pair(ctx, KappaPair(g1, ())) == (True, None)
+    g1 = {(a, b): 1 for a in range(2) for b in range(2)}
+    g1[(1, 0)] = 6
+    V = build_simple(ctx, KappaPair(g1, ()))
+    assert (V.mult, V.phi, V.eta) == (trivial.mult, trivial.phi, trivial.eta)
+
+
 # -- coboundary pairs -----------------------------------------------------------------
 
 
@@ -118,6 +133,12 @@ def test_coboundary_pair_requires_pointed():
     ctx = context_I1()
     with pytest.raises(NotPointed):
         coboundary_pair(ctx, {0: 2, 1: 1})
+
+
+def test_coboundary_pair_reads_an_unreduced_unit_value():
+    # 6 is 1 in F5, so psi is pointed
+    ctx = context_I1()
+    assert coboundary_pair(ctx, {0: 6, 1: 2}) == coboundary_pair(ctx, {0: 1, 1: 2})
 
 
 def test_coboundary_pairs_valid_for_every_cocycle():
@@ -292,6 +313,23 @@ def test_pairs_equivalent_recovers_shift():
     psi = pairs_equivalent(ctx, shifted, base)
     assert psi is not None
     assert coboundary_pair(ctx, psi) == coboundary_pair(ctx, psi0)
+
+
+def test_pairs_equivalent_reads_an_unreduced_g2():
+    # g2 = (6,) is the trivial character of Z/2 in F5
+    ctx = trivial_context(cyclic_group(2), cyclic_module(cyclic_group(2), 2), F5)
+    p = trivial_pair(ctx)
+    q = KappaPair(dict(p.g1), (6,))
+    assert pairs_equivalent(ctx, p, q) == {0: 1, 1: 1}
+
+
+def test_pairs_equivalent_reads_an_unreduced_g1():
+    # g1(1, 1) = 6 is 1 in F5: the solved psi carries q2 to p, trivially
+    ctx = trivial_context(cyclic_group(2), cyclic_module(cyclic_group(2), 2), F5)
+    p = trivial_pair(ctx)
+    g1 = dict(p.g1)
+    g1[(1, 1)] = 6
+    assert pairs_equivalent(ctx, KappaPair(g1, p.g2), p) == {0: 1, 1: 1}
 
 
 def test_pointed_solve_needs_the_ratio_to_be_1_at_the_unit():

@@ -130,8 +130,8 @@ def test_shape_mismatch_raises():
 
 
 def test_unreduced_zero_entries_do_not_raise():
-    # the constructor keeps entries as stored, and a stored 5 is zero in F_5:
-    # the verifier's rank must not take it for a pivot
+    # a given 5 is zero in F_5: the constructor stores it as 0, and the
+    # verifier's rank must not take it for a pivot
     V = truncated_polynomial_algebra(F5, 3)
     eta = [list(r) for r in V.eta.rows]
     eta[0][0] = 5
