@@ -215,11 +215,13 @@ def _lattices(module: GModule, degree: int, kappa=None, head=()):
 
     Coordinates: the exponents y of a character of kappa's module (none
     without kappa), then the normalized cochain; both lattices hold the
-    moduli relations.  The y are held to the sparse rows ``head`` modulo the
-    exponent e.  :func:`intmat.kernel_mod` solves the rows of
-    :func:`_generator_system` and each basis row is expanded, so Z is the
-    basis a kernel over every normalized coordinate gives.  B is spanned by
-    the columns of d^(degree-1), placed after the y columns.  They enter
+    moduli relations, and both are held by their filled slots for the
+    exponent e.  The y are held to the sparse rows ``head`` modulo e.
+    :func:`intmat.kernel_mod` solves the rows of :func:`_generator_system`
+    and each filled row is expanded (an empty slot's row ``e * unit``
+    expands to zero modulo e), so Z is the basis a kernel over every
+    normalized coordinate gives.  B is spanned by the columns of
+    d^(degree-1), placed after the y columns.  They enter
     :func:`intmat.hermite_mod` last column first: the basis is canonical,
     and this order reaches it several times faster.
     """
@@ -230,10 +232,8 @@ def _lattices(module: GModule, degree: int, kappa=None, head=()):
     relations = [[m if j == i else 0 for j in range(N)] for i, m in enumerate(mvec) if m != e]
     rows, ncols, expand = _generator_system(module, degree, kappa)
     row_moduli = [e] * len(head) + list(module.moduli) * (len(rows) // module.rank)
-    solved = intmat.kernel_mod(list(head) + rows, row_moduli, ncols)
-    # a basis row e * unit expands to zero modulo e
-    Z = relations + [[sum(v * z[c] for c, v in ex) for ex in expand] for j, z in enumerate(solved)
-                     if z[j] != e]
+    solved = intmat.kernel_mod(list(head) + rows, row_moduli, ncols, e)
+    Z = relations + [[sum(v * z[c] for c, v in ex) for ex in expand] for z in solved.values()]
     columns = []
     if degree >= 1:
         columns = [[0] * N for _ in _normalized_moduli(module, degree - 1)]

@@ -21,9 +21,12 @@ coset against the subgroup's Hermite basis.  The brute-force oracles count
 and pick generators on explicit element lists in :mod:`abelian`, which uses
 nothing from here.
 
-Conventions: matrices are lists of row lists; lattices are given by generator
-rows and normalized to a row-style Hermite basis (row echelon, positive
-pivots, entries above a pivot reduced into ``[0, pivot)``).
+Conventions: lattices are given by generator rows and normalized to a
+row-style Hermite basis (row echelon, positive pivots, entries above a pivot
+reduced into ``[0, pivot)``), one row per column.  A basis is held by its
+filled slots, a dict from pivot column to full-length row in increasing
+pivot order; a column with no entry stands for the row ``e * unit``, which
+is never built.
 """
 
 from __future__ import annotations
@@ -58,62 +61,30 @@ def _leading(vec: list[int], start: int = 0) -> int:
     return len(vec)
 
 
-def _pivots(basis: list[list[int]]) -> list[int]:
-    """Pivot columns of an echelon basis, found in one left-to-right pass."""
-    out = []
-    j = 0
-    for row in basis:
-        j = _leading(row, j)
-        out.append(j)
-    return out
+def hermite_mod(gens: list[list[int]], ncols: int, e: int) -> dict[int, list[int]]:
+    """Canonical Hermite basis of ``span(gens) + e * Z^ncols``, by its filled slots.
 
-
-def _normalize(basis, pivots):
-    """Make pivots positive and reduce the entries above each pivot into [0, pivot).
-
-    Pivot columns are reduced left to right: clearing column ``p`` only
-    touches columns at or after ``p``, so earlier columns stay reduced.
-    """
-    for i in range(len(basis)):
-        if basis[i][pivots[i]] < 0:
-            basis[i] = [-x for x in basis[i]]
-    for i in range(len(basis)):
-        p = pivots[i]
-        a = basis[i][p]
-        tail = basis[i][p:]
-        for ii in range(i):
-            q = basis[ii][p] // a
-            if q:
-                row = basis[ii]
-                row[p:] = [x - q * y for x, y in zip(row[p:], tail)]
-
-
-def lattice_index(basis: list[list[int]], ncols: int) -> int:
-    """Index [Z^n : L] for a full-rank lattice basis in echelon form."""
-    if len(basis) != ncols:
-        raise ShapeMismatch(f"lattice of rank {len(basis)} in Z^{ncols} is not full rank")
-    return abs(prod(row[j] for row, j in zip(basis, _pivots(basis))))
-
-
-def hermite_mod(gens: list[list[int]], ncols: int, e: int) -> list[list[int]]:
-    """Canonical Hermite basis of ``span(gens) + e * Z^ncols``.
-
-    The lattice has full rank, so the basis is upper triangular with one row
-    per column and every pivot divides ``e``.  Elimination works modulo
-    ``e``.  An empty pivot slot stands for the row ``e * unit``: a vector
-    entering it leaves ``y * vector`` with pivot ``g = gcd(vector[j], e)``
+    The basis is upper triangular with one row per column and every pivot
+    divides ``e``.  Elimination works modulo ``e``.  A vector entering an
+    empty slot leaves ``y * vector`` with pivot ``g = gcd(vector[j], e)``
     there, and ``(e / g) * vector``, which vanishes in column ``j``, goes on
     to be reduced.  A vector meeting a filled slot is merged by an xgcd step
     whose residual likewise vanishes in column ``j``.  The residuals keep the
     rows below each pivot a basis of the part of the lattice they cover, so
     the rows span the lattice itself and not just its image modulo ``e``.
+
+    The filled rows are then normalized among themselves in pivot order.
+    Keeping every entry modulo ``e`` adds multiples of the rows ``e * unit``,
+    which is the whole reduction by the empty slots: no pivot row touches a
+    column left of its pivot, so an entry in an empty column, once reduced
+    modulo ``e``, is final.
     """
-    slots: list[list[int] | None] = [None] * ncols
+    slots: dict[int, list[int]] = {}
     for gen in gens:
         vec = [x % e for x in gen]
         j = _leading(vec)
         while j < ncols:
-            row = slots[j]
+            row = slots.get(j)
             b = vec[j]
             if row is None:
                 _, y, g = xgcd(e, b)
@@ -131,30 +102,33 @@ def hermite_mod(gens: list[list[int]], ncols: int, e: int) -> list[list[int]]:
                 row[j:] = [(x * r + y * v) % e for r, v in zip(tail_r, tail_v)]
                 vec[j:] = [(s * v - t * r) % e for r, v in zip(tail_r, tail_v)]
             j = _leading(vec, j + 1)
-    basis = [
-        row if row is not None else [e if c == j else 0 for c in range(ncols)]
-        for j, row in enumerate(slots)
-    ]
-    _normalize(basis, list(range(ncols)))
+    basis = dict(sorted(slots.items()))
+    rows = list(basis.values())
+    for i, (p, row) in enumerate(basis.items()):
+        a, tail = row[p], row[p:]
+        for above in rows[:i]:
+            q = above[p] // a
+            if q:
+                above[p:] = [(x - q * y) % e for x, y in zip(above[p:], tail)]
     return basis
 
 
 def kernel_mod(
-    rows: list[list[tuple[int, int]]], moduli: list[int], ncols: int
-) -> list[list[int]]:
-    """Canonical Hermite basis of ``{x : rows[r] . x == 0 mod moduli[r]}``.
+    rows: list[list[tuple[int, int]]], moduli: list[int], ncols: int, e: int
+) -> dict[int, list[int]]:
+    """Canonical Hermite basis of ``{x : rows[r] . x == 0 mod moduli[r]}``, by its filled slots.
 
     Each row is sparse, a list of (column, coefficient) pairs with each
-    column at most once.  Starts from the generators ``I`` of ``Z^ncols``
-    and applies one constraint at a time.  The generators with a nonzero
-    value are combined into a single survivor (the one whose value has the
+    column at most once.  ``e``, a multiple of every modulus, is the
+    exponent whose rows ``e * unit`` the empty slots stand for, also when
+    there are no rows.  Starts from the generators ``I`` of ``Z^ncols`` and
+    applies one constraint at a time.  The generators with a nonzero value
+    are combined into a single survivor (the one whose value has the
     smallest gcd with the modulus leads), the survivor is scaled by
     ``m / gcd(value, m)``, and any generator that becomes ``0 mod e`` is
-    dropped, where ``e`` is the lcm of the moduli.  This is exact because
-    the lattice always contains ``e * Z^ncols``, so generators may be kept
-    reduced modulo ``e``.
+    dropped.  This is exact because the lattice always contains
+    ``e * Z^ncols``, so generators may be kept reduced modulo ``e``.
     """
-    e = lcm(*moduli)
     gens = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     for row, m in zip(rows, moduli):
         support = [(c, v % m) for c, v in row if v % m]
@@ -193,48 +167,60 @@ def kernel_mod(
     return hermite_mod(gens, ncols, e)
 
 
+def _radix(basis: dict[int, list[int]], moduli: list[int]) -> list[int]:
+    """``m_j / pivot_j`` for every column, an empty slot's pivot being ``e = lcm(moduli)``.
+
+    Raises ShapeMismatch when a pivot does not divide its modulus, that is,
+    when the lattice does not contain ``diag(moduli) * Z^n``.
+    """
+    e = lcm(*moduli)
+    out = []
+    for j, m in enumerate(moduli):
+        p = basis[j][j] if j in basis else e
+        if m % p:
+            raise ShapeMismatch(f"pivot {p} in column {j} does not divide the modulus {m}")
+        out.append(m // p)
+    return out
+
+
 def lattice_residues(
-    basis: list[list[int]], moduli: list[int], cap: int
+    basis: dict[int, list[int]], moduli: list[int], cap: int
 ) -> list[tuple[int, ...]] | None:
     """Every residue of a lattice modulo ``diag(moduli)``, or None beyond ``cap``.
 
-    ``basis`` is the full-rank Hermite basis of a lattice containing
-    ``diag(moduli) * Z^n``, so each pivot divides its modulus and the
-    residues are exactly the sums ``sum(c_j * basis_j)`` with ``c_j`` in
-    ``range(moduli[j] // pivot_j)``, listed here in mixed radix.
+    ``basis`` holds the filled slots of the Hermite basis of a lattice
+    containing ``diag(moduli) * Z^n``, so each pivot divides its modulus and
+    the residues are exactly the sums ``sum(c_j * basis_j)`` with ``c_j`` in
+    ``range(moduli[j] // pivot_j)``, listed here in mixed radix.  An empty
+    slot's row ``e * unit`` takes one value, zero.
     """
-    if len(basis) != len(moduli):
-        raise ShapeMismatch(f"lattice of rank {len(basis)} in Z^{len(moduli)} is not full rank")
-    radix = []
-    for j, (row, m) in enumerate(zip(basis, moduli)):
-        if m % row[j]:
-            raise ShapeMismatch(f"pivot {row[j]} in column {j} does not divide the modulus {m}")
-        radix.append(m // row[j])
+    radix = _radix(basis, moduli)
     if prod(radix) > cap:
         return None
     out = [tuple(0 for _ in moduli)]
-    for row, r in zip(basis, radix):
-        if r == 1:
+    for j, row in basis.items():
+        if radix[j] == 1:
             continue
-        shifts = [tuple((c * x) % m for x, m in zip(row, moduli)) for c in range(r)]
+        shifts = [tuple((c * x) % m for x, m in zip(row, moduli)) for c in range(radix[j])]
         out = [tuple(map(mod, map(add, v, shift), moduli)) for shift in shifts for v in out]
     return out
 
 
 def coset_minimum(
-    basis: list[list[int]], vec, moduli: list[int], values: list | None = None
+    basis: dict[int, list[int]], vec, moduli: list[int], values: list | None = None
 ) -> tuple[int, ...]:
     """The smallest residue of ``vec + lattice`` modulo ``diag(moduli)``.
 
-    ``basis`` is the full-rank Hermite basis of a lattice containing
-    ``diag(moduli) * Z^n``.  Coordinates are fixed left to right: once the
-    columns before ``j`` are fixed, only multiples of row ``j`` still move
-    column ``j``, through the residues ``vec[j] + c * pivot_j``.  Residues
-    compare as integers, or by ``values[residue]`` when a table is given.
+    ``basis`` holds the filled slots of the Hermite basis of a lattice
+    containing ``diag(moduli) * Z^n``.  Coordinates are fixed left to right:
+    once the columns before ``j`` are fixed, only multiples of row ``j``
+    still move column ``j``, through the residues ``vec[j] + c * pivot_j``.
+    An empty slot's row ``e * unit`` moves no residue.  Residues compare as
+    integers, or by ``values[residue]`` when a table is given.
     """
     out = [x % m for x, m in zip(vec, moduli)]
-    for j, (row, m) in enumerate(zip(basis, moduli)):
-        p, x = row[j], out[j]
+    for j, row in basis.items():
+        p, x, m = row[j], out[j], moduli[j]
         if values is None:
             c = -(x // p)
         else:
@@ -245,60 +231,66 @@ def coset_minimum(
 
 
 def quotient(
-    big: list[list[int]], small: list[list[int]], moduli: list[int], values: list | None = None
+    big: dict[int, list[int]],
+    small: dict[int, list[int]],
+    moduli: list[int],
+    values: list | None = None,
 ) -> tuple[list[int], list[tuple[int, ...]], int, int]:
     """Structure of (lattice big)/(lattice small), both containing diag(moduli) Z^n.
 
-    ``big`` and ``small`` are full-rank Hermite bases with ``small`` inside
-    ``big``.  Returns ``(factors, reps, big_order, small_order)``: the
-    invariant factors in increasing order, one representative per factor,
-    and the orders of both lattices modulo ``diag(moduli)``.
+    ``big`` and ``small`` hold the filled slots of Hermite bases with
+    ``small`` inside ``big``; an empty slot stands for the row ``e * unit``
+    for ``e = lcm(moduli)``.  Returns ``(factors, reps, big_order,
+    small_order)``: the invariant factors in increasing order, one
+    representative per factor, and the orders of both lattices modulo
+    ``diag(moduli)``.
 
-    Only the columns ``J`` where the pivots differ carry the quotient.
-    Written in ``big``'s coordinates, ``small`` is triangular with diagonal
-    ``t_j = small[j][j] / big[j][j]``, so each class holds exactly one sum
-    ``sum(c_j * big_j)`` with digits ``0 <= c_j < t_j``.  Digits add like an
-    odometer: the carry row of ``j`` says which digits ``t_j * big_j``
-    leaves behind, and :func:`coset_minimum` against the carry rows brings
-    any digit vector back into range.  The class group is listed once in
-    digits, each class keyed by the :func:`coset_minimum` of its lift
-    against ``small`` (residues ordered by ``values`` when given), and the
-    representatives are its canonical generators
-    (:func:`abelian.canonical_generators`).
+    Only the columns ``J`` where the pivots differ carry the quotient, and
+    each is filled in ``big``.  Written in ``big``'s coordinates, ``small``
+    is triangular with diagonal ``t_j = small_pivot_j / big_pivot_j``, so
+    each class holds exactly one sum ``sum(c_j * big_j)`` with digits
+    ``0 <= c_j < t_j``.  Digits add like an odometer: the carry row of ``j``
+    says which digits ``t_j * big_j`` leaves behind, and
+    :func:`coset_minimum` against the carry rows brings any digit vector
+    back into range.  The class group is listed once in digits, each class
+    keyed by the :func:`coset_minimum` of its lift against ``small``
+    (residues ordered by ``values`` when given), and the representatives
+    are its canonical generators (:func:`abelian.canonical_generators`).
     """
     n = len(moduli)
-    ambient = prod(moduli)
-    big_order = ambient // lattice_index(big, n)
-    small_order = ambient // lattice_index(small, n)
+    big_radix, small_radix = _radix(big, moduli), _radix(small, moduli)
     e = lcm(*moduli)
     ratio = []
-    for j, (b, s) in enumerate(zip(big, small)):
-        t, r = divmod(s[j], b[j])
+    for b, s in zip(big_radix, small_radix):
+        t, r = divmod(b, s)
         if r:
             raise NoSolution("small lattice is not contained in the big lattice")
         ratio.append(t)
     J = [j for j, t in enumerate(ratio) if t > 1]
 
+    # an empty slot's row e * unit vanishes modulo the moduli
+    zero_row = [0] * n
+
     def digits(vec):
         """The digits of ``vec``'s class, reducing left to right against both bases."""
         vec = [x % m for x, m in zip(vec, moduli)]
         out = []
-        for j, (b, s, t) in enumerate(zip(big, small, ratio)):
+        for j, b in big.items():
             a, r = divmod(vec[j], b[j])
             if r:
                 raise NoSolution("small lattice is not contained in the big lattice")
-            q, c = divmod(a, t)
+            q, c = divmod(a, ratio[j])
             if a:
-                tail = zip(vec[j:], b[j:], s[j:], moduli[j:])
+                tail = zip(vec[j:], b[j:], small.get(j, zero_row)[j:], moduli[j:])
                 vec[j:] = [(x - c * y - q * z) % m for x, y, z, m in tail]
-            if t > 1:
+            if ratio[j] > 1:
                 out.append(c)
         return out
 
-    carries = []
+    carries = {}
     for i, j in enumerate(J):
         rest = digits([ratio[j] * x for x in big[j]])
-        carries.append([0] * i + [ratio[j]] + [-c % e for c in rest[i + 1 :]])
+        carries[i] = [0] * i + [ratio[j]] + [-c % e for c in rest[i + 1 :]]
     ek = [e] * len(J)
 
     def canon(c):
@@ -317,4 +309,4 @@ def quotient(
     zero = [tuple(0 for _ in J)]
     factors = abelian.factors_by_counting(list(minima), zero, ek, canon)
     gens = abelian.canonical_generators(list(minima), zero, ek, factors, rank, canon)
-    return factors, [minima[g] for g in gens], big_order, small_order
+    return factors, [minima[g] for g in gens], prod(big_radix), prod(small_radix)

@@ -181,8 +181,8 @@ def _pairs_from_vectors(
     return tuple(out)
 
 
-def _pair_lattices(context: AlgebraContext) -> tuple[list[list[int]], list[list[int]]]:
-    """Hermite bases of the pair group H and its coboundary subgroup B, mod p-1.
+def _pair_lattices(context: AlgebraContext) -> tuple[dict, dict]:
+    """Hermite bases of the pair group H and its coboundary subgroup B, mod p-1, by filled slots.
 
     Coordinates are [y | x]: the character's exponents, then the table on the
     pairs without the unit, in lexicographic order.  A table is normalized,
@@ -230,7 +230,7 @@ def enumerate_pairs(
         raise ValueError(f"unknown enumeration method {method!r}")
     F = _require_prime_field(context)
     H, B = _pair_lattices(context)
-    moduli = [F.unit_order] * len(H)
+    moduli = [F.unit_order] * (context.module.rank + (context.group.order - 1) ** 2)
     # canonical generators: lexicographically minimal in (g2, g1) value
     # order, exactly as the brute-force route picks them
     factors, reps, h_order, b_order = intmat.quotient(H, B, moduli, _unit_values(F))
@@ -404,10 +404,11 @@ def _solve_mod(
 
     The solutions are the kernel of [-rhs | rows] mod m with first coordinate
     1; one exists iff the first Hermite pivot of that kernel is 1, and then x
-    is the rest of that row.
+    is the rest of that row.  An empty first slot stands for the row
+    ``m * unit``, whose pivot is 1 only over F_2, where m = 1.
     """
     aug = [[(0, -b)] + [(c + 1, v) for c, v in row] for row, b in zip(rows, rhs)]
-    top = intmat.kernel_mod(aug, [m] * len(aug), ncols + 1)[0]
+    top = intmat.kernel_mod(aug, [m] * len(aug), ncols + 1, m).get(0, [m] + [0] * ncols)
     return top[1:] if top[0] == 1 else None
 
 

@@ -2,9 +2,12 @@
 
 The library computes every lattice by modular Hermite elimination
 (``intmat.hermite_mod`` and ``intmat.kernel_mod``) and every quotient from
-the two Hermite bases (``intmat.quotient``).  The general routines below
-work over Z without a modulus.  The tests compare the modular routines
-against them and test lattice membership with :func:`solve_in_lattice`, so
+the two Hermite bases (``intmat.quotient``).  The library holds a basis by
+its filled slots, a dict from pivot column to row, each empty slot standing
+for the row ``e * unit``; :func:`dense` writes out the full square basis.
+The general routines below work over Z without a modulus, on dense echelon
+bases.  The tests compare the modular routines against them through
+:func:`dense` and test lattice membership with :func:`solve_in_lattice`, so
 they live here and not in the package.  The cocycle and pair lattices are
 solved in the library on generator coordinates; :func:`kernel_cocycle_lattice`
 and :func:`kernel_pair_lattice` solve them as kernels over every normalized
@@ -16,13 +19,56 @@ them by pointwise coboundaries instead and never read that matrix.
 
 from __future__ import annotations
 
-from math import lcm
+from math import lcm, prod
 
 from tfalgebra.cochains import Cochain, coboundary
 from tfalgebra.cohomology import _normalized_moduli, _normalized_tuples, coboundary_matrix
 from tfalgebra.gmodule import cyclic_module
-from tfalgebra.intmat import _leading, _normalize, _pivots, hermite_mod, kernel_mod, xgcd
+from tfalgebra.intmat import _leading, hermite_mod, kernel_mod, xgcd
 from tfalgebra.pairs import coboundary_pair
+
+
+def dense(basis: dict[int, list[int]], ncols: int, e: int) -> list[list[int]]:
+    """The square Hermite basis that the filled slots ``basis`` stand for.
+
+    Each empty slot ``j`` holds the row ``e * unit_j``.
+    """
+    return [basis[j] if j in basis else [e * (c == j) for c in range(ncols)] for j in range(ncols)]
+
+
+def _pivots(basis: list[list[int]]) -> list[int]:
+    """Pivot columns of an echelon basis, found in one left-to-right pass."""
+    out = []
+    j = 0
+    for row in basis:
+        j = _leading(row, j)
+        out.append(j)
+    return out
+
+
+def _normalize(basis, pivots):
+    """Make pivots positive and reduce the entries above each pivot into [0, pivot).
+
+    Pivot columns are reduced left to right: clearing column ``p`` only
+    touches columns at or after ``p``, so earlier columns stay reduced.
+    """
+    for i in range(len(basis)):
+        if basis[i][pivots[i]] < 0:
+            basis[i] = [-x for x in basis[i]]
+    for i in range(len(basis)):
+        p = pivots[i]
+        a = basis[i][p]
+        tail = basis[i][p:]
+        for ii in range(i):
+            q = basis[ii][p] // a
+            if q:
+                row = basis[ii]
+                row[p:] = [x - q * y for x, y in zip(row[p:], tail)]
+
+
+def lattice_index(basis: list[list[int]]) -> int:
+    """Index [Z^n : L] of a full-rank lattice from its echelon basis: the product of the pivots."""
+    return abs(prod(row[j] for row, j in zip(basis, _pivots(basis))))
 
 
 def hermite_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
@@ -201,7 +247,7 @@ def solve_in_lattice(basis: list[list[int]], vec: list[int]) -> list[int] | None
     return coeffs
 
 
-def kernel_cocycle_lattice(module, degree: int) -> list[list[int]]:
+def kernel_cocycle_lattice(module, degree: int) -> dict[int, list[int]]:
     """Hermite basis of the normalized cocycles, as the kernel of d^degree on every coordinate.
 
     The library solves on the coordinates of the tuples led by a generating
@@ -210,10 +256,10 @@ def kernel_cocycle_lattice(module, degree: int) -> list[list[int]]:
     """
     rows = coboundary_matrix(module, degree)
     ncols = len(_normalized_moduli(module, degree))
-    return kernel_mod(rows, _normalized_moduli(module, degree + 1), ncols)
+    return kernel_mod(rows, _normalized_moduli(module, degree + 1), ncols, lcm(*module.moduli))
 
 
-def kernel_pair_lattice(context) -> list[list[int]]:
+def kernel_pair_lattice(context) -> dict[int, list[int]]:
     """Hermite basis of the pair group in coordinates [y | x], as a kernel on every pair.
 
     The rows say that y is killed by each factor modulus and invariant under
@@ -233,10 +279,10 @@ def kernel_pair_lattice(context) -> list[list[int]]:
     for t, d2row in zip(_normalized_tuples(G, 3), d2):
         kv = context.kappa.value(*t)
         rows.append([(j, -c) for j, c in enumerate(kv) if c] + [(k + c, v) for c, v in d2row])
-    return kernel_mod(rows, [m] * len(rows), k + (G.order - 1) ** 2)
+    return kernel_mod(rows, [m] * len(rows), k + (G.order - 1) ** 2, m)
 
 
-def pointwise_boundary_lattice(module, degree: int) -> list[list[int]]:
+def pointwise_boundary_lattice(module, degree: int) -> dict[int, list[int]]:
     """Hermite basis of the normalized coboundaries plus the moduli relations.
 
     The generators are ``cochains.coboundary`` of each normalized
@@ -260,7 +306,7 @@ def pointwise_boundary_lattice(module, degree: int) -> list[list[int]]:
     return hermite_mod(gens, len(mvec), e)
 
 
-def pointwise_pair_boundary(context) -> list[list[int]]:
+def pointwise_pair_boundary(context) -> dict[int, list[int]]:
     """Hermite basis, mod p-1, of the coboundary pairs in coordinates [y | x].
 
     The generators are the discrete logs of ``pairs.coboundary_pair`` of

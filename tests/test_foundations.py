@@ -23,7 +23,7 @@ from tfalgebra.groups import (
 )
 from tfalgebra.linalg import Matrix, _comb, _matmul, _product, apply_map, bilinear_value
 
-from lattice_reference import hermite_basis, smith_normal_form, solve_in_lattice
+from lattice_reference import dense, hermite_basis, lattice_index, smith_normal_form, solve_in_lattice
 
 
 # -- fields -------------------------------------------------------------------
@@ -94,17 +94,17 @@ def test_smith_normal_form_transforms():
 
 def test_kernel_and_solve():
     A = [[2, 4, 6], [1, 2, 3]]
-    ker = intmat.kernel_mod([list(enumerate(row)) for row in A], [6, 6], 3)
+    ker = dense(intmat.kernel_mod([list(enumerate(row)) for row in A], [6, 6], 3, 6), 3, 6)
     assert len(ker) == 3
     for v in ker:
         assert all(sum(A[i][j] * v[j] for j in range(3)) % 6 == 0 for i in range(2))
     # x1 == -2 x2 - 3 x3 mod 6 is the only condition
-    assert intmat.lattice_index(ker, 3) == 6
+    assert lattice_index(ker) == 6
 
 
 def test_hermite_membership_and_index():
     basis = hermite_basis([[2, 1], [0, 3]], 2)
-    assert intmat.lattice_index(basis, 2) == 6
+    assert lattice_index(basis) == 6
     assert solve_in_lattice(basis, [2, 4]) is not None
     assert solve_in_lattice(basis, [1, 0]) is None
 
@@ -134,12 +134,28 @@ def test_modular_routines_match_smith_route():
         e = math.lcm(*moduli)
         smith = hermite_basis(_smith_route_kernel(A, moduli, n) + _scaled_identity(e, n), n)
         sparse = [list(enumerate(row)) for row in A]
-        assert intmat.kernel_mod(sparse, moduli, n) == smith, (A, moduli)
+        assert dense(intmat.kernel_mod(sparse, moduli, n, e), n, e) == smith, (A, moduli)
 
         gens = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(rng.randint(0, 4))]
         e = rng.choice((2, 3, 4, 6, 12))
         expected = hermite_basis(gens + _scaled_identity(e, n), n)
-        assert intmat.hermite_mod(gens, n, e) == expected, (gens, e)
+        assert dense(intmat.hermite_mod(gens, n, e), n, e) == expected, (gens, e)
+
+
+def test_hermite_mod_matches_the_reference_on_seeded_inputs():
+    # the filled slots, in increasing pivot order, with the row e * unit in
+    # every empty slot, are the canonical basis of span(gens) + e Z^n that
+    # the reference computes over Z
+    rng = random.Random(26)
+    for _ in range(3000):
+        n, e = rng.randint(1, 13), rng.randint(1, 30)
+        gens = [
+            [rng.randint(-2 * e, 2 * e) if rng.random() < 0.6 else 0 for _ in range(n)]
+            for _ in range(rng.randint(0, 11))
+        ]
+        basis = intmat.hermite_mod(gens, n, e)
+        assert list(basis) == sorted(basis)
+        assert dense(basis, n, e) == hermite_basis(gens + _scaled_identity(e, n), n), (gens, e)
 
 
 def test_hermite_basis_is_canonical():
@@ -172,7 +188,7 @@ def test_lattice_residues_lists_each_residue_once():
     frontier = list(closure)
     while frontier:
         v = frontier.pop()
-        for g in basis:
+        for g in basis.values():
             w = tuple((a + b) % m for a, b, m in zip(v, g, moduli))
             if w not in closure:
                 closure.add(w)
@@ -183,12 +199,15 @@ def test_lattice_residues_lists_each_residue_once():
 
 
 def test_rank_deficient_basis_raises_without_asserts():
-    # the check must survive python -O, which strips assert statements
+    # a basis held by its filled slots always has full rank; what remains
+    # to refuse is a lattice that misses diag(moduli) Z^n or a small lattice
+    # outside the big one.  The check must survive python -O, which strips
+    # assert statements.  Span (1, 0) + 4 Z^2 misses (0, 2).
     code = (
         "from tfalgebra import intmat\n"
         "from tfalgebra.errors import ShapeMismatch\n"
         "try:\n"
-        "    intmat.lattice_index([[1, 0]], 2)\n"
+        "    intmat.lattice_residues({0: [1, 0]}, [4, 2], 64)\n"
         "except ShapeMismatch:\n"
         "    print('raised')\n"
     )
@@ -199,15 +218,17 @@ def test_rank_deficient_basis_raises_without_asserts():
     )
     assert out.stdout.strip() == "raised", out.stderr
     with pytest.raises(ShapeMismatch):
-        intmat.lattice_index([[1, 0]], 2)
+        intmat.lattice_residues({0: [1, 0]}, [4, 2], 64)
     with pytest.raises(ShapeMismatch):
-        intmat.quotient([[1, 0], [0, 1]], [[2, 0]], [2, 2])
+        intmat.quotient({0: [1, 0], 1: [0, 1]}, {0: [3, 0]}, [2, 2])
+    with pytest.raises(NoSolution):
+        intmat.quotient({0: [2, 0]}, {0: [1, 0]}, [2, 2])
 
 
 def test_quotient_structure_z6():
     # Z^2 / <(2,0),(0,3)> = Z/2 x Z/3 = Z/6
-    big = [[1, 0], [0, 1]]
-    factors, reps, big_order, small_order = intmat.quotient(big, [[2, 0], [0, 3]], [2, 3])
+    big = {0: [1, 0], 1: [0, 1]}
+    factors, reps, big_order, small_order = intmat.quotient(big, {0: [2, 0], 1: [0, 3]}, [2, 3])
     assert factors == [6]
     assert len(reps) == 1
     assert (big_order, small_order) == (6, 1)

@@ -332,6 +332,22 @@ def test_pairs_equivalent_reads_an_unreduced_g1():
     assert pairs_equivalent(ctx, KappaPair(g1, p.g2), p) == {0: 1, 1: 1}
 
 
+def test_pairs_equivalent_with_an_empty_first_slot():
+    # the pointed solve reads the first slot of its kernel's Hermite basis
+    # mod m = p - 1.  The trivial group has no d1 rows, so that basis must
+    # still be taken mod m; over F2, where m = 1, the slot is empty and
+    # stands for the row 1 * unit, a solution
+    F2 = PrimeField(2)
+    G1, Z3 = trivial_group(), cyclic_group(3)
+    for ctx in (
+        trivial_context(G1, cyclic_module(G1, 2), F5),
+        trivial_context(G1, trivial_module(G1), F2),
+        trivial_context(Z3, cyclic_module(Z3, 2), F2),
+    ):
+        p = trivial_pair(ctx)
+        assert pairs_equivalent(ctx, p, p) == dict.fromkeys(ctx.group.elements(), 1), ctx
+
+
 def test_pointed_solve_needs_the_ratio_to_be_1_at_the_unit():
     # the solve reads d1 on the pairs without the unit; a ratio that is not 1
     # at a pair with the unit still has no solution, over F_p and over Q

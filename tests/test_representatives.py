@@ -28,7 +28,7 @@ from tfalgebra.fields import factorize
 from tfalgebra.gmodule import GModule, cyclic_module
 from tfalgebra.groups import cyclic_group, direct_product, symmetric_group
 
-from lattice_reference import solve_in_lattice
+from lattice_reference import dense, lattice_index, solve_in_lattice
 from test_cochains import s3_sign_module
 from test_pairs_listing import listing_contexts
 
@@ -112,6 +112,8 @@ def test_quotient_matches_counting_on_residues():
 
         nontrivial += bool(factors)
         # the digits carry when t_j * big_j is not already in the sublattice
+        n, e = len(moduli), lcm(*moduli)
+        big, small = dense(big, n, e), dense(small, n, e)
         steps = [(s[j] // b[j], b) for j, (b, s) in enumerate(zip(big, small))]
         carried += any(solve_in_lattice(small, [t * x for x in b]) is None for t, b in steps)
     assert nontrivial >= 150
@@ -121,7 +123,8 @@ def test_quotient_matches_counting_on_residues():
 def test_quotient_carries_between_digits():
     # Z^2 / <(2,1),(0,2)> = Z/4: twice (1, 0) is (2, 0) == (0, -1), which
     # carries into the second digit
-    factors, reps, big_order, small_order = intmat.quotient([[1, 0], [0, 1]], [[2, 1], [0, 2]], [4, 4])
+    big, small = {0: [1, 0], 1: [0, 1]}, {0: [2, 1], 1: [0, 2]}
+    factors, reps, big_order, small_order = intmat.quotient(big, small, [4, 4])
     assert factors == [4]
     assert reps == [(1, 0)]
     assert (big_order, small_order) == (16, 4)
@@ -131,14 +134,15 @@ def test_quotient_carries_between_digits():
 
 
 def _assert_direct_sum_basis(big, small, moduli, factors, reps, values=None):
-    n = len(moduli)
+    n, e = len(moduli), lcm(*moduli)
+    small_rows = dense(small, n, e)
     for d, rep in zip(factors, reps):
         assert intmat.coset_minimum(small, rep, moduli, values) == tuple(rep)
-        assert solve_in_lattice(small, [d * x for x in rep]) is not None
+        assert solve_in_lattice(small_rows, [d * x for x in rep]) is not None
         for p in factorize(d):
-            assert solve_in_lattice(small, [(d // p) * x for x in rep]) is None
-    assert intmat.lattice_index(small, n) == prod(factors) * intmat.lattice_index(big, n)
-    spanned = intmat.hermite_mod(small + [list(r) for r in reps], n, lcm(*moduli))
+            assert solve_in_lattice(small_rows, [(d // p) * x for x in rep]) is None
+    assert lattice_index(small_rows) == prod(factors) * lattice_index(dense(big, n, e))
+    spanned = intmat.hermite_mod(list(small.values()) + [list(r) for r in reps], n, e)
     assert spanned == big
 
 
