@@ -7,14 +7,9 @@ Two independent computations of H^n = ker(d^n) / im(d^{n-1}) for n <= 3:
   the same cohomology (Brown, *Cohomology of Groups*, III.1).  Cochains
   become integer exponent vectors on the unit-free tuples.  The coboundaries
   are the image of d^(n-1) (sparse rows, :func:`coboundary_matrix`) plus
-  the moduli relations.  The cocycles are solved on generator coordinates:
-  df(s, a, u) = 0 reads f(s a, u) = s.f(a, u) + (faces led by s), so for a
-  generating set S the values at the tuples led by S fix f along a
-  breadth-first tree from the unit, and each edge off the tree gives
-  constraint rows; conversely df(s, -) = 0 for s in S gives df = 0, by
-  dd f(s, h, -) = 0 and induction on word length.  The expanded solutions
-  and the moduli relations span the cocycle lattice, so its canonical
-  Hermite basis is that of the kernel over every coordinate.  One builder
+  the moduli relations.  The cocycles are the kernel of the rows of d^n at
+  the tuples led by a generating set S: df(s, -) = 0 for s in S gives
+  df = 0, by dd f(s, h, -) = 0 and induction on word length.  One builder
   gives both Hermite bases, here and for the pair group of :mod:`pairs`,
   and :func:`intmat.quotient` reads the quotient off them.
   The representatives are zero-padded and checked on one face plan, and
@@ -27,8 +22,8 @@ Two independent computations of H^n = ker(d^n) / im(d^{n-1}) for n <= 3:
   structure by counting and picks generators.  It exists to validate the
   normal-form path and shares none of its linear algebra: it counts on the
   full complex, picks the representatives among the tables that vanish at
-  the tuples with the unit, and :func:`coboundary_matrix` and the
-  generator rows compute their faces themselves, never from the plan.
+  the tuples with the unit, and :func:`coboundary_matrix` computes its
+  faces itself, never from the plan.
 
 Both return invariant factors in increasing divisibility order together with
 representative cocycles, one per factor: the canonical generators of
@@ -100,12 +95,18 @@ def coboundary_matrix(module: GModule, degree: int) -> list[list[tuple[int, int]
     """
     if not (0 <= degree <= 3):
         raise DegreeOutOfRange(f"coboundary matrix defined for degrees 0..3 (got {degree})")
+    rows_at = _rows_at(module, degree)
+    return [row for t in _normalized_tuples(module.group, degree + 1) for row in rows_at(t)]
+
+
+def _rows_at(module: GModule, degree: int):
+    """The function taking a unit-free target tuple t to the k rows (t, i) of d^degree."""
     G, k = module.group, module.rank
     n = degree
     # the first column of each unit-free source tuple
     src_index = {t: i * k for i, t in enumerate(_normalized_tuples(G, n))}
-    rows = []
-    for t in _normalized_tuples(G, n + 1):
+
+    def rows(t):
         M = module.action[t[0]]
         lead = src_index[t[1:]]
         # inner faces merge adjacent slots with alternating signs; the
@@ -116,11 +117,14 @@ def coboundary_matrix(module: GModule, degree: int) -> list[list[tuple[int, int]
             if merged in src_index:
                 faces.append((src_index[merged], -1 if pos % 2 == 1 else 1))
         faces.append((src_index[t[:-1]], -1 if (n + 1) % 2 == 1 else 1))
+        out = []
         for i in range(k):
             row = {lead + j: a for j, a in enumerate(M[i]) if a}
             for S, sign in faces:
                 row[S + i] = row.get(S + i, 0) + sign
-            rows.append(sorted((c, v) for c, v in row.items() if v))
+            out.append(sorted((c, v) for c, v in row.items() if v))
+        return out
+
     return rows
 
 
@@ -150,97 +154,47 @@ def _generating_set(group) -> list[int]:
     return S
 
 
-def _generator_system(module: GModule, degree: int, kappa=None):
-    """Normalized n-cochains f with df = y(kappa), on the values f(s, u) for s in S.
-
-    Columns: the exponents y of a character of kappa's module (none without
-    kappa, when f is a cocycle; rank-1 ``module`` only), then f(s, u) for s
-    in S and unit-free u, factor by factor.  Returns ``(rows, ncols,
-    expand)``: the constraint rows, factor by factor, the column count, and
-    one sparse list per coordinate of [y | normalized cochain] writing it in
-    the columns.  Degree 0 keeps the d0 rows.
-    """
-    G, k, moduli = module.group, module.rank, module.moduli
-    e, n, width = G.identity, degree, kappa.module.rank if kappa else 0
-    if n == 0:
-        return coboundary_matrix(module, 0), k, [[(i, 1)] for i in range(k)]
-    S = _generating_set(G)
-    rest = [g for g in G.elements() if g != e]
-    U = list(itertools.product(rest, repeat=n - 1))
-    first = {u: width + r * k for r, u in enumerate(U)}
-    block = len(U) * k
-    # values[g][r][i]: factor i of f(g, U[r]) as a sparse {column: coefficient}
-    values = {e: [[{}] * k] * len(U)}
-    for si, s in enumerate(S):
-        values[s] = [[{first[u] + si * block + i: 1} for i in range(k)] for u in U]
-    rows = []
-    for a in _span(G, S)[1:]:
-        for si, s in enumerate(S):
-            M, shift, new = module.action[s], si * block, []
-            for u, fa in zip(U, values[a]):
-                # df(s, a, u) = y(kappa): f(s a, u) = s.f(a, u) + faces led by s - y(kappa)
-                r = (a,) + u
-                terms = [(c, -v) for c, v in enumerate(kappa.value(s, *r))] if kappa else []
-                terms.append((first[r[:-1]] + shift, (-1) ** (n + 1)))
-                for pos in range(2, n + 1):
-                    merged = r[: pos - 2] + (G.mul(r[pos - 2], r[pos - 1]),) + r[pos:]
-                    if e not in merged:
-                        terms.append((first[merged] + shift, (-1) ** pos))
-                value = []
-                for i, m in enumerate(moduli):
-                    acc = {}
-                    for j, c in enumerate(M[i]):
-                        if c:
-                            for col, v in fa[j].items():
-                                acc[col] = acc.get(col, 0) + c * v
-                    for col, v in terms:
-                        acc[col + i] = acc.get(col + i, 0) + v
-                    value.append({col: v % m for col, v in acc.items() if v % m})
-                new.append(value)
-            g = G.mul(s, a)
-            if g not in values:  # the tree edge that reaches g
-                values[g] = new
-                continue
-            for value, fg in zip(new, values[g]):
-                for acc, fgi, m in zip(value, fg, moduli):
-                    for col, v in fgi.items():
-                        acc[col] = acc.get(col, 0) - v
-                    rows.append(sorted((c, v % m) for c, v in acc.items() if v % m))
-    expand = [sorted(fi.items()) for g in rest for fu in values[g] for fi in fu]
-    return rows, width + len(S) * block, [[(c, 1)] for c in range(width)] + expand
-
-
 def _lattices(module: GModule, degree: int, kappa=None, head=()):
     """Hermite bases (Z, B) of the normalized f with df = y(kappa) and of im(d^(degree-1)).
 
     Coordinates: the exponents y of a character of kappa's module (none
-    without kappa), then the normalized cochain; both lattices hold the
-    moduli relations, and both are held by their filled slots for the
-    exponent e.  The y are held to the sparse rows ``head`` modulo e.
-    :func:`intmat.kernel_mod` solves the rows of :func:`_generator_system`
-    and each filled row is expanded (an empty slot's row ``e * unit``
-    expands to zero modulo e), so Z is the basis a kernel over every
-    normalized coordinate gives.  B is spanned by the columns of
-    d^(degree-1), placed after the y columns.  They enter
-    :func:`intmat.hermite_mod` last column first: the basis is canonical,
-    and this order reaches it several times faster.
+    without kappa, when f is a cocycle; rank-1 ``module`` only), then the
+    normalized cochain; both lattices hold the moduli relations, and both
+    are held by their filled slots for the exponent e.  The y are held to
+    the sparse rows ``head`` modulo e.  Z is the :func:`intmat.kernel_mod`
+    of ``head`` and the rows of d^degree at the unit-free tuples t led by a
+    generating set S, with -y(kappa(t)) in the y columns.  That is the
+    whole kernel: once y is a G-invariant character, df - y(kappa) is a
+    normalized cocycle, and it vanishes when it does at the tuples led by
+    S.  B is spanned by the columns of d^(degree-1), placed after the y
+    columns.  They enter :func:`intmat.hermite_mod` last column first: the
+    basis is canonical, and this order reaches it several times faster.
     """
-    e = lcm(*module.moduli)
+    G, moduli = module.group, module.moduli
+    e = lcm(*moduli)
     width = kappa.module.rank if kappa else 0
     mvec = [e] * width + _normalized_moduli(module, degree)
     N = len(mvec)
+    S = _generating_set(G)
+    rows_at = _rows_at(module, degree)
+    rows, row_moduli = list(head), [e] * len(head)
+    for t in _normalized_tuples(G, degree + 1):
+        if t[0] in S:
+            at = rows_at(t)
+            if kappa:
+                y = [(j, -c) for j, c in enumerate(kappa.value(*t)) if c]
+                at = [y + [(width + c, v) for c, v in row] for row in at]
+            rows += at
+            row_moduli += moduli
+    Z = intmat.kernel_mod(rows, row_moduli, N, e)
     relations = [[m if j == i else 0 for j in range(N)] for i, m in enumerate(mvec) if m != e]
-    rows, ncols, expand = _generator_system(module, degree, kappa)
-    row_moduli = [e] * len(head) + list(module.moduli) * (len(rows) // module.rank)
-    solved = intmat.kernel_mod(list(head) + rows, row_moduli, ncols, e)
-    Z = relations + [[sum(v * z[c] for c, v in ex) for ex in expand] for z in solved.values()]
     columns = []
     if degree >= 1:
         columns = [[0] * N for _ in _normalized_moduli(module, degree - 1)]
         for r, row in enumerate(coboundary_matrix(module, degree - 1)):
             for c, v in row:
                 columns[c][width + r] = v
-    return intmat.hermite_mod(Z, N, e), intmat.hermite_mod(relations + columns[::-1], N, e)
+    return Z, intmat.hermite_mod(relations + columns[::-1], N, e)
 
 
 def _degenerate_order(module: GModule, degree: int) -> int:

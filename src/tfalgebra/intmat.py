@@ -3,14 +3,15 @@
 These are the workhorses behind finite abelian quotients: cohomology groups
 and the classification group of scalar pairs both reduce to computing
 ``lattice / sublattice`` for full-rank integer lattices.  Everything here is
-plain list-of-lists arithmetic over Python ints.
+arithmetic over Python ints.
 
 Every lattice the library meets contains ``e * Z^n`` for the exponent ``e``
 of its coefficients, so the one integer engine is modular Hermite
 elimination: :func:`kernel_mod` cuts out ``{x : A x == 0 mod m}`` one
-sparse constraint row at a time and :func:`hermite_mod` returns the
-canonical basis of such a lattice, both keeping every entry reduced modulo
-``e`` (Domich, Kannan and Trotter 1987; Storjohann and Mulders 1998).
+sparse constraint row at a time, on sparse generators, and
+:func:`hermite_mod` returns the canonical basis of such a lattice from
+dense rows, both keeping every entry reduced modulo ``e`` (Domich, Kannan
+and Trotter 1987; Storjohann and Mulders 1998).
 :func:`lattice_residues` lists a lattice's residues in mixed radix.
 :func:`quotient` is the one quotient routine of the fast routes: it reads
 the quotient off the two Hermite bases, as digits in the columns where
@@ -124,47 +125,81 @@ def kernel_mod(
     there are no rows.  Starts from the generators ``I`` of ``Z^ncols`` and
     applies one constraint at a time.  The generators with a nonzero value
     are combined into a single survivor (the one whose value has the
-    smallest gcd with the modulus leads), the survivor is scaled by
-    ``m / gcd(value, m)``, and any generator that becomes ``0 mod e`` is
-    dropped.  This is exact because the lattice always contains
-    ``e * Z^ncols``, so generators may be kept reduced modulo ``e``.
+    smallest gcd with the modulus leads, then the one with the fewest
+    nonzeros), the survivor is scaled by ``m / gcd(value, m)``, and any
+    generator that becomes ``0 mod e`` is dropped.  This is exact because
+    the lattice always contains ``e * Z^ncols``, so generators may be kept
+    reduced modulo ``e``.
+
+    Each generator is held sparse, as ``{column: value}``, with an index
+    from each column to the generators nonzero there, so a row reads only
+    the generators its support touches and a combination touches only the
+    supports it combines.  The survivors go to :func:`hermite_mod` as
+    dense rows.
     """
-    gens = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    gens = {i: {i: 1} for i in range(ncols)}
+    where = [{i} for i in range(ncols)]
+
+    def replace(i, new):
+        old = gens[i]
+        for c in old.keys() - new.keys():
+            where[c].discard(i)
+        for c in new.keys() - old.keys():
+            where[c].add(i)
+        if new:
+            gens[i] = new
+        else:
+            del gens[i]
+
     for row, m in zip(rows, moduli):
-        support = [(c, v % m) for c, v in row if v % m]
-        if not support:
-            continue
-        vals = [0] * len(gens)
-        for c, v in support:
-            vals = [s + v * g[c] for s, g in zip(vals, gens)]
-        vals = [s % m for s in vals]
-        live = [i for i, val in enumerate(vals) if val]
+        vals: dict[int, int] = {}
+        for c, v in row:
+            for i in where[c]:
+                vals[i] = vals.get(i, 0) + v * gens[i][c]
+        live = [(i, s % m) for i, s in vals.items() if s % m]
         if not live:
             continue
-        lead = min(live, key=lambda i: gcd(vals[i], m))
+        lead, a = min(live, key=lambda iv: (gcd(iv[1], m), len(gens[iv[0]])))
         gp = gens[lead]
-        for i in live:
+        for i, b in live:
             if i == lead:
                 continue
-            a, b, gi = vals[lead], vals[i], gens[i]
+            gi = gens[i]
             d = gcd(a, m)
             if b % d == 0:
-                # b == c * a mod m: one axpy clears the value
+                # b == c * a mod m: one axpy over the lead's support clears the value
                 c = (b // d) * pow(a // d, -1, m // d) % m
-                gi[:] = [(x - c * y) % e for x, y in zip(gi, gp)]
+                for col, y in gp.items():
+                    x = (gi.get(col, 0) - c * y) % e
+                    if x:
+                        if col not in gi:
+                            where[col].add(i)
+                        gi[col] = x
+                    elif col in gi:
+                        del gi[col]
+                        where[col].discard(i)
+                if not gi:
+                    del gens[i]
             else:
                 x, y, g = xgcd(a, b)
                 s, t = a // g, b // g
-                gi[:], gp[:] = (
-                    [(s * v - t * r) % e for r, v in zip(gp, gi)],
-                    [(x * r + y * v) % e for r, v in zip(gp, gi)],
-                )
-                vals[lead] = g
-        s = m // gcd(vals[lead], m)
-        gp[:] = [(s * x) % e for x in gp]
-        if not all(any(gens[i]) for i in live):
-            gens = [g for g in gens if any(g)]
-    return hermite_mod(gens, ncols, e)
+                cols = gp.keys() | gi.keys()
+                pair = [(gp.get(col, 0), gi.get(col, 0), col) for col in cols]
+                replace(i, {col: w for r, v, col in pair if (w := (s * v - t * r) % e)})
+                replace(lead, {col: w for r, v, col in pair if (w := (x * r + y * v) % e)})
+                gp, a = gens[lead], g
+        s = m // gcd(a, m)
+        replace(lead, {col: w for col, v in gp.items() if (w := (s * v) % e)})
+    # free the index, then each survivor as it is written out dense; they
+    # enter last first, which reaches the canonical basis faster
+    where.clear()
+    dense = []
+    while gens:
+        vec = [0] * ncols
+        for col, v in gens.popitem()[1].items():
+            vec[col] = v
+        dense.append(vec)
+    return hermite_mod(dense, ncols, e)
 
 
 def _radix(basis: dict[int, list[int]], moduli: list[int]) -> list[int]:

@@ -21,16 +21,16 @@ order p-1):
   of the trivial rank-1 module: tables x, with the character's exponents y
   as extra columns, modulo the image of d1.  So both lattices come from
   the one builder of :mod:`cohomology`, given the rows that make y a
-  G-invariant character.  The tables x with d2(x) = y(kappa) are solved on
-  generator coordinates: once y(kappa) is a normalized 3-cocycle, the
-  values of x at the pairs led by a generating set fix x, as for cocycles,
-  and the Hermite basis is that of the kernel over every pair.  The
-  coboundary pairs are spanned by the columns of the normalized d1.  The
-  quotient comes off the two Hermite bases with
-  :func:`intmat.quotient`, which orders residues by their field values and
-  so picks the oracle's representatives.  The ``KappaPair`` tuples of
-  ``PairEnumeration.pairs`` and ``.coboundary_pairs`` are listed when they
-  are first read, and ``classify_simple`` never reads them;
+  G-invariant character.  The tables x with d2(x) = y(kappa) are the
+  sparse kernel of the rows of d2 at the triples led by a generating set,
+  with -y(kappa) in the y columns, over every pair without the unit: once
+  y(kappa) is a normalized 3-cocycle, those rows give d2(x) = y(kappa) at
+  every triple, as for cocycles.  The coboundary pairs are spanned by the
+  columns of the normalized d1.  The quotient comes off the two Hermite
+  bases with :func:`intmat.quotient`, which orders residues by their field
+  values and so picks the oracle's representatives.  The ``KappaPair``
+  tuples of ``PairEnumeration.pairs`` and ``.coboundary_pairs`` are listed
+  when they are first read, and ``classify_simple`` never reads them;
 * ``brute-force``: enumerate characters and normalized tables outright and
   filter pointwise -- the oracle for the first route.  Its pairs go to
   discrete-log vectors and :mod:`abelian` counts the quotient and picks the
@@ -122,13 +122,6 @@ def pair_mul(context: AlgebraContext, p: KappaPair, q: KappaPair) -> KappaPair:
     g1 = {k: F.mul(v, q.g1[k]) for k, v in p.g1.items()}
     g2 = tuple(F.mul(a, b) for a, b in zip(p.g2, q.g2))
     return KappaPair(g1, g2)
-
-
-def pair_power(context: AlgebraContext, p: KappaPair, n: int) -> KappaPair:
-    out = trivial_pair(context)
-    for _ in range(n):
-        out = pair_mul(context, out, p)
-    return out
 
 
 def coboundary_pair(context: AlgebraContext, psi: dict[int, object]) -> KappaPair:
@@ -439,7 +432,9 @@ def classify_simple(context: AlgebraContext) -> Classification:
     # all products of representative powers, one per quotient element
     class_pairs = [trivial_pair(context)]
     for d, rep in zip(cg.invariant_factors, cg.representatives):
-        powers = [pair_power(context, rep, t) for t in range(d)]
+        powers = [trivial_pair(context)]
+        for _ in range(d - 1):
+            powers.append(pair_mul(context, powers[-1], rep))
         class_pairs = [pair_mul(context, base, extra) for base in class_pairs for extra in powers]
     if len(class_pairs) != cg.order:
         raise InvalidPair(

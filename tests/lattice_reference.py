@@ -1,4 +1,4 @@
-"""Reference lattice routines: a general Hermite basis, the Smith form, membership.
+"""Reference lattice routines: a general Hermite basis, the Smith form, membership, a dense kernel.
 
 The library computes every lattice by modular Hermite elimination
 (``intmat.hermite_mod`` and ``intmat.kernel_mod``) and every quotient from
@@ -8,10 +8,13 @@ for the row ``e * unit``; :func:`dense` writes out the full square basis.
 The general routines below work over Z without a modulus, on dense echelon
 bases.  The tests compare the modular routines against them through
 :func:`dense` and test lattice membership with :func:`solve_in_lattice`, so
-they live here and not in the package.  The cocycle and pair lattices are
-solved in the library on generator coordinates; :func:`kernel_cocycle_lattice`
-and :func:`kernel_pair_lattice` solve them as kernels over every normalized
-coordinate, for the tests to compare with.  The library spans the
+they live here and not in the package.  The library's ``kernel_mod`` holds
+its generators sparse; :func:`dense_kernel_mod` is the same elimination on
+dense generators, which walks every generator at every row.  The library
+solves the cocycle and pair lattices on the rows of d^n led by a
+generating set only; :func:`kernel_cocycle_lattice` and
+:func:`kernel_pair_lattice` solve them with :func:`dense_kernel_mod` on
+every row, for the tests to compare with.  The library spans the
 coboundary lattices by the columns of ``cohomology.coboundary_matrix``;
 :func:`pointwise_boundary_lattice` and :func:`pointwise_pair_boundary` span
 them by pointwise coboundaries instead and never read that matrix.
@@ -19,12 +22,12 @@ them by pointwise coboundaries instead and never read that matrix.
 
 from __future__ import annotations
 
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from tfalgebra.cochains import Cochain, coboundary
 from tfalgebra.cohomology import _normalized_moduli, _normalized_tuples, coboundary_matrix
 from tfalgebra.gmodule import cyclic_module
-from tfalgebra.intmat import _leading, hermite_mod, kernel_mod, xgcd
+from tfalgebra.intmat import _leading, hermite_mod, xgcd
 from tfalgebra.pairs import coboundary_pair
 
 
@@ -247,16 +250,67 @@ def solve_in_lattice(basis: list[list[int]], vec: list[int]) -> list[int] | None
     return coeffs
 
 
+def dense_kernel_mod(
+    rows: list[list[tuple[int, int]]], moduli: list[int], ncols: int, e: int
+) -> dict[int, list[int]]:
+    """``intmat.kernel_mod`` on dense generators: every row walks every live generator.
+
+    Starts from the generators ``I`` of ``Z^ncols`` and applies one sparse
+    constraint row at a time.  The generators with a nonzero value are
+    combined into a single survivor (the one whose value has the smallest
+    gcd with the modulus leads), the survivor is scaled by
+    ``m / gcd(value, m)``, and any generator that becomes ``0 mod e`` is
+    dropped.  The survivors go to ``intmat.hermite_mod``.
+    """
+    gens = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    for row, m in zip(rows, moduli):
+        support = [(c, v % m) for c, v in row if v % m]
+        if not support:
+            continue
+        vals = [0] * len(gens)
+        for c, v in support:
+            vals = [s + v * g[c] for s, g in zip(vals, gens)]
+        vals = [s % m for s in vals]
+        live = [i for i, val in enumerate(vals) if val]
+        if not live:
+            continue
+        lead = min(live, key=lambda i: gcd(vals[i], m))
+        gp = gens[lead]
+        for i in live:
+            if i == lead:
+                continue
+            a, b, gi = vals[lead], vals[i], gens[i]
+            d = gcd(a, m)
+            if b % d == 0:
+                # b == c * a mod m: one axpy clears the value
+                c = (b // d) * pow(a // d, -1, m // d) % m
+                gi[:] = [(x - c * y) % e for x, y in zip(gi, gp)]
+            else:
+                x, y, g = xgcd(a, b)
+                s, t = a // g, b // g
+                gi[:], gp[:] = (
+                    [(s * v - t * r) % e for r, v in zip(gp, gi)],
+                    [(x * r + y * v) % e for r, v in zip(gp, gi)],
+                )
+                vals[lead] = g
+        s = m // gcd(vals[lead], m)
+        gp[:] = [(s * x) % e for x in gp]
+        if not all(any(gens[i]) for i in live):
+            gens = [g for g in gens if any(g)]
+    return hermite_mod(gens, ncols, e)
+
+
 def kernel_cocycle_lattice(module, degree: int) -> dict[int, list[int]]:
     """Hermite basis of the normalized cocycles, as the kernel of d^degree on every coordinate.
 
-    The library solves on the coordinates of the tuples led by a generating
-    set and expands; this is the kernel it replaced, one sparse row per
-    target coordinate of the normalized coboundary matrix.
+    The library keeps only the rows at the tuples led by a generating set;
+    this is the dense kernel of every row, one sparse row per target
+    coordinate of the normalized coboundary matrix.
     """
     rows = coboundary_matrix(module, degree)
     ncols = len(_normalized_moduli(module, degree))
-    return kernel_mod(rows, _normalized_moduli(module, degree + 1), ncols, lcm(*module.moduli))
+    moduli = _normalized_moduli(module, degree + 1)
+    return dense_kernel_mod(rows, moduli, ncols, lcm(*module.moduli))
 
 
 def kernel_pair_lattice(context) -> dict[int, list[int]]:
@@ -264,7 +318,8 @@ def kernel_pair_lattice(context) -> dict[int, list[int]]:
 
     The rows say that y is killed by each factor modulus and invariant under
     the action, and that d2(x) = y(kappa) at every normalized triple, read
-    off the normalized d2 of the trivial rank-1 module.
+    off the normalized d2 of the trivial rank-1 module; the library keeps
+    the triples led by a generating set only.
     """
     G, A = context.group, context.module
     m, k = context.field.unit_order, A.rank
@@ -279,7 +334,7 @@ def kernel_pair_lattice(context) -> dict[int, list[int]]:
     for t, d2row in zip(_normalized_tuples(G, 3), d2):
         kv = context.kappa.value(*t)
         rows.append([(j, -c) for j, c in enumerate(kv) if c] + [(k + c, v) for c, v in d2row])
-    return kernel_mod(rows, [m] * len(rows), k + (G.order - 1) ** 2, m)
+    return dense_kernel_mod(rows, [m] * len(rows), k + (G.order - 1) ** 2, m)
 
 
 def pointwise_boundary_lattice(module, degree: int) -> dict[int, list[int]]:

@@ -23,7 +23,14 @@ from tfalgebra.groups import (
 )
 from tfalgebra.linalg import Matrix, _comb, _matmul, _product, apply_map, bilinear_value
 
-from lattice_reference import dense, hermite_basis, lattice_index, smith_normal_form, solve_in_lattice
+from lattice_reference import (
+    dense,
+    dense_kernel_mod,
+    hermite_basis,
+    lattice_index,
+    smith_normal_form,
+    solve_in_lattice,
+)
 
 
 # -- fields -------------------------------------------------------------------
@@ -156,6 +163,27 @@ def test_hermite_mod_matches_the_reference_on_seeded_inputs():
         basis = intmat.hermite_mod(gens, n, e)
         assert list(basis) == sorted(basis)
         assert dense(basis, n, e) == hermite_basis(gens + _scaled_identity(e, n), n), (gens, e)
+
+
+def test_kernel_mod_matches_the_dense_reference_on_seeded_systems():
+    # sparse rows over one composite modulus or mixed moduli, with empty
+    # rows, coefficients that vanish modulo their row's modulus, and systems
+    # with no columns; the sparse generators must give the dense basis
+    rng = random.Random(27)
+    for trial in range(3000):
+        n, r = rng.randint(0, 14), rng.randint(0, 12)
+        if trial % 2:
+            moduli = [rng.choice((2, 3, 4, 6, 8, 9, 12)) for _ in range(r)]
+        else:
+            moduli = [rng.choice((4, 6, 8, 9, 12, 30))] * r
+        e = math.lcm(*moduli, 1) * rng.choice((1, 1, 2, 3))
+        rows = []
+        for m in moduli:
+            cols = sorted(rng.sample(range(n), rng.randint(0, min(n, 5))))
+            rows.append([(c, rng.randint(-2 * m, 2 * m)) for c in cols])
+        basis = intmat.kernel_mod(rows, moduli, n, e)
+        assert list(basis) == sorted(basis)
+        assert basis == dense_kernel_mod(rows, moduli, n, e), (rows, moduli, e)
 
 
 def test_hermite_basis_is_canonical():

@@ -1,11 +1,11 @@
-"""Cocycle and pair lattices on generator coordinates, and cohomology pins from theory.
+"""Cocycle and pair lattices from the rows led by a generating set, and cohomology pins from theory.
 
 A normalized cochain f with df(s, -) = 0 for every s in a generating set S
-is a cocycle, and its values at the tuples led by S fix it.
-``cohomology._lattices`` solves the constraints on those coordinates and
-expands the solutions; ``pairs._pair_lattices`` calls it with the
-character's exponents as extra columns.  Their Hermite bases must equal
-those of the kernels over every normalized coordinate in
+is a cocycle.  ``cohomology._lattices`` takes the cocycle lattice as the
+sparse ``intmat.kernel_mod`` of the rows of d^n at the unit-free tuples
+led by S, over the normalized coordinates; ``pairs._pair_lattices`` calls
+it with the character's exponents as extra columns.  Their Hermite bases
+must equal those of the dense kernels of every row in
 ``lattice_reference``, on a fixed list of groups and modules.  The
 coboundary lattices, spanned by the columns of the normalized coboundary
 matrix, must equal the spans of the pointwise coboundaries there, on the
@@ -125,7 +125,7 @@ def test_generating_set(name, G, size):
     assert cohomology._generating_set(group_from_table(G.table)) == S
 
 
-# -- cocycle lattices against the kernel on every coordinate ---------------------------
+# -- cocycle lattices against the dense kernel of every row --------------------------
 
 
 def _sign_module(encoding):
@@ -182,7 +182,7 @@ def test_boundary_lattice_matches_the_pointwise_coboundaries(name, module, degre
     assert B == pointwise_boundary_lattice(module, degree)
 
 
-# -- pair lattices against the kernel on every pair ----------------------------------
+# -- pair lattices against the dense kernel of every row -----------------------------
 
 
 def _seeded_twisted_context():

@@ -260,22 +260,45 @@ def test_brute_force_cap():
         enumerate_pairs(ctx, method="brute-force", cap=100)
 
 
+def _invariant_characters(module, m: int) -> int:
+    """#{G-invariant characters of ``module`` into Z/m}, counted on every exponent vector."""
+    G, count = module.group, 0
+    for y in itertools.product(range(m), repeat=module.rank):
+        killed = all(mi * yi % m == 0 for mi, yi in zip(module.moduli, y))
+        invariant = all(
+            sum(c * yj for c, yj in zip(module.act(a, gen), y)) % m == y[i]
+            for a in G.elements()
+            for i, gen in enumerate(module.generators())
+        )
+        count += killed and invariant
+    return count
+
+
 def test_consistency_bridge_with_cohomology_module():
-    """With trivial coefficients the pair classification reduces to degree-2
-    group cohomology with unit-group coefficients modulo its coboundaries."""
-    for G, p in (
-        (cyclic_group(2), 5),
-        (cyclic_group(3), 7),
-        (cyclic_group(4), 5),
-        (symmetric_group(3), 3),
-        (symmetric_group(3), 5),
-    ):
-        F = PrimeField(p)
-        ctx = trivial_context(G, trivial_module(G), F)
+    """The pair classes sit in an exact sequence with degree-2 cohomology.
+
+    With K* = Z/(p-1) acting trivially, sending a pair to its character
+    gives 0 -> H^2(G, K*) -> H/B -> {G-invariant chi with [chi o kappa] = 0
+    in H^3(G, K*)} -> 0.  With trivial kappa every invariant character
+    counts, so |H/B| = |H^2(G, Z/(p-1))| * #{G-invariant chi}; with the
+    trivial module the only character is 1.  Over D8, Q8 and A4 the pair
+    oracle does not run, so the module Z/2 there pins the pair group past
+    it.  Both sides read ``cohomology._lattices``: the pair lattices come
+    from it for the trivial rank-1 module, and so does H^2; the characters
+    are counted here by enumeration.
+    """
+    # test_generator_lattices imports this module, so it is read here
+    from test_generator_lattices import A4, D8, Q8
+
+    S3 = symmetric_group(3)
+    cases = [(cyclic_group(2), 5), (cyclic_group(3), 7), (cyclic_group(4), 5), (S3, 3), (S3, 5)]
+    cases = [(G, p, trivial_module(G)) for G, p in cases]
+    cases += [(G, p, cyclic_module(G, 2)) for G in (D8, Q8, A4) for p in (5, 7)]
+    for G, p, A in cases:
+        ctx = trivial_context(G, A, PrimeField(p))
         enum = enumerate_pairs(ctx)
-        units_module = cyclic_module(G, p - 1)
-        H2 = cohomology_group(units_module, 2)
-        assert enum.class_group.order == H2.order, (G.order, p)
+        H2 = cohomology_group(cyclic_module(G, p - 1), 2)
+        assert enum.class_group.order == H2.order * _invariant_characters(A, p - 1), (G.order, p)
         for rep in enum.class_group.representatives:
             assert is_kappa_pair(ctx, rep)[0]
 
