@@ -166,9 +166,10 @@ def _lattices(module: GModule, degree: int, kappa=None, head=()):
     generating set S, with -y(kappa(t)) in the y columns.  That is the
     whole kernel: once y is a G-invariant character, df - y(kappa) is a
     normalized cocycle, and it vanishes when it does at the tuples led by
-    S.  B is spanned by the columns of d^(degree-1), placed after the y
-    columns.  They enter :func:`intmat.hermite_mod` last column first: the
-    basis is canonical, and this order reaches it several times faster.
+    S.  B is spanned by the relations ``[(i, m_i)]`` and the columns of
+    d^(degree-1), sparse like the rows, placed after the y columns.  The
+    columns enter :func:`intmat.hermite_mod` last first: the basis is
+    canonical, and this order reaches it several times faster.
     """
     G, moduli = module.group, module.moduli
     e = lcm(*moduli)
@@ -187,13 +188,13 @@ def _lattices(module: GModule, degree: int, kappa=None, head=()):
             rows += at
             row_moduli += moduli
     Z = intmat.kernel_mod(rows, row_moduli, N, e)
-    relations = [[m if j == i else 0 for j in range(N)] for i, m in enumerate(mvec) if m != e]
+    relations = [[(i, m)] for i, m in enumerate(mvec) if m != e]
     columns = []
     if degree >= 1:
-        columns = [[0] * N for _ in _normalized_moduli(module, degree - 1)]
+        columns = [[] for _ in _normalized_moduli(module, degree - 1)]
         for r, row in enumerate(coboundary_matrix(module, degree - 1)):
             for c, v in row:
-                columns[c][width + r] = v
+                columns[c].append((width + r, v))
     return Z, intmat.hermite_mod(relations + columns[::-1], N, e)
 
 

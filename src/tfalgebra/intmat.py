@@ -7,11 +7,11 @@ arithmetic over Python ints.
 
 Every lattice the library meets contains ``e * Z^n`` for the exponent ``e``
 of its coefficients, so the one integer engine is modular Hermite
-elimination: :func:`kernel_mod` cuts out ``{x : A x == 0 mod m}`` one
-sparse constraint row at a time, on sparse generators, and
-:func:`hermite_mod` returns the canonical basis of such a lattice from
-dense rows, both keeping every entry reduced modulo ``e`` (Domich, Kannan
-and Trotter 1987; Storjohann and Mulders 1998).
+elimination on sparse rows, every entry kept reduced modulo ``e`` (Domich,
+Kannan and Trotter 1987; Storjohann and Mulders 1998).  :func:`hermite_mod`
+returns the canonical basis of such a lattice, and :func:`kernel_mod` cuts
+out ``{x : A x == 0 mod m}`` as the same elimination on an augmented
+lattice.
 :func:`lattice_residues` lists a lattice's residues in mixed radix.
 :func:`quotient` is the one quotient routine of the fast routes: it reads
 the quotient off the two Hermite bases, as digits in the columns where
@@ -22,17 +22,20 @@ coset against the subgroup's Hermite basis.  The brute-force oracles count
 and pick generators on explicit element lists in :mod:`abelian`, which uses
 nothing from here.
 
-Conventions: lattices are given by generator rows and normalized to a
-row-style Hermite basis (row echelon, positive pivots, entries above a pivot
-reduced into ``[0, pivot)``), one row per column.  A basis is held by its
-filled slots, a dict from pivot column to full-length row in increasing
+Conventions: lattices are given by sparse generator rows, lists of
+(column, value) pairs, eliminated as ``{column: value}`` maps and normalized
+to a row-style Hermite basis (row echelon, positive pivots, entries above a
+pivot reduced into ``[0, pivot)``), one row per column.  A basis is held by
+its filled slots, a dict from pivot column to full-length row in increasing
 pivot order; a column with no entry stands for the row ``e * unit``, which
 is never built.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm, prod
+from heapq import heappop, heappush
+from itertools import chain
+from math import lcm, prod
 from operator import add, mod
 
 from . import abelian
@@ -54,64 +57,94 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-def _leading(vec: list[int], start: int = 0) -> int:
-    """Index of the first nonzero entry at or after ``start``, else len(vec)."""
-    for j in range(start, len(vec)):
-        if vec[j]:
-            return j
-    return len(vec)
+def _echelon(gens, e: int) -> dict[int, dict[int, int]]:
+    """The filled slots of an echelon basis of ``span(gens) + e * Z^n``, as sparse rows.
 
-
-def hermite_mod(gens: list[list[int]], ncols: int, e: int) -> dict[int, list[int]]:
-    """Canonical Hermite basis of ``span(gens) + e * Z^ncols``, by its filled slots.
-
-    The basis is upper triangular with one row per column and every pivot
-    divides ``e``.  Elimination works modulo ``e``.  A vector entering an
+    Elimination works modulo ``e`` on sparse rows.  A vector entering an
     empty slot leaves ``y * vector`` with pivot ``g = gcd(vector[j], e)``
     there, and ``(e / g) * vector``, which vanishes in column ``j``, goes on
     to be reduced.  A vector meeting a filled slot is merged by an xgcd step
     whose residual likewise vanishes in column ``j``.  The residuals keep the
     rows below each pivot a basis of the part of the lattice they cover, so
     the rows span the lattice itself and not just its image modulo ``e``.
+    """
+    slots: dict[int, dict[int, int]] = {}
+    for gen in gens:
+        vec = {c: x for c, v in gen if (x := v % e)}
+        # the columns vec has held, as a heap: a popped column no longer in
+        # vec has cancelled
+        heap = sorted(vec)
+        while vec:
+            j = heappop(heap)
+            b = vec.get(j)
+            if b is None:
+                continue
+            row = slots.get(j)
+            if row is None:
+                _, y, g = xgcd(e, b)
+                slots[j] = {c: w for c, x in vec.items() if (w := y * x % e)}
+                s = e // g
+                vec = {c: w for c, x in vec.items() if (w := s * x % e)} if g > 1 else {}
+            elif b % row[j] == 0:
+                q = b // row[j]
+                get = vec.get
+                for c, y in row.items():
+                    x = get(c)
+                    if x is None:
+                        if w := -q * y % e:
+                            vec[c] = w
+                            heappush(heap, c)
+                    elif w := (x - q * y) % e:
+                        vec[c] = w
+                    else:
+                        del vec[c]
+            else:
+                x, y, g = xgcd(row[j], b)
+                s, t = row[j] // g, b // g
+                pair = [(c, row.get(c, 0), vec.get(c, 0)) for c in row.keys() | vec.keys()]
+                slots[j] = {c: w for c, r, v in pair if (w := (x * r + y * v) % e)}
+                vec = {c: w for c, r, v in pair if (w := (s * v - t * r) % e)}
+                heap = sorted(vec)
+    return slots
 
-    The filled rows are then normalized among themselves in pivot order.
+
+def _canonical(slots: dict[int, dict[int, int]], ncols: int, e: int) -> dict[int, list[int]]:
+    """The filled slots normalized among themselves in pivot order, written out dense.
+
     Keeping every entry modulo ``e`` adds multiples of the rows ``e * unit``,
     which is the whole reduction by the empty slots: no pivot row touches a
     column left of its pivot, so an entry in an empty column, once reduced
     modulo ``e``, is final.
     """
-    slots: dict[int, list[int]] = {}
-    for gen in gens:
-        vec = [x % e for x in gen]
-        j = _leading(vec)
-        while j < ncols:
-            row = slots.get(j)
-            b = vec[j]
-            if row is None:
-                _, y, g = xgcd(e, b)
-                slots[j] = [0] * j + [(y * x) % e for x in vec[j:]]
-                s = e // g
-                vec[j:] = [(s * x) % e for x in vec[j:]]
-            elif b % row[j] == 0:
-                q = b // row[j]
-                vec[j:] = [(x - q * y) % e for x, y in zip(vec[j:], row[j:])]
-            else:
-                a = row[j]
-                x, y, g = xgcd(a, b)
-                s, t = a // g, b // g
-                tail_r, tail_v = row[j:], vec[j:]
-                row[j:] = [(x * r + y * v) % e for r, v in zip(tail_r, tail_v)]
-                vec[j:] = [(s * v - t * r) % e for r, v in zip(tail_r, tail_v)]
-            j = _leading(vec, j + 1)
     basis = dict(sorted(slots.items()))
     rows = list(basis.values())
     for i, (p, row) in enumerate(basis.items()):
-        a, tail = row[p], row[p:]
+        a = row[p]
         for above in rows[:i]:
-            q = above[p] // a
-            if q:
-                above[p:] = [(x - q * y) % e for x, y in zip(above[p:], tail)]
-    return basis
+            if q := above.get(p, 0) // a:
+                for c, y in row.items():
+                    if w := (above.get(c, 0) - q * y) % e:
+                        above[c] = w
+                    else:
+                        above.pop(c, None)
+    out = {}
+    for p, row in basis.items():
+        out[p] = vec = [0] * ncols
+        for c, v in row.items():
+            vec[c] = v
+    return out
+
+
+def hermite_mod(gens: list[list[tuple[int, int]]], ncols: int, e: int) -> dict[int, list[int]]:
+    """Canonical Hermite basis of ``span(gens) + e * Z^ncols``, by its filled slots.
+
+    Each generator is sparse, a list of (column, value) pairs with each
+    column at most once.  The basis is upper triangular with one row per
+    column and every pivot divides ``e``.  It is eliminated and normalized
+    on sparse rows (:func:`_echelon`, :func:`_canonical`); only the filled
+    rows are written out dense.
+    """
+    return _canonical(_echelon(gens, e), ncols, e)
 
 
 def kernel_mod(
@@ -122,84 +155,28 @@ def kernel_mod(
     Each row is sparse, a list of (column, coefficient) pairs with each
     column at most once.  ``e``, a multiple of every modulus, is the
     exponent whose rows ``e * unit`` the empty slots stand for, also when
-    there are no rows.  Starts from the generators ``I`` of ``Z^ncols`` and
-    applies one constraint at a time.  The generators with a nonzero value
-    are combined into a single survivor (the one whose value has the
-    smallest gcd with the modulus leads, then the one with the fewest
-    nonzeros), the survivor is scaled by ``m / gcd(value, m)``, and any
-    generator that becomes ``0 mod e`` is dropped.  This is exact because
-    the lattice always contains ``e * Z^ncols``, so generators may be kept
-    reduced modulo ``e``.
-
-    Each generator is held sparse, as ``{column: value}``, with an index
-    from each column to the generators nonzero there, so a row reads only
-    the generators its support touches and a combination touches only the
-    supports it combines.  The survivors go to :func:`hermite_mod` as
-    dense rows.
+    there are no rows.  With ``R = len(rows)``, the kernel is the part of the
+    augmented lattice in ``Z^(R + ncols)`` spanned by the rows ``(m_r e_r,
+    0)`` and ``(column_i(A), e_i)`` and ``e * Z^(R + ncols)`` that vanishes
+    on the first ``R`` columns (Cohen, *A Course in Computational Algebraic
+    Number Theory*, ch. 2): in its echelon basis, the rows with pivot at
+    ``R`` or later, shifted left by ``R``.  Each column's generator holds
+    its coefficients in the constraint columns and a 1 in its tag column
+    ``R + i``.  The rows ``(m_r e_r, 0)`` for the moduli below ``e`` enter
+    first, then the columns, last first, which is the faster order.
     """
-    gens = {i: {i: 1} for i in range(ncols)}
-    where = [{i} for i in range(ncols)]
-
-    def replace(i, new):
-        old = gens[i]
-        for c in old.keys() - new.keys():
-            where[c].discard(i)
-        for c in new.keys() - old.keys():
-            where[c].add(i)
-        if new:
-            gens[i] = new
-        else:
-            del gens[i]
-
-    for row, m in zip(rows, moduli):
-        vals: dict[int, int] = {}
+    R = len(rows)
+    columns = [[(R + i, 1)] for i in range(ncols)]
+    for r, row in enumerate(rows):
         for c, v in row:
-            for i in where[c]:
-                vals[i] = vals.get(i, 0) + v * gens[i][c]
-        live = [(i, s % m) for i, s in vals.items() if s % m]
-        if not live:
-            continue
-        lead, a = min(live, key=lambda iv: (gcd(iv[1], m), len(gens[iv[0]])))
-        gp = gens[lead]
-        for i, b in live:
-            if i == lead:
-                continue
-            gi = gens[i]
-            d = gcd(a, m)
-            if b % d == 0:
-                # b == c * a mod m: one axpy over the lead's support clears the value
-                c = (b // d) * pow(a // d, -1, m // d) % m
-                for col, y in gp.items():
-                    x = (gi.get(col, 0) - c * y) % e
-                    if x:
-                        if col not in gi:
-                            where[col].add(i)
-                        gi[col] = x
-                    elif col in gi:
-                        del gi[col]
-                        where[col].discard(i)
-                if not gi:
-                    del gens[i]
-            else:
-                x, y, g = xgcd(a, b)
-                s, t = a // g, b // g
-                cols = gp.keys() | gi.keys()
-                pair = [(gp.get(col, 0), gi.get(col, 0), col) for col in cols]
-                replace(i, {col: w for r, v, col in pair if (w := (s * v - t * r) % e)})
-                replace(lead, {col: w for r, v, col in pair if (w := (x * r + y * v) % e)})
-                gp, a = gens[lead], g
-        s = m // gcd(a, m)
-        replace(lead, {col: w for col, v in gp.items() if (w := (s * v) % e)})
-    # free the index, then each survivor as it is written out dense; they
-    # enter last first, which reaches the canonical basis faster
-    where.clear()
-    dense = []
-    while gens:
-        vec = [0] * ncols
-        for col, v in gens.popitem()[1].items():
-            vec[col] = v
-        dense.append(vec)
-    return hermite_mod(dense, ncols, e)
+            columns[c].append((r, v))
+    relations = ([(r, m)] for r, m in enumerate(moduli) if m != e)
+    # last column first, each freed once it has entered
+    tail = {}
+    for p, row in _echelon(chain(relations, (columns.pop() for _ in range(ncols))), e).items():
+        if p >= R:
+            tail[p - R] = {c - R: v for c, v in row.items()}
+    return _canonical(tail, ncols, e)
 
 
 def _radix(basis: dict[int, list[int]], moduli: list[int]) -> list[int]:

@@ -1,9 +1,8 @@
 """Dense exact linear algebra over a field.
 
 A :class:`Matrix` is a thin wrapper around a list of rows of field elements.
-Rank, kernel, inverse and solving all go through fraction-free-enough
-Gaussian elimination in the field itself, so results are exact for both F_p
-and Q.
+Rank and inverse go through fraction-free-enough Gaussian elimination in
+the field itself, so results are exact for both F_p and Q.
 
 Entries are stored as residues; nothing downstream re-reduces.
 :func:`_residues` reads a vector as the values the field's own arithmetic
@@ -36,7 +35,7 @@ shape alone picks the path, and wider blocks always take the general loop.
 
 from __future__ import annotations
 
-from .errors import NoSolution, ShapeMismatch
+from .errors import ShapeMismatch
 from .fields import Field
 
 
@@ -132,41 +131,6 @@ class Matrix:
         if pivots != list(range(n)):
             return None
         return Matrix(F, [row[n:] for row in M])
-
-    def solve(self, rhs: list) -> list:
-        """One exact solution x of self * x == rhs (column convention).
-
-        Raises :class:`NoSolution` when the system is inconsistent.  When the
-        solution space is positive-dimensional the free coordinates are 0.
-        """
-        F = self.field
-        if len(rhs) != self.nrows:
-            raise ShapeMismatch("right-hand side length != number of rows")
-        aug = Matrix(F, [list(row) + [b] for row, b in zip(self.rows, rhs)])
-        M, pivots = aug._echelon()
-        for i in range(len(pivots), self.nrows):
-            if not F.is_zero(M[i][self.ncols]):
-                raise NoSolution("inconsistent linear system")
-        if any(p == self.ncols for p in pivots):
-            raise NoSolution("inconsistent linear system")
-        x = [F.zero] * self.ncols
-        for i, c in enumerate(pivots):
-            x[c] = M[i][self.ncols]
-        return x
-
-    def kernel(self) -> list[list]:
-        """Basis of the right kernel {x : self * x == 0}."""
-        F = self.field
-        M, pivots = self._echelon()
-        free = [c for c in range(self.ncols) if c not in pivots]
-        basis = []
-        for c in free:
-            vec = [F.zero] * self.ncols
-            vec[c] = F.one
-            for i, p in enumerate(pivots):
-                vec[p] = F.neg(M[i][c])
-            basis.append(vec)
-        return basis
 
 
 def _residues(F: Field, vec) -> list:

@@ -1,17 +1,19 @@
 """Reference lattice routines: a general Hermite basis, the Smith form, membership, a dense kernel.
 
-The library computes every lattice by modular Hermite elimination
-(``intmat.hermite_mod`` and ``intmat.kernel_mod``) and every quotient from
-the two Hermite bases (``intmat.quotient``).  The library holds a basis by
-its filled slots, a dict from pivot column to row, each empty slot standing
-for the row ``e * unit``; :func:`dense` writes out the full square basis.
-The general routines below work over Z without a modulus, on dense echelon
-bases.  The tests compare the modular routines against them through
+The library computes every lattice by one sparse modular Hermite
+elimination (``intmat.hermite_mod``, and ``intmat.kernel_mod`` as the
+Hermite basis of an augmented lattice) and every quotient from the two
+Hermite bases (``intmat.quotient``).  The library takes generators as
+sparse rows, which :func:`sparse` makes from dense ones, and holds a basis
+by its filled slots, a dict from pivot column to row, each empty slot
+standing for the row ``e * unit``; :func:`dense` writes out the full square
+basis.  The general routines below work over Z without a modulus, on dense
+echelon bases.  The tests compare the modular routines against them through
 :func:`dense` and test lattice membership with :func:`solve_in_lattice`, so
-they live here and not in the package.  The library's ``kernel_mod`` holds
-its generators sparse; :func:`dense_kernel_mod` is the same elimination on
-dense generators, which walks every generator at every row.  The library
-solves the cocycle and pair lattices on the rows of d^n led by a
+they live here and not in the package.  :func:`dense_kernel_mod` is the
+kernel by another route: dense generators, starting from ``I``, cut down
+one constraint row at a time, walking every generator at every row.  The
+library solves the cocycle and pair lattices on the rows of d^n led by a
 generating set only; :func:`kernel_cocycle_lattice` and
 :func:`kernel_pair_lattice` solve them with :func:`dense_kernel_mod` on
 every row, for the tests to compare with.  The library spans the
@@ -27,8 +29,21 @@ from math import gcd, lcm, prod
 from tfalgebra.cochains import Cochain, coboundary
 from tfalgebra.cohomology import _normalized_moduli, _normalized_tuples, coboundary_matrix
 from tfalgebra.gmodule import cyclic_module
-from tfalgebra.intmat import _leading, hermite_mod, xgcd
+from tfalgebra.intmat import hermite_mod, xgcd
 from tfalgebra.pairs import coboundary_pair
+
+
+def sparse(rows: list[list[int]]) -> list[list[tuple[int, int]]]:
+    """Dense rows as the (column, value) lists that ``intmat.hermite_mod`` takes."""
+    return [[(c, v) for c, v in enumerate(row) if v] for row in rows]
+
+
+def _leading(vec: list[int], start: int = 0) -> int:
+    """Index of the first nonzero entry at or after ``start``, else len(vec)."""
+    for j in range(start, len(vec)):
+        if vec[j]:
+            return j
+    return len(vec)
 
 
 def dense(basis: dict[int, list[int]], ncols: int, e: int) -> list[list[int]]:
@@ -253,7 +268,7 @@ def solve_in_lattice(basis: list[list[int]], vec: list[int]) -> list[int] | None
 def dense_kernel_mod(
     rows: list[list[tuple[int, int]]], moduli: list[int], ncols: int, e: int
 ) -> dict[int, list[int]]:
-    """``intmat.kernel_mod`` on dense generators: every row walks every live generator.
+    """The basis of ``intmat.kernel_mod``, on dense generators that every row walks.
 
     Starts from the generators ``I`` of ``Z^ncols`` and applies one sparse
     constraint row at a time.  The generators with a nonzero value are
@@ -297,7 +312,7 @@ def dense_kernel_mod(
         gp[:] = [(s * x) % e for x in gp]
         if not all(any(gens[i]) for i in live):
             gens = [g for g in gens if any(g)]
-    return hermite_mod(gens, ncols, e)
+    return hermite_mod(sparse(gens), ncols, e)
 
 
 def kernel_cocycle_lattice(module, degree: int) -> dict[int, list[int]]:
@@ -358,7 +373,7 @@ def pointwise_boundary_lattice(module, degree: int) -> dict[int, list[int]]:
             unit = tuple(int(j == i) % m for j in range(k))
             values = coboundary(Cochain(module, degree - 1, {t: unit})).values
             gens.append([values[c] for c in keep])
-    return hermite_mod(gens, len(mvec), e)
+    return hermite_mod(sparse(gens), len(mvec), e)
 
 
 def pointwise_pair_boundary(context) -> dict[int, list[int]]:
@@ -376,4 +391,4 @@ def pointwise_pair_boundary(context) -> dict[int, list[int]]:
             psi = {g: F.primitive_root if g == a else F.one for g in G.elements()}
             pair = coboundary_pair(context, psi)
             gens.append([F.dlog(v) for v in pair.g2] + [F.dlog(pair.g1[t]) for t in free])
-    return hermite_mod(gens, context.module.rank + len(free), F.unit_order)
+    return hermite_mod(sparse(gens), context.module.rank + len(free), F.unit_order)

@@ -236,6 +236,8 @@ def test_pair_boundary_matches_the_pointwise_coboundary_pairs(name, ctx):
         ("Q8", Q8, {1: 2, 2: 2, 3: 1}),
         ("A4", A4, {1: 0, 2: 1, 3: 2}),
         ("S4", S4, {1: 1}),
+        # H*(S3; F2) = H*(Z2; F2), restriction to a Sylow 2-subgroup
+        ("S3", S3, {1: 1, 2: 1, 3: 1}),
     ],
 )
 def test_mod_two_cohomology_dimensions(name, G, dimensions):
@@ -284,22 +286,28 @@ def _kunneth(dims_g, dims_h):
 
 
 @pytest.mark.parametrize(
-    "name,factor,p,copies,top",
-    [("Z3xZ3", cyclic_group(3), 3, 2, 4), ("Z2^3", Z2, 2, 3, 10)],
+    "name,factors,p,top",
+    [
+        ("Z3xZ3", (cyclic_group(3),) * 2, 3, 4),
+        ("Z2^3", (Z2,) * 3, 2, 10),
+        ("S3xZ2", (S3, Z2), 2, 4),
+    ],
 )
-def test_product_cohomology_follows_from_the_factors(name, factor, p, copies, top):
+def test_product_cohomology_follows_from_the_factors(name, factors, p, top):
     # Kunneth over the field F_p with trivial action (Brown, *Cohomology of
     # Groups*; Adem and Milgram, *Cohomology of Finite Groups*, ch. II).
-    # The factor's dimensions come from the library, checked by the oracle in
-    # every degree it reaches (all of Z2's, Z3's up to degree 2), so the pin
-    # reaches the product only through checked factors.
-    dims = _checked_dimensions(factor, p)
-    assert dims == [1, 1, 1, 1], name
-    G, expected = factor, dims
-    for _ in range(copies - 1):
-        G, expected = direct_product(G, factor), _kunneth(expected, dims)
+    # Each factor's dimensions come from the library, checked by the oracle in
+    # every degree it reaches (all of Z2's, Z3's up to degree 2, S3's only up
+    # to degree 1), so the pin reaches the product only through checked
+    # factors.  Every factor here has dimension 1 in each degree, S3 by
+    # Adem and Milgram (H*(S3; F2) = H*(Z2; F2)).
+    dims = [_checked_dimensions(factor, p) for factor in factors]
+    assert all(d == [1, 1, 1, 1] for d in dims), name
+    G, expected = factors[0], dims[0]
+    for factor, d in zip(factors[1:], dims[1:]):
+        G, expected = direct_product(G, factor), _kunneth(expected, d)
     # C(n + k - 1, n) for Z_p^k, the count perfbench/ladder.py cites: 4 and 10
-    # in degree 3
+    # in degree 3; and 1 + 1 + 1 + 1 for S3 x Z2
     assert expected[3] == top
     A = cyclic_module(G, p)
     for n, dim in enumerate(expected):

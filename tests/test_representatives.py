@@ -28,7 +28,7 @@ from tfalgebra.fields import factorize
 from tfalgebra.gmodule import GModule, cyclic_module
 from tfalgebra.groups import cyclic_group, direct_product, symmetric_group
 
-from lattice_reference import dense, lattice_index, solve_in_lattice
+from lattice_reference import dense, lattice_index, solve_in_lattice, sparse
 from test_cochains import s3_sign_module
 from test_pairs_listing import listing_contexts
 
@@ -56,7 +56,7 @@ def test_coset_minimum_matches_brute_force(moduli):
     relations = [[m if i == j else 0 for j in range(n)] for i, m in enumerate(moduli) if m != e]
     for _ in range(6):
         gens = relations + [[rng.randrange(e) for _ in range(n)] for _ in range(rng.randrange(3))]
-        basis = intmat.hermite_mod(gens, n, e)
+        basis = intmat.hermite_mod(sparse(gens), n, e)
         subgroup = _closure(gens, moduli)
         values = list(range(max(moduli)))
         rng.shuffle(values)
@@ -86,8 +86,9 @@ def _draw_lattices(rng, odd):
     relations = [[m if i == j else 0 for j in range(n)] for i, m in enumerate(moduli) if m != e]
     gens = [[rng.randrange(e) for _ in range(n)] for _ in range(rng.randint(1, n + 1))]
     coeffs = [rng.randrange(e) for _ in gens]
-    big = intmat.hermite_mod(relations + gens, n, e)
-    small = intmat.hermite_mod(relations + [[c * x for x in g] for c, g in zip(coeffs, gens)], n, e)
+    big = intmat.hermite_mod(sparse(relations + gens), n, e)
+    scaled = [[c * x for x in g] for c, g in zip(coeffs, gens)]
+    small = intmat.hermite_mod(sparse(relations + scaled), n, e)
     return big, small, moduli
 
 
@@ -142,7 +143,7 @@ def _assert_direct_sum_basis(big, small, moduli, factors, reps, values=None):
         for p in factorize(d):
             assert solve_in_lattice(small_rows, [(d // p) * x for x in rep]) is None
     assert lattice_index(small_rows) == prod(factors) * lattice_index(dense(big, n, e))
-    spanned = intmat.hermite_mod(list(small.values()) + [list(r) for r in reps], n, e)
+    spanned = intmat.hermite_mod(sparse(list(small.values()) + [list(r) for r in reps]), n, e)
     assert spanned == big
 
 
