@@ -19,15 +19,16 @@ group action on the leading slot:
     d2(f)(x,y,z)    = (x.f(y,z)) * f(xy,z)^-1 * f(x,yz) * f(x,y)^-1
     d3(f)(x,y,z,w)  = (x.f(y,z,w)) * f(xy,z,w)^-1 * f(x,yz,w) * f(x,y,zw)^-1 * f(x,y,z)
 
-All four are one walk over :func:`face_plan`: the leading face acts on the
-tail of the target tuple, face i merges slots i-1 and i with sign (-1)^i,
-and the last face drops the last slot with sign (-1)^(n+1).
+All four are summed from the cochain's nonzero values by
+:func:`coboundary_values`: the value at u reaches (g, u) through the leading
+face, acted on by g, every target whose slots i-1 and i multiply to u[i-1]
+through face i with sign (-1)^i, and (u, g) through the last face with sign
+(-1)^(n+1).
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from operator import mul
 from types import MappingProxyType
 
 from .errors import ContextMismatch, DegreeOutOfRange, NotACocycle, NotNormalized, ShapeMismatch
@@ -146,40 +147,40 @@ class Cochain:
         return f"Cochain(degree={self.degree}, support={sum(map(any, self.entries()))})"
 
 
-def face_plan(group, degree: int):
-    """The faces of d^degree, one entry per target tuple in tuple order.
+def coboundary_values(module: GModule, degree: int, vec) -> list[int]:
+    """The flat exponent vector of d(vec), reduced, summed from vec's nonzero coordinates.
 
-    An entry is (t, tail, faces): the target tuple t, the source index of its
-    tail t[1:] (the face acted on by t[0]), and the (source index, sign) of
-    every other face, in digits of the target's own index T: the tail is
-    T mod |G|^n and the last face T // |G|.  Entries are made one at a time,
-    so a single walk holds none of them; a caller that walks the plan
-    repeatedly lists it.
+    The value v at source tuple u reaches |G| targets per face: (g, u) by
+    g.v, and for face p the targets whose slot p-1 is g and whose face p is
+    u by (-1)^p v.  A target that no nonzero coordinate reaches is 0.
     """
-    n, q, table = degree, group.order, group.table
-    # per inner face i: the place value q^(n-i) of the merged slot in the
-    # source, and q^(n-i+2), which leaves the target's slots before i-1
-    inner = [(pos, q ** (n - pos), q ** (n - pos + 2), (-1) ** pos) for pos in range(1, n + 1)]
-    last_sign, top = (-1) ** (n + 1), q**n
-    for T, t in enumerate(group.tuples(n + 1)):
-        faces = [
-            ((T // high * q + table[t[pos - 1]][t[pos]]) * low + T % low, sign)
-            for pos, low, high, sign in inner
-        ]
-        faces.append((T // q, last_sign))
-        yield t, T % top, faces
-
-
-def coboundary_coordinates(module: GModule, plan, vec):
-    """The flat exponent vector of d(vec), reduced, one coordinate at a time."""
-    k, moduli, act = module.rank, module.moduli, module.action
-    for t, tail, faces in plan:
-        M, lead = act[t[0]], vec[tail * k : tail * k + k]
-        for i in range(k):
-            acc = sum(map(mul, M[i], lead))
-            for src, sign in faces:
-                acc += sign * vec[src * k + i]
-            yield acc % moduli[i]
+    G, k, n = module.group, module.rank, degree
+    q, table, inverse = G.order, G.table, G.inverse
+    out = [0] * (k * q ** (n + 1))
+    # per source factor j: the offset of (g, u)'s factor i from u's j, and g.e_j's entry i
+    lead = [[(g * q**n * k + i - j, M[i][j]) for g, M in module.action.items() for i in range(k)
+             if M[i][j]] for j in range(k)]
+    # per face p: u's place values at slots p-1 and p-2, the sign, and per value a
+    # of u's slot p-1 the offsets of the targets' slots p-1 and p, (g, g^-1 a); the
+    # last face appends g to u
+    faces = []
+    for p in range(1, n + 1):
+        low = q ** (n - p)
+        offsets = [[(g * q + table[inverse[g]][a]) * low * k for g in range(q)] for a in range(q)]
+        faces.append((low, low * q, (-1) ** p, offsets))
+    faces.append((1, 1, (-1) ** (n + 1), [[g * k for g in range(q)]] * q))
+    for s, v in enumerate(vec):
+        if v:
+            U, j = divmod(s, k)
+            for off, a in lead[j]:
+                out[s + off] += a * v
+            for low, high, sign, offsets in faces:
+                base, sv = (U // high * q * high + U % low) * k + j, sign * v
+                for off in offsets[U // low % q]:
+                    out[base + off] += sv
+    for i, m in enumerate(module.moduli):
+        out[i::k] = [x % m for x in out[i::k]]
+    return out
 
 
 def coboundary(c: Cochain) -> Cochain:
@@ -187,13 +188,12 @@ def coboundary(c: Cochain) -> Cochain:
     n = c.degree
     if n > 3:
         raise DegreeOutOfRange(f"no coboundary implemented above degree 3 (got {n})")
-    vec = list(coboundary_coordinates(c.module, face_plan(c.module.group, n), c.values))
-    return Cochain.from_vector(c.module, n + 1, vec)
+    return Cochain.from_vector(c.module, n + 1, coboundary_values(c.module, n, c.values))
 
 
-def _violation(module: GModule, degree: int, plan, values) -> tuple | None:
-    """The first (degree+1)-tuple where the walk of ``plan`` on ``values`` is nontrivial."""
-    for pos, x in enumerate(coboundary_coordinates(module, plan, values)):
+def _violation(module: GModule, degree: int, values) -> tuple | None:
+    """The first (degree+1)-tuple where the coboundary of ``values`` is nontrivial."""
+    for pos, x in enumerate(coboundary_values(module, degree, values)):
         if x:
             return next(islice(module.group.tuples(degree + 1), pos // module.rank, None))
     return None
@@ -203,7 +203,7 @@ def is_cocycle(c: Cochain) -> tuple[bool, tuple | None]:
     """Is the coboundary identically trivial?  Returns (flag, first witness)."""
     if c.degree > 3:
         raise DegreeOutOfRange("cocycle test only defined for degrees 0..3")
-    witness = _violation(c.module, c.degree, face_plan(c.module.group, c.degree), c.values)
+    witness = _violation(c.module, c.degree, c.values)
     return witness is None, witness
 
 

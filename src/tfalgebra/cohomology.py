@@ -12,14 +12,16 @@ Two independent computations of H^n = ker(d^n) / im(d^{n-1}) for n <= 3:
   df = 0, by dd f(s, h, -) = 0 and induction on word length.  One builder
   gives both Hermite bases, here and for the pair group of :mod:`pairs`,
   and :func:`intmat.quotient` reads the quotient off them.
-  The representatives are zero-padded and checked on one face plan, and
-  the orders are those of the full complex.
+  The representatives are zero-padded and checked by
+  :func:`cochains.coboundary_values` at every tuple of the full complex,
+  and the orders are those of the full complex.
 
 * :func:`brute_force_cohomology` enumerates every cochain below a size cap,
-  filters the cocycles and lists the coboundaries by walking the pointwise
-  face plan of :mod:`cochains` (the walk behind :func:`cochains.coboundary`),
-  and hands the explicit lists to :mod:`abelian`, which reads off the group
-  structure by counting and picks generators.  It exists to validate the
+  filters the cocycles and lists the coboundaries by walking its own
+  :func:`face_plan`, which gathers every face at every target tuple where
+  the library's coboundary scatters from the source, and hands the
+  explicit lists to :mod:`abelian`, which reads off the group structure by
+  counting and picks generators.  It exists to validate the
   normal-form path and shares none of its linear algebra: it counts on the
   full complex, picks the representatives among the tables that vanish at
   the tuples with the unit, and :func:`coboundary_matrix` computes its
@@ -44,10 +46,11 @@ from __future__ import annotations
 
 import itertools
 from math import lcm
+from operator import mul
 
 from . import abelian, intmat
 from ._record import _FrozenRecord
-from .cochains import Cochain, _violation, coboundary_coordinates, face_plan
+from .cochains import Cochain, _tuple_index, _violation
 from .errors import DegreeOutOfRange, NotACocycle, TooLarge
 from .gmodule import DEFAULT_ENUM_CAP, GModule
 
@@ -232,14 +235,16 @@ def cohomology_group(module: GModule, degree: int) -> CohomologyGroup:
         return CohomologyGroup(module, degree, (), (), degenerate, degenerate)
     Z, B = _lattices(module, degree)
     factors, reps, z_order, b_order = intmat.quotient(Z, B, mvec)
-    k = module.rank
-    tuples = list(_normalized_tuples(module.group, degree))
-    plan = list(face_plan(module.group, degree))
+    k, q = module.rank, module.group.order
+    # the full-layout position of each unit-free tuple's first coordinate
+    starts = [_tuple_index(q, degree, t) * k for t in _normalized_tuples(module.group, degree)]
     cochains = []
     for vec in reps:
-        values = (tuple(vec[s : s + k]) for s in range(0, len(vec), k))
-        c = Cochain(module, degree, dict(zip(tuples, values)))
-        witness = _violation(module, degree, plan, c.values)
+        values = [0] * (k * q**degree)
+        for start, s in zip(starts, range(0, len(vec), k)):
+            values[start : start + k] = vec[s : s + k]
+        c = Cochain.from_vector(module, degree, values)
+        witness = _violation(module, degree, c.values)
         if witness is not None:
             raise NotACocycle(f"representative is not a cocycle (violated at {witness})", witness)
         cochains.append(c)
@@ -255,6 +260,42 @@ def cohomology_group(module: GModule, degree: int) -> CohomologyGroup:
 
 def _moduli_vector(module: GModule, degree: int) -> list[int]:
     return list(module.moduli) * module.group.order**degree
+
+
+def face_plan(group, degree: int):
+    """The faces of d^degree, one entry per target tuple in tuple order.
+
+    An entry is (t, tail, faces): the target tuple t, the source index of its
+    tail t[1:] (the face acted on by t[0]), and the (source index, sign) of
+    every other face, in digits of the target's own index T: the tail is
+    T mod |G|^n and the last face T // |G|.  Entries are made one at a time,
+    so a single walk holds none of them; a caller that walks the plan
+    repeatedly lists it.
+    """
+    n, q, table = degree, group.order, group.table
+    # per inner face i: the place value q^(n-i) of the merged slot in the
+    # source, and q^(n-i+2), which leaves the target's slots before i-1
+    inner = [(pos, q ** (n - pos), q ** (n - pos + 2), (-1) ** pos) for pos in range(1, n + 1)]
+    last_sign, top = (-1) ** (n + 1), q**n
+    for T, t in enumerate(group.tuples(n + 1)):
+        faces = [
+            ((T // high * q + table[t[pos - 1]][t[pos]]) * low + T % low, sign)
+            for pos, low, high, sign in inner
+        ]
+        faces.append((T // q, last_sign))
+        yield t, T % top, faces
+
+
+def coboundary_coordinates(module: GModule, plan, vec):
+    """The flat exponent vector of d(vec), reduced, one coordinate at a time."""
+    k, moduli, act = module.rank, module.moduli, module.action
+    for t, tail, faces in plan:
+        M, lead = act[t[0]], vec[tail * k : tail * k + k]
+        for i in range(k):
+            acc = sum(map(mul, M[i], lead))
+            for src, sign in faces:
+                acc += sign * vec[src * k + i]
+            yield acc % moduli[i]
 
 
 def brute_force_cohomology(

@@ -7,18 +7,14 @@ from math import gcd
 import pytest
 
 from tfalgebra import abelian
-from tfalgebra.cochains import (
-    Cochain,
-    coboundary,
-    coboundary_coordinates,
-    face_plan,
-    is_cocycle,
-)
+from tfalgebra.cochains import Cochain, coboundary, is_cocycle
 from tfalgebra.cohomology import (
     _normalized_tuples,
     brute_force_cohomology,
+    coboundary_coordinates,
     coboundary_matrix,
     cohomology_group,
+    face_plan,
 )
 from tfalgebra.errors import DegreeOutOfRange, TooLarge
 from tfalgebra.gmodule import DEFAULT_ENUM_CAP, GModule, cyclic_module, trivial_module
@@ -58,6 +54,42 @@ def test_matrix_matches_pointwise_coboundary():
                 assert y == [v for t in tgt for v in dc.value(*t)], (A, n)
                 # the normalized cochains form a subcomplex
                 assert dc == Cochain(A, n + 1, {t: dc.value(*t) for t in tgt}), (A, n)
+
+
+def test_scatter_matches_the_oracle_gather_walk():
+    # the library's coboundary sums d(c) from c's nonzero coordinates; the
+    # oracle gathers every face at every target tuple
+    S3, Z4 = symmetric_group(3), cyclic_group(4)
+    modules = [
+        GModule(cyclic_group(3), ()),
+        s3_sign_module(3),
+        GModule(cyclic_group(2), (3, 3), action={0: [[1, 0], [0, 1]], 1: [[0, 1], [1, 0]]}),
+        # odd elements add twice the Z/2 coordinate to the Z/4 one
+        GModule(Z4, (2, 4), action={g: [[1, 0], [2 * (g % 2), 1]] for g in Z4.elements()}),
+        GModule(S3, (6, 4)),
+    ]
+    rng = random.Random(33)
+    checked = 0
+    for A in modules:
+        G, k = A.group, A.rank
+        for n in range(4):
+            size = k * G.order**n
+            cochains = [Cochain.random(A, n, rng) for _ in range(3)]
+            if n:
+                cochains.append(coboundary(Cochain.random(A, n - 1, rng)))
+            # one nonzero coordinate, so that its faces' targets are checked on their own
+            for s in rng.sample(range(size), min(3, size)):
+                vec = [0] * size
+                vec[s] = rng.randrange(1, A.moduli[s % k])
+                cochains.append(Cochain.from_vector(A, n, vec))
+            for c in cochains:
+                d = list(coboundary_coordinates(A, face_plan(G, n), c.values))
+                first = next((pos // k for pos, x in enumerate(d) if x), None)
+                witness = None if first is None else list(G.tuples(n + 1))[first]
+                assert coboundary(c).values == tuple(d), (A, n, c.values)
+                assert is_cocycle(c) == (first is None, witness), (A, n, c.values)
+                checked += 1
+    assert checked == 118
 
 
 def test_h0_is_invariants():
