@@ -198,7 +198,7 @@ def _lattices(module: GModule, degree: int, kappa=None, head=()):
         for r, row in enumerate(coboundary_matrix(module, degree - 1)):
             for c, v in row:
                 columns[c].append((width + r, v))
-    return Z, intmat.hermite_mod(relations + columns[::-1], N, e)
+    return Z, intmat.hermite_mod(relations + columns[::-1], e)
 
 
 def _degenerate_order(module: GModule, degree: int) -> int:

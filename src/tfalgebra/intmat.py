@@ -26,17 +26,19 @@ Conventions: lattices are given by sparse generator rows, lists of
 (column, value) pairs, eliminated as ``{column: value}`` maps and normalized
 to a row-style Hermite basis (row echelon, positive pivots, entries above a
 pivot reduced into ``[0, pivot)``), one row per column.  A basis is held by
-its filled slots, a dict from pivot column to full-length row in increasing
-pivot order; a column with no entry stands for the row ``e * unit``, which
-is never built.
+its filled slots, a dict from pivot column to sparse row in increasing pivot
+order.  Each row is the ``{column: value}`` map of its nonzero entries, none
+left of its pivot, and is never written out dense; a column with no slot
+stands for the row ``e * unit``, which is never built.  Only vectors are
+dense: residues, coset minima and the lifts of quotient classes.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from heapq import heappop, heappush
 from itertools import chain
 from math import lcm, prod
-from operator import add, mod
 
 from . import abelian
 from .errors import NoSolution, ShapeMismatch
@@ -108,13 +110,13 @@ def _echelon(gens, e: int) -> dict[int, dict[int, int]]:
     return slots
 
 
-def _canonical(slots: dict[int, dict[int, int]], ncols: int, e: int) -> dict[int, list[int]]:
-    """The filled slots normalized among themselves in pivot order, written out dense.
+def _canonical(slots: dict[int, dict[int, int]], e: int) -> dict[int, dict[int, int]]:
+    """The filled slots normalized among themselves, in increasing pivot order.
 
     Keeping every entry modulo ``e`` adds multiples of the rows ``e * unit``,
     which is the whole reduction by the empty slots: no pivot row touches a
     column left of its pivot, so an entry in an empty column, once reduced
-    modulo ``e``, is final.
+    modulo ``e``, is final.  A row stores no zero.
     """
     basis = dict(sorted(slots.items()))
     rows = list(basis.values())
@@ -127,29 +129,24 @@ def _canonical(slots: dict[int, dict[int, int]], ncols: int, e: int) -> dict[int
                         above[c] = w
                     else:
                         above.pop(c, None)
-    out = {}
-    for p, row in basis.items():
-        out[p] = vec = [0] * ncols
-        for c, v in row.items():
-            vec[c] = v
-    return out
+    return basis
 
 
-def hermite_mod(gens: list[list[tuple[int, int]]], ncols: int, e: int) -> dict[int, list[int]]:
-    """Canonical Hermite basis of ``span(gens) + e * Z^ncols``, by its filled slots.
+def hermite_mod(gens: list[list[tuple[int, int]]], e: int) -> dict[int, dict[int, int]]:
+    """Canonical Hermite basis of ``span(gens) + e * Z^n``, by its filled slots.
 
     Each generator is sparse, a list of (column, value) pairs with each
     column at most once.  The basis is upper triangular with one row per
     column and every pivot divides ``e``.  It is eliminated and normalized
-    on sparse rows (:func:`_echelon`, :func:`_canonical`); only the filled
-    rows are written out dense.
+    on sparse rows (:func:`_echelon`, :func:`_canonical`), and each filled
+    row is returned as its ``{column: value}`` map.
     """
-    return _canonical(_echelon(gens, e), ncols, e)
+    return _canonical(_echelon(gens, e), e)
 
 
 def kernel_mod(
     rows: list[list[tuple[int, int]]], moduli: list[int], ncols: int, e: int
-) -> dict[int, list[int]]:
+) -> dict[int, dict[int, int]]:
     """Canonical Hermite basis of ``{x : rows[r] . x == 0 mod moduli[r]}``, by its filled slots.
 
     Each row is sparse, a list of (column, coefficient) pairs with each
@@ -176,10 +173,10 @@ def kernel_mod(
     for p, row in _echelon(chain(relations, (columns.pop() for _ in range(ncols))), e).items():
         if p >= R:
             tail[p - R] = {c - R: v for c, v in row.items()}
-    return _canonical(tail, ncols, e)
+    return _canonical(tail, e)
 
 
-def _radix(basis: dict[int, list[int]], moduli: list[int]) -> list[int]:
+def _radix(basis: dict[int, dict[int, int]], moduli: list[int]) -> list[int]:
     """``m_j / pivot_j`` for every column, an empty slot's pivot being ``e = lcm(moduli)``.
 
     Raises ShapeMismatch when a pivot does not divide its modulus, that is,
@@ -195,8 +192,15 @@ def _radix(basis: dict[int, list[int]], moduli: list[int]) -> list[int]:
     return out
 
 
+def _axpy(vec, c: int, row: dict[int, int], moduli: list[int]):
+    """Add ``c * row`` to ``vec`` in place over the sparse row's entries, modulo the moduli."""
+    for col, y in row.items():
+        vec[col] = (vec[col] + c * y) % moduli[col]
+    return vec
+
+
 def lattice_residues(
-    basis: dict[int, list[int]], moduli: list[int], cap: int
+    basis: dict[int, dict[int, int]], moduli: list[int], cap: int
 ) -> list[tuple[int, ...]] | None:
     """Every residue of a lattice modulo ``diag(moduli)``, or None beyond ``cap``.
 
@@ -211,15 +215,13 @@ def lattice_residues(
         return None
     out = [tuple(0 for _ in moduli)]
     for j, row in basis.items():
-        if radix[j] == 1:
-            continue
-        shifts = [tuple((c * x) % m for x, m in zip(row, moduli)) for c in range(radix[j])]
-        out = [tuple(map(mod, map(add, v, shift), moduli)) for shift in shifts for v in out]
+        if radix[j] > 1:
+            out = [tuple(_axpy(list(v), c, row, moduli)) for c in range(radix[j]) for v in out]
     return out
 
 
 def coset_minimum(
-    basis: dict[int, list[int]], vec, moduli: list[int], values: list | None = None
+    basis: dict[int, dict[int, int]], vec, moduli: list[int], values: list | None = None
 ) -> tuple[int, ...]:
     """The smallest residue of ``vec + lattice`` modulo ``diag(moduli)``.
 
@@ -238,24 +240,25 @@ def coset_minimum(
         else:
             c = min(range(m // p), key=lambda c: values[(x + c * p) % m])
         if c:
-            out[j:] = [(a + c * b) % mm for a, b, mm in zip(out[j:], row[j:], moduli[j:])]
+            _axpy(out, c, row, moduli)
     return tuple(out)
 
 
 def quotient(
-    big: dict[int, list[int]],
-    small: dict[int, list[int]],
+    big: dict[int, dict[int, int]],
+    small: dict[int, dict[int, int]],
     moduli: list[int],
     values: list | None = None,
 ) -> tuple[list[int], list[tuple[int, ...]], int, int]:
     """Structure of (lattice big)/(lattice small), both containing diag(moduli) Z^n.
 
-    ``big`` and ``small`` hold the filled slots of Hermite bases with
-    ``small`` inside ``big``; an empty slot stands for the row ``e * unit``
-    for ``e = lcm(moduli)``.  Returns ``(factors, reps, big_order,
-    small_order)``: the invariant factors in increasing order, one
-    representative per factor, and the orders of both lattices modulo
-    ``diag(moduli)``.
+    ``big`` and ``small`` hold the filled slots of Hermite bases; an empty
+    slot stands for the row ``e * unit`` for ``e = lcm(moduli)``.  Returns
+    ``(factors, reps, big_order, small_order)``: the invariant factors in
+    increasing order, one representative per factor, and the orders of both
+    lattices modulo ``diag(moduli)``.  Raises NoSolution when a row of
+    ``small`` does not reduce to zero against ``big``, that is, when
+    ``small`` is not inside ``big``.
 
     Only the columns ``J`` where the pivots differ carry the quotient, and
     each is filled in ``big``.  Written in ``big``'s coordinates, ``small``
@@ -272,37 +275,38 @@ def quotient(
     n = len(moduli)
     big_radix, small_radix = _radix(big, moduli), _radix(small, moduli)
     e = lcm(*moduli)
-    ratio = []
-    for b, s in zip(big_radix, small_radix):
-        t, r = divmod(b, s)
-        if r:
-            raise NoSolution("small lattice is not contained in the big lattice")
-        ratio.append(t)
+    # each row of small reduces to zero against big
+    for row in small.values():
+        vec = {c: w for c, x in row.items() if (w := x % moduli[c])}
+        while vec:
+            j = min(vec)
+            b = big.get(j)
+            if b is None or vec[j] % b[j]:
+                raise NoSolution("small lattice is not contained in the big lattice")
+            q = vec[j] // b[j]
+            for c, y in b.items():
+                if w := (vec.get(c, 0) - q * y) % moduli[c]:
+                    vec[c] = w
+                else:
+                    vec.pop(c, None)
+    ratio = [b // s for b, s in zip(big_radix, small_radix)]
     J = [j for j, t in enumerate(ratio) if t > 1]
 
-    # an empty slot's row e * unit vanishes modulo the moduli
-    zero_row = [0] * n
-
     def digits(vec):
-        """The digits of ``vec``'s class, reducing left to right against both bases."""
-        vec = [x % m for x, m in zip(vec, moduli)]
+        """The digits of ``vec``, a multiple of a row of ``big``, reduced against both bases."""
         out = []
         for j, b in big.items():
-            a, r = divmod(vec[j], b[j])
-            if r:
-                raise NoSolution("small lattice is not contained in the big lattice")
-            q, c = divmod(a, ratio[j])
-            if a:
-                tail = zip(vec[j:], b[j:], small.get(j, zero_row)[j:], moduli[j:])
-                vec[j:] = [(x - c * y - q * z) % m for x, y, z, m in tail]
+            q, c = divmod(vec[j] // b[j], ratio[j])
+            if q or c:
+                _axpy(_axpy(vec, -c, b, moduli), -q, small.get(j, {}), moduli)
             if ratio[j] > 1:
                 out.append(c)
         return out
 
     carries = {}
     for i, j in enumerate(J):
-        rest = digits([ratio[j] * x for x in big[j]])
-        carries[i] = [0] * i + [ratio[j]] + [-c % e for c in rest[i + 1 :]]
+        rest = digits(_axpy(defaultdict(int), ratio[j], big[j], moduli))
+        carries[i] = {i: ratio[j]} | {k: -c % e for k, c in enumerate(rest) if k > i and c}
     ek = [e] * len(J)
 
     def canon(c):
@@ -312,7 +316,7 @@ def quotient(
     elements = [((), [0] * n)]
     for j in J:
         elements = [
-            (q + (c,), [(x + c * y) % m for x, y, m in zip(v, big[j], moduli)])
+            (q + (c,), _axpy(list(v), c, big[j], moduli))
             for q, v in elements
             for c in range(ratio[j])
         ]

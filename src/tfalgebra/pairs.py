@@ -401,8 +401,8 @@ def _solve_mod(
     ``m * unit``, whose pivot is 1 only over F_2, where m = 1.
     """
     aug = [[(0, -b)] + [(c + 1, v) for c, v in row] for row, b in zip(rows, rhs)]
-    top = intmat.kernel_mod(aug, [m] * len(aug), ncols + 1, m).get(0, [m] + [0] * ncols)
-    return top[1:] if top[0] == 1 else None
+    top = intmat.kernel_mod(aug, [m] * len(aug), ncols + 1, m).get(0, {0: m})
+    return [top.get(c, 0) for c in range(1, ncols + 1)] if top[0] == 1 else None
 
 
 class Classification(_FrozenRecord):

@@ -1,23 +1,23 @@
 """Reference lattice routines: a general Hermite basis, the Smith form, membership, a dense kernel.
 
-The library computes every lattice by one sparse modular Hermite
-elimination (``intmat.hermite_mod``, and ``intmat.kernel_mod`` as the
-Hermite basis of an augmented lattice) and every quotient from the two
-Hermite bases (``intmat.quotient``).  The library takes generators as
-sparse rows, which :func:`sparse` makes from dense ones, and holds a basis
-by its filled slots, a dict from pivot column to row, each empty slot
-standing for the row ``e * unit``; :func:`dense` writes out the full square
-basis.  The general routines below work over Z without a modulus, on dense
-echelon bases.  The tests compare the modular routines against them through
-:func:`dense` and test lattice membership with :func:`solve_in_lattice`, so
-they live here and not in the package.  :func:`dense_kernel_mod` is the
-kernel by another route: dense generators, starting from ``I``, cut down
-one constraint row at a time, walking every generator at every row.  The
-library solves the cocycle and pair lattices on the rows of d^n led by a
-generating set only; :func:`kernel_cocycle_lattice` and
-:func:`kernel_pair_lattice` solve them with :func:`dense_kernel_mod` on
-every row, for the tests to compare with.  The library spans the
-coboundary lattices by the columns of ``cohomology.coboundary_matrix``;
+The library computes every lattice by one sparse modular Hermite elimination
+(``intmat.hermite_mod``, and ``intmat.kernel_mod`` as the Hermite basis of
+an augmented lattice) and every quotient from the two Hermite bases
+(``intmat.quotient``).  The library takes generators as sparse rows, which
+:func:`sparse` makes from dense ones, and holds a basis by its filled slots,
+a dict from pivot column to sparse ``{column: value}`` row, each empty slot
+standing for the row ``e * unit``; :func:`dense` writes the full square
+basis out dense.  The general routines below work over Z without a modulus,
+on dense echelon bases.  The tests compare the modular routines against them
+through :func:`dense` and test lattice membership with
+:func:`solve_in_lattice`, so they live here and not in the package.
+:func:`dense_kernel_mod` is the kernel by another route: dense generators,
+starting from ``I``, cut down one constraint row at a time, walking every
+generator at every row.  The library solves the cocycle and pair lattices on
+the rows of d^n led by a generating set only; :func:`kernel_cocycle_lattice`
+and :func:`kernel_pair_lattice` solve them with :func:`dense_kernel_mod` on
+every row, for the tests to compare with.  The library spans the coboundary
+lattices by the columns of ``cohomology.coboundary_matrix``;
 :func:`pointwise_boundary_lattice` and :func:`pointwise_pair_boundary` span
 them by pointwise coboundaries instead and never read that matrix.
 """
@@ -46,12 +46,14 @@ def _leading(vec: list[int], start: int = 0) -> int:
     return len(vec)
 
 
-def dense(basis: dict[int, list[int]], ncols: int, e: int) -> list[list[int]]:
-    """The square Hermite basis that the filled slots ``basis`` stand for.
+def dense(basis: dict[int, dict[int, int]], ncols: int, e: int) -> list[list[int]]:
+    """The square Hermite basis that the filled slots ``basis`` stand for, written out dense.
 
-    Each empty slot ``j`` holds the row ``e * unit_j``.
+    Each filled slot ``j`` holds its sparse row, and each empty slot the
+    row ``e * unit_j``.
     """
-    return [basis[j] if j in basis else [e * (c == j) for c in range(ncols)] for j in range(ncols)]
+    rows = (basis.get(j, {j: e}) for j in range(ncols))
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
 
 
 def _pivots(basis: list[list[int]]) -> list[int]:
@@ -267,7 +269,7 @@ def solve_in_lattice(basis: list[list[int]], vec: list[int]) -> list[int] | None
 
 def dense_kernel_mod(
     rows: list[list[tuple[int, int]]], moduli: list[int], ncols: int, e: int
-) -> dict[int, list[int]]:
+) -> dict[int, dict[int, int]]:
     """The basis of ``intmat.kernel_mod``, on dense generators that every row walks.
 
     Starts from the generators ``I`` of ``Z^ncols`` and applies one sparse
@@ -312,10 +314,10 @@ def dense_kernel_mod(
         gp[:] = [(s * x) % e for x in gp]
         if not all(any(gens[i]) for i in live):
             gens = [g for g in gens if any(g)]
-    return hermite_mod(sparse(gens), ncols, e)
+    return hermite_mod(sparse(gens), e)
 
 
-def kernel_cocycle_lattice(module, degree: int) -> dict[int, list[int]]:
+def kernel_cocycle_lattice(module, degree: int) -> dict[int, dict[int, int]]:
     """Hermite basis of the normalized cocycles, as the kernel of d^degree on every coordinate.
 
     The library keeps only the rows at the tuples led by a generating set;
@@ -328,7 +330,7 @@ def kernel_cocycle_lattice(module, degree: int) -> dict[int, list[int]]:
     return dense_kernel_mod(rows, moduli, ncols, lcm(*module.moduli))
 
 
-def kernel_pair_lattice(context) -> dict[int, list[int]]:
+def kernel_pair_lattice(context) -> dict[int, dict[int, int]]:
     """Hermite basis of the pair group in coordinates [y | x], as a kernel on every pair.
 
     The rows say that y is killed by each factor modulus and invariant under
@@ -352,7 +354,7 @@ def kernel_pair_lattice(context) -> dict[int, list[int]]:
     return dense_kernel_mod(rows, [m] * len(rows), k + (G.order - 1) ** 2, m)
 
 
-def pointwise_boundary_lattice(module, degree: int) -> dict[int, list[int]]:
+def pointwise_boundary_lattice(module, degree: int) -> dict[int, dict[int, int]]:
     """Hermite basis of the normalized coboundaries plus the moduli relations.
 
     The generators are ``cochains.coboundary`` of each normalized
@@ -373,10 +375,10 @@ def pointwise_boundary_lattice(module, degree: int) -> dict[int, list[int]]:
             unit = tuple(int(j == i) % m for j in range(k))
             values = coboundary(Cochain(module, degree - 1, {t: unit})).values
             gens.append([values[c] for c in keep])
-    return hermite_mod(sparse(gens), len(mvec), e)
+    return hermite_mod(sparse(gens), e)
 
 
-def pointwise_pair_boundary(context) -> dict[int, list[int]]:
+def pointwise_pair_boundary(context) -> dict[int, dict[int, int]]:
     """Hermite basis, mod p-1, of the coboundary pairs in coordinates [y | x].
 
     The generators are the discrete logs of ``pairs.coboundary_pair`` of
@@ -391,4 +393,4 @@ def pointwise_pair_boundary(context) -> dict[int, list[int]]:
             psi = {g: F.primitive_root if g == a else F.one for g in G.elements()}
             pair = coboundary_pair(context, psi)
             gens.append([F.dlog(v) for v in pair.g2] + [F.dlog(pair.g1[t]) for t in free])
-    return hermite_mod(sparse(gens), context.module.rank + len(free), F.unit_order)
+    return hermite_mod(sparse(gens), F.unit_order)

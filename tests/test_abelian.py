@@ -64,8 +64,8 @@ def _order_modulo(vec, subgroup, moduli):
 def test_explicit_quotient_agrees_with_intmat():
     moduli = [4, 2, 4]
     # both lattices contain diag(moduli) Z^3, which (0, 2, 0) completes
-    big = intmat.hermite_mod(sparse([[1, 1, 0], [0, 0, 1], [0, 2, 0]]), 3, 4)
-    small = intmat.hermite_mod(sparse([[2, 0, 2], [0, 2, 0]]), 3, 4)
+    big = intmat.hermite_mod(sparse([[1, 1, 0], [0, 0, 1], [0, 2, 0]]), 4)
+    small = intmat.hermite_mod(sparse([[2, 0, 2], [0, 2, 0]]), 4)
     factors, reps, big_order, small_order = intmat.quotient(big, small, moduli)
     elements = intmat.lattice_residues(big, moduli, 64)
     subgroup = intmat.lattice_residues(small, moduli, 64)

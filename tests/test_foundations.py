@@ -147,7 +147,12 @@ def test_modular_routines_match_smith_route():
         gens = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(rng.randint(0, 4))]
         e = rng.choice((2, 3, 4, 6, 12))
         expected = hermite_basis(gens + _scaled_identity(e, n), n)
-        assert dense(intmat.hermite_mod(sparse(gens), n, e), n, e) == expected, (gens, e)
+        assert dense(intmat.hermite_mod(sparse(gens), e), n, e) == expected, (gens, e)
+
+
+def _stores_its_entries_only(basis):
+    """No row stores a zero or a column left of its pivot, so ``==`` on bases compares lattices."""
+    return all(min(row) == p and all(row.values()) for p, row in basis.items())
 
 
 def test_hermite_mod_matches_the_reference_on_seeded_inputs():
@@ -161,8 +166,9 @@ def test_hermite_mod_matches_the_reference_on_seeded_inputs():
             [rng.randint(-2 * e, 2 * e) if rng.random() < 0.6 else 0 for _ in range(n)]
             for _ in range(rng.randint(0, 11))
         ]
-        basis = intmat.hermite_mod(sparse(gens), n, e)
+        basis = intmat.hermite_mod(sparse(gens), e)
         assert list(basis) == sorted(basis)
+        assert _stores_its_entries_only(basis), (gens, e)
         assert dense(basis, n, e) == hermite_basis(gens + _scaled_identity(e, n), n), (gens, e)
 
 
@@ -184,6 +190,7 @@ def test_kernel_mod_matches_the_dense_reference_on_seeded_systems():
             rows.append([(c, rng.randint(-2 * m, 2 * m)) for c in cols])
         basis = intmat.kernel_mod(rows, moduli, n, e)
         assert list(basis) == sorted(basis)
+        assert _stores_its_entries_only(basis), (rows, moduli, e)
         assert basis == dense_kernel_mod(rows, moduli, n, e), (rows, moduli, e)
 
 
@@ -210,14 +217,14 @@ def test_hermite_basis_is_canonical():
 
 def test_lattice_residues_lists_each_residue_once():
     moduli = [4, 2, 4]
-    basis = intmat.hermite_mod(sparse([[2, 1, 3], [0, 0, 2]]), 3, 4)
+    basis = intmat.hermite_mod(sparse([[2, 1, 3], [0, 0, 2]]), 4)
     residues = intmat.lattice_residues(basis, moduli, cap=64)
     # closure of the generators under addition mod the moduli
     closure = {(0, 0, 0)}
     frontier = list(closure)
     while frontier:
         v = frontier.pop()
-        for g in basis.values():
+        for g in dense(basis, 3, 4):
             w = tuple((a + b) % m for a, b, m in zip(v, g, moduli))
             if w not in closure:
                 closure.add(w)
@@ -236,7 +243,7 @@ def test_rank_deficient_basis_raises_without_asserts():
         "from tfalgebra import intmat\n"
         "from tfalgebra.errors import ShapeMismatch\n"
         "try:\n"
-        "    intmat.lattice_residues({0: [1, 0]}, [4, 2], 64)\n"
+        "    intmat.lattice_residues({0: {0: 1}}, [4, 2], 64)\n"
         "except ShapeMismatch:\n"
         "    print('raised')\n"
     )
@@ -247,17 +254,24 @@ def test_rank_deficient_basis_raises_without_asserts():
     )
     assert out.stdout.strip() == "raised", out.stderr
     with pytest.raises(ShapeMismatch):
-        intmat.lattice_residues({0: [1, 0]}, [4, 2], 64)
+        intmat.lattice_residues({0: {0: 1}}, [4, 2], 64)
     with pytest.raises(ShapeMismatch):
-        intmat.quotient({0: [1, 0], 1: [0, 1]}, {0: [3, 0]}, [2, 2])
+        intmat.quotient({0: {0: 1}, 1: {1: 1}}, {0: {0: 3}}, [2, 2])
     with pytest.raises(NoSolution):
-        intmat.quotient({0: [2, 0]}, {0: [1, 0]}, [2, 2])
+        intmat.quotient({0: {0: 2}}, {0: {0: 1}}, [2, 2])
+
+
+def test_quotient_refuses_a_small_lattice_with_dividing_pivots_outside_the_big_one():
+    # each pivot of (1, 0) + 2 Z^2 is a multiple of the pivot of (1, 1) +
+    # 2 Z^2 in its column, yet (1, 0) is not in the second lattice
+    with pytest.raises(NoSolution):
+        intmat.quotient({0: {0: 1, 1: 1}}, {0: {0: 1}}, [2, 2])
 
 
 def test_quotient_structure_z6():
     # Z^2 / <(2,0),(0,3)> = Z/2 x Z/3 = Z/6
-    big = {0: [1, 0], 1: [0, 1]}
-    factors, reps, big_order, small_order = intmat.quotient(big, {0: [2, 0], 1: [0, 3]}, [2, 3])
+    big = {0: {0: 1}, 1: {1: 1}}
+    factors, reps, big_order, small_order = intmat.quotient(big, {0: {0: 2}, 1: {1: 3}}, [2, 3])
     assert factors == [6]
     assert len(reps) == 1
     assert (big_order, small_order) == (6, 1)

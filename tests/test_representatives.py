@@ -56,7 +56,7 @@ def test_coset_minimum_matches_brute_force(moduli):
     relations = [[m if i == j else 0 for j in range(n)] for i, m in enumerate(moduli) if m != e]
     for _ in range(6):
         gens = relations + [[rng.randrange(e) for _ in range(n)] for _ in range(rng.randrange(3))]
-        basis = intmat.hermite_mod(sparse(gens), n, e)
+        basis = intmat.hermite_mod(sparse(gens), e)
         subgroup = _closure(gens, moduli)
         values = list(range(max(moduli)))
         rng.shuffle(values)
@@ -86,9 +86,9 @@ def _draw_lattices(rng, odd):
     relations = [[m if i == j else 0 for j in range(n)] for i, m in enumerate(moduli) if m != e]
     gens = [[rng.randrange(e) for _ in range(n)] for _ in range(rng.randint(1, n + 1))]
     coeffs = [rng.randrange(e) for _ in gens]
-    big = intmat.hermite_mod(sparse(relations + gens), n, e)
+    big = intmat.hermite_mod(sparse(relations + gens), e)
     scaled = [[c * x for x in g] for c, g in zip(coeffs, gens)]
-    small = intmat.hermite_mod(sparse(relations + scaled), n, e)
+    small = intmat.hermite_mod(sparse(relations + scaled), e)
     return big, small, moduli
 
 
@@ -124,7 +124,7 @@ def test_quotient_matches_counting_on_residues():
 def test_quotient_carries_between_digits():
     # Z^2 / <(2,1),(0,2)> = Z/4: twice (1, 0) is (2, 0) == (0, -1), which
     # carries into the second digit
-    big, small = {0: [1, 0], 1: [0, 1]}, {0: [2, 1], 1: [0, 2]}
+    big, small = {0: {0: 1}, 1: {1: 1}}, {0: {0: 2, 1: 1}, 1: {1: 2}}
     factors, reps, big_order, small_order = intmat.quotient(big, small, [4, 4])
     assert factors == [4]
     assert reps == [(1, 0)]
@@ -143,7 +143,7 @@ def _assert_direct_sum_basis(big, small, moduli, factors, reps, values=None):
         for p in factorize(d):
             assert solve_in_lattice(small_rows, [(d // p) * x for x in rep]) is None
     assert lattice_index(small_rows) == prod(factors) * lattice_index(dense(big, n, e))
-    spanned = intmat.hermite_mod(sparse(list(small.values()) + [list(r) for r in reps]), n, e)
+    spanned = intmat.hermite_mod([list(row.items()) for row in small.values()] + sparse(reps), e)
     assert spanned == big
 
 
