@@ -122,10 +122,10 @@ def _read_pair(context: AlgebraContext, pair: KappaPair) -> tuple[KappaPair, tup
             return pair, ("g2-zero", i)
         if F.power(gi, m) != F.one:
             return pair, ("g2-order", i)
-    chi = {x: pair.g2_value(F, x) for x in A.elements()}
+    # chi(a x)/chi(x) is a character of x, so in element order it first fails at its last failing generator
     for a in G.elements():
-        for x, value in chi.items():
-            if chi[A.act(a, x)] != value:
+        for x in reversed(A.generators()):
+            if pair.g2_value(F, A.act(a, x)) != pair.g2_value(F, x):
                 return pair, ("g2-invariance", a, x)
     for a, b in G.tuples(2):
         v = g1.get((a, b))
@@ -135,7 +135,9 @@ def _read_pair(context: AlgebraContext, pair: KappaPair) -> tuple[KappaPair, tup
         if g1[(a, e)] != F.one or g1[(e, a)] != F.one:
             return pair, ("g1-normalization", a)
     inv = {ab: F.inv(g1[ab]) for ab in G.tuples(2)}
-    for (a, b, c), kv in zip(G.tuples(3), context.kappa.entries()):
+    kappa = context.kappa.entries()
+    chi = {x: pair.g2_value(F, x) for x in set(kappa)}
+    for (a, b, c), kv in zip(G.tuples(3), kappa):
         ab, bc = table[a][b], table[b][c]
         d2 = F.mul(F.mul(g1[(b, c)], inv[(ab, c)]), F.mul(g1[(a, bc)], inv[(a, b)]))
         if d2 != chi[kv]:

@@ -482,6 +482,6 @@ def test_module_action_entries_compare_as_residues():
 def test_module_rejects_bad_action():
     G = cyclic_group(2)
     with pytest.raises(NotAModule):
-        GModule(G, (4,), action={0: [[1]], 1: [[2]]})  # 2 not invertible mod 4
+        GModule(G, (4,), action={0: [[1]], 1: [[2]]})  # the homomorphism check: 2 * 2 = 0, not 1, mod 4
     with pytest.raises(NotAModule):
         GModule(cyclic_group(3), (3,), action={0: [[1]], 1: [[2]], 2: [[2]]})  # not a homomorphism
