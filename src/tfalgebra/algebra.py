@@ -78,17 +78,10 @@ class KappaPair:
 
     def key(self, group) -> tuple:
         """Deterministic sort key: the g2 tuple first, then the flat g1 table."""
-        flat = tuple(
-            self.g1[(a, b)] for a in group.elements() for b in group.elements()
-        )
-        return (self.g2, flat)
+        return (self.g2, tuple(self.g1[ab] for ab in group.tuples(2)))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, KappaPair)
-            and other.g2 == self.g2
-            and other.g1 == self.g1
-        )
+        return isinstance(other, KappaPair) and other.g2 == self.g2 and other.g1 == self.g1
 
     def __repr__(self):
         support = sum(1 for v in self.g1.values() if v != 1)
@@ -127,20 +120,24 @@ def _read_pair(context: AlgebraContext, pair: KappaPair) -> tuple[KappaPair, tup
         for x in reversed(A.generators()):
             if pair.g2_value(F, A.act(a, x)) != pair.g2_value(F, x):
                 return pair, ("g2-invariance", a, x)
-    for a, b in G.tuples(2):
-        v = g1.get((a, b))
+    n, k, mul, values = G.order, A.rank, F.mul, context.kappa.values
+    flat = [g1.get(ab) for ab in G.tuples(2)]
+    for i, v in enumerate(flat):
         if v is None or F.is_zero(v):
-            return pair, ("g1-zero", a, b)
+            return pair, ("g1-zero", *divmod(i, n))
+    rows = [flat[a * n : a * n + n] for a in G.elements()]
     for a in G.elements():
-        if g1[(a, e)] != F.one or g1[(e, a)] != F.one:
+        if rows[a][e] != F.one or rows[e][a] != F.one:
             return pair, ("g1-normalization", a)
-    inv = {ab: F.inv(g1[ab]) for ab in G.tuples(2)}
-    kappa = context.kappa.entries()
-    chi = {x: pair.g2_value(F, x) for x in set(kappa)}
-    for (a, b, c), kv in zip(G.tuples(3), kappa):
-        ab, bc = table[a][b], table[b][c]
-        d2 = F.mul(F.mul(g1[(b, c)], inv[(ab, c)]), F.mul(g1[(a, bc)], inv[(a, b)]))
-        if d2 != chi[kv]:
+    # g1(b, c) g1(a, bc) = chi(kappa(a, b, c)) g1(a, b) g1(ab, c), over all (b, c) for each a
+    bcs = [bc for row in table for bc in row]
+    for a, ga in enumerate(rows):
+        lhs = [mul(x, ga[bc]) for x, bc in zip(flat, bcs)]
+        rhs = [mul(ga[b], y) for b, ab in enumerate(table[a]) for y in rows[ab]]
+        if any(seg := values[a * n * n * k : (a + 1) * n * n * k]):
+            rhs = [mul(pair.g2_value(F, seg[i : i + k]), y) for i, y in zip(range(0, n * n * k, k), rhs)]
+        if lhs != rhs:
+            b, c = divmod(next(i for i, x in enumerate(lhs) if x != rhs[i]), n)
             return pair, ("compatibility", a, b, c)
     return pair, None
 
@@ -166,9 +163,7 @@ class TFAlgebra:
 
     def __init__(self, context: AlgebraContext, dims, mult, a_action, unit, eta, phi):
         self.context = context
-        G = context.group
-        F = context.field
-        A = context.module
+        G, F, A = context.group, context.field, context.module
         self.dims = tuple(int(dims[g]) for g in G.elements())
         if any(d < 0 for d in self.dims):
             raise ShapeMismatch("negative dimension")
@@ -283,8 +278,7 @@ def mu(V: TFAlgebra, c_component: int, c_vector: list) -> dict[int, Matrix]:
 
     Returns {a: block of V_a -> V_{c a}} in the row-as-image convention.
     """
-    G = V.context.group
-    F = V.context.field
+    G, F = V.context.group, V.context.field
     if len(c_vector) != V.dims[c_component]:
         raise NotHomogeneous(
             f"vector of length {len(c_vector)} is not in component {c_component}"

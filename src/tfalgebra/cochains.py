@@ -188,7 +188,9 @@ def coboundary(c: Cochain) -> Cochain:
     n = c.degree
     if n > 3:
         raise DegreeOutOfRange(f"no coboundary implemented above degree 3 (got {n})")
-    return Cochain.from_vector(c.module, n + 1, coboundary_values(c.module, n, c.values))
+    d = Cochain.__new__(Cochain)  # coboundary_values reduces already: no second pass
+    d.module, d.degree, d.values = c.module, n + 1, tuple(coboundary_values(c.module, n, c.values))
+    return d
 
 
 def _violation(module: GModule, degree: int, values) -> tuple | None:
@@ -211,10 +213,10 @@ def is_normalized(c: Cochain) -> bool:
     """True iff every value at a tuple with the group unit in some slot is trivial."""
     if c.degree not in (2, 3):
         raise DegreeOutOfRange("normalization is defined for degrees 2 and 3")
-    e = c.module.group.identity
-    return not any(
-        any(v) for key, v in zip(c.module.group.tuples(c.degree), c.entries()) if e in key
-    )
+    # the tuples with the unit in slot s are |G|^s runs of |G|^(degree-1-s) tuples each
+    n, e, d, v = c.module.group.order, c.module.group.identity, c.degree, c.values
+    runs = ((n ** (d - 1 - s) * c.module.rank, H) for s in range(d) for H in range(n**s))
+    return not any(any(v[(H * n + e) * w : (H * n + e + 1) * w]) for w, H in runs)
 
 
 def normalize_cocycle(kappa: Cochain) -> tuple[Cochain, Cochain]:

@@ -120,19 +120,21 @@ def coboundary_transform(V: TFAlgebra, omega: Cochain) -> TFAlgebra:
     G, A, F = V.context.group, V.context.module, V.context.field
     kappa_new = coboundary(omega).mul(V.context.kappa)
     context_new = AlgebraContext(G, A, kappa_new, F)
+    n, k = G.order, A.rank
+    w = [omega.values[T * k : T * k + k] for T in range(n * n)]
 
     mult = {}
     for a in G.elements():
         for b in G.elements():
             ab = G.mul(a, b)
-            scale = V.a_action[(ab, A.inv(omega.value(a, b)))]
+            scale = V.a_action[(ab, A.inv(w[a * n + b]))]
             tensor = V.mult[(a, b)]
             mult[(a, b)] = [[apply_map(scale, vec) for vec in row] for row in tensor]
     phi = {}
     for b in G.elements():
         for a in G.elements():
             tgt = G.conj(b, a)
-            factor = A.mul(A.inv(omega.value(b, a)), omega.value(tgt, b))
+            factor = A.mul(A.inv(w[b * n + a]), w[tgt * n + b])
             phi[(b, a)] = V.phi[(b, a)].mul(V.a_action[(tgt, factor)])
     return TFAlgebra(
         context_new,

@@ -275,8 +275,10 @@ def quotient(
     n = len(moduli)
     big_radix, small_radix = _radix(big, moduli), _radix(small, moduli)
     e = lcm(*moduli)
-    # each row of small reduces to zero against big
-    for row in small.values():
+    # each row of small reduces to zero against big; one equal to big's row at its pivot does
+    for pivot, row in small.items():
+        if big.get(pivot) == row:
+            continue
         vec = {c: w for c, x in row.items() if (w := x % moduli[c])}
         while vec:
             j = min(vec)

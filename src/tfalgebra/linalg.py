@@ -1,36 +1,31 @@
 """Dense exact linear algebra over a field.
 
 A :class:`Matrix` is a thin wrapper around a list of rows of field elements.
-Rank and inverse go through fraction-free-enough Gaussian elimination in
-the field itself, so results are exact for both F_p and Q.
+Rank and inverse go through Gaussian elimination in the field itself, so
+results are exact for both F_p and Q.
 
-Entries are stored as residues; nothing downstream re-reduces.
-:func:`_residues` reads a vector as the values the field's own arithmetic
-returns (6 over F5 becomes 1, an int over Q a ``Fraction``), and
-``Matrix.__init__`` and ``TFAlgebra.__init__`` are its only callers, so two
-stored values are equal in the field exactly when they compare equal.
+Entries are stored as residues, the values the field's own arithmetic returns
+(6 over F5 becomes 1, an int over Q a ``Fraction``).  :func:`_residues` reads
+them, and ``Matrix.__init__`` and ``TFAlgebra.__init__`` are its only callers,
+so two stored values are equal in the field exactly when they compare equal,
+and nothing downstream re-reduces.
 
-Graded maps elsewhere in the library use the row-as-image convention
-(row i of a block is the image of the i-th source basis vector); see
-:func:`apply_map`.  Plain matrix algebra here is convention-free.
+Graded maps elsewhere use the row-as-image convention (row i of a block is the
+image of the i-th source basis vector); see :func:`apply_map`.
 
-Outside elimination, every field loop of the library is one of four private
-row-list functions at the end of this module: ``_comb`` (a vector times a
-list of rows), ``_product`` (two vectors through a multiplication tensor),
-``_dot`` and ``_matmul``.  ``Matrix.mul``, :func:`apply_map`,
-:func:`bilinear_value`, ``TFAlgebra.multiply`` and the verifier all call
-them, so this module is the one owner of dense field arithmetic.  They take
-plain lists and check no shapes; the caller keeps the shape contract: one
-row per coefficient (one tensor row per entry of ``u``, one vector per entry
-of ``v``), every row of width ``n``.
+Outside elimination, every field loop of the library is one of the private
+row-list functions at the end of this module: ``_comb`` (a vector times a list
+of rows), ``_product`` (two vectors through a multiplication tensor), ``_dot``,
+``_matmul``, and the fused checks ``_agree`` and ``_agree_product`` (do two
+such sums agree).  ``Matrix.mul``, :func:`apply_map`, :func:`bilinear_value`,
+``TFAlgebra.multiply`` and the verifier all call them.  They take plain lists
+and check no shapes: the caller gives one row per coefficient (one tensor row
+per entry of ``u``, one vector per entry of ``v``), every row of width ``n``.
 
-The 1x1 case is written out.  A simple algebra has only one-dimensional
-components, so every block its verifier combines is 1x1, and there the
-general loop spends most of its time on set-up for a single product.
-``_comb``, ``_product`` and ``Matrix.inverse`` compute that one term as the
-same field expression the loop would, so the value and its type are the
-loop's; ``_matmul`` of a single row skips the comprehension.  The block
-shape alone picks the path, and wider blocks always take the general loop.
+Every block of a simple algebra is 1x1, and that case is written out: it
+computes its one term as the same field expression the loop would, so value
+and type are the loop's, and a fused check compares two products without
+building a list.  The block shape alone picks the path.
 """
 
 from __future__ import annotations
@@ -48,8 +43,7 @@ class Matrix:
         self.field = field
         self.rows = [_residues(field, r) for r in rows]
         self.nrows = len(self.rows)
-        # the ncols hint matters only for empty matrices, where the row data
-        # cannot speak for itself
+        # the ncols hint matters only for empty matrices, whose rows cannot speak
         self.ncols = len(self.rows[0]) if self.rows else (ncols or 0)
         for r in self.rows:
             if len(r) != self.ncols:
@@ -62,11 +56,7 @@ class Matrix:
 
     # -- basic algebra --------------------------------------------------------
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and other.field == self.field
-            and other.rows == self.rows
-        )
+        return isinstance(other, Matrix) and other.field == self.field and other.rows == self.rows
 
     def __hash__(self):
         return hash((self.nrows, self.ncols, tuple(tuple(r) for r in self.rows)))
@@ -90,9 +80,7 @@ class Matrix:
     def _echelon(self):
         """Row echelon form (copy) and pivot column list."""
         F = self.field
-        M = list(self.rows)
-        pivots = []
-        r = 0
+        M, pivots, r = list(self.rows), [], 0
         for c in range(self.ncols):
             pivot = None
             for i in range(r, self.nrows):
@@ -119,18 +107,17 @@ class Matrix:
 
     def inverse(self) -> "Matrix | None":
         """Exact inverse, or None when singular."""
-        if self.nrows != self.ncols:
-            return None
-        F = self.field
-        n = self.nrows
-        if n == 1:
-            a = self.rows[0][0]
-            return None if F.is_zero(a) else Matrix(F, [[F.inv(a)]])
-        aug = Matrix(F, [list(self.rows[i]) + [F.one if i == j else F.zero for j in range(n)] for i in range(n)])
-        M, pivots = aug._echelon()
-        if pivots != list(range(n)):
-            return None
-        return Matrix(F, [row[n:] for row in M])
+        rows = _inverse(self.field, self.rows, self.nrows) if self.nrows == self.ncols else None
+        return None if rows is None else Matrix(self.field, rows)
+
+
+def _inverse(F: Field, rows, n: int) -> list | None:
+    """Rows of the inverse of an n x n block, or None when it is singular."""
+    if n == 1:
+        return None if F.is_zero(rows[0][0]) else [[F.inv(rows[0][0])]]
+    aug = Matrix(F, [list(rows[i]) + [F.one if i == j else F.zero for j in range(n)] for i in range(n)])
+    M, pivots = aug._echelon()
+    return [row[n:] for row in M] if pivots == list(range(n)) else None
 
 
 def _residues(F: Field, vec) -> list:
@@ -150,8 +137,7 @@ def apply_map(block: Matrix, vec: list) -> list:
 
 def bilinear_value(form: Matrix, u: list, v: list):
     """u^T * form * v."""
-    F = form.field
-    return _dot(F, _comb(F, u, form.rows, form.ncols), v)
+    return _dot(form.field, _comb(form.field, u, form.rows, form.ncols), v)
 
 
 # -- the row-list kernel ------------------------------------------------------
@@ -194,6 +180,20 @@ def _dot(F, u, v):
 
 def _matmul(F, X, Y, n: int) -> list:
     """Rows of X Y, where n is the width of Y (Y may have no rows)."""
-    if len(X) == 1:
-        return [_comb(F, X[0], Y, n)]
+    if n == 1 and len(X) == 1 and len(Y) == 1:
+        return [[F.add(F.zero, F.mul(X[0][0], Y[0][0]))]]
     return [_comb(F, row, Y, n) for row in X]
+
+
+def _agree(F, u, rows, v, others, n: int) -> bool:
+    """Whether sum_k u_k rows_k equals sum_k v_k others_k."""
+    if n == 1 and len(u) == 1 and len(v) == 1:
+        return F.mul(u[0], rows[0][0]) == F.mul(v[0], others[0][0])
+    return _comb(F, u, rows, n) == _comb(F, v, others, n)
+
+
+def _agree_product(F, u, v, tensor, w, rows, n: int) -> bool:
+    """Whether the product of u and v through tensor equals sum_k w_k rows_k."""
+    if n == 1 and len(u) == 1 and len(v) == 1 and len(w) == 1:
+        return F.mul(F.mul(u[0], v[0]), tensor[0][0][0]) == F.mul(w[0], rows[0][0])
+    return _product(F, u, v, tensor, n) == _comb(F, w, rows, n)

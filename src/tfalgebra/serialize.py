@@ -42,7 +42,7 @@ from operator import mod
 from ._record import _Record
 from .algebra import AlgebraContext, KappaPair, TFAlgebra
 from .cochains import Cochain
-from .errors import SchemaError, TFAError
+from .errors import SchemaError, TFAError, TooLarge
 from .fields import Field, PrimeField, RationalField
 from .gmodule import GModule
 from .groups import FiniteGroup
@@ -245,7 +245,10 @@ def parse_algebra(context: AlgebraContext, obj) -> TFAlgebra:
 
     # TFAlgebra makes matrices of the a_action, eta and phi blocks
     mult = blocks("mult", n, lambda a, b: (dims[a], dims[b], dims[G.mul(a, b)]))
-    elems = list(A.elements())
+    try:
+        elems = list(A.elements())
+    except TooLarge as err:
+        raise SchemaError(f"algebra.a_action: {err}", key="algebra.a_action")
     action = blocks("a_action", len(elems), lambda a, _x: (dims[a], dims[a]))
     a_action = {(a, elems[xi]): rows for (a, xi), rows in action.items()}
     unit = _array(scalar, obj["unit"], (dims[e],), "algebra.unit")

@@ -33,9 +33,14 @@ inverses and actions as lists, kappa as an index cube, the stored blocks and
 tensors as row lists), so that a product with a basis vector is a row read
 and a kappa-scalar three lookups.  The tables live for that call only.  The
 checks still run every quantifier in full.  Every combination of rows on the
-tables goes through the row-list kernel of :mod:`linalg` (``_comb``,
-``_product``, ``_dot``, ``_matmul``), the same loops that ``Matrix.mul``,
-``apply_map`` and ``TFAlgebra.multiply`` run.  Entries are stored as
+tables goes through the row-list kernel of :mod:`linalg`, the same loops that
+``Matrix.mul``, ``apply_map`` and ``TFAlgebra.multiply`` run, and each case
+of an identity (associativity, phi-mult, phi-compose, phi-module, trace, the
+lemma-1.1 identities and bilinearity) is one kernel call: a fused check
+(``_agree``, ``_agree_product``) that compares both sides, or one
+``_matmul`` or ``_comb`` compared with a stored block.  phi-module checks
+its block one row at a time, and trace forms its two blocks once per pair
+of components.  Entries are stored as
 residues (``Matrix`` and ``TFAlgebra`` reduce them once, as they store them);
 nothing downstream re-reduces.  So the tables read the stored rows as they
 are, and an entry given unreduced (6 over F5) compares as its residue in
@@ -48,7 +53,7 @@ from collections.abc import Iterator
 
 from ._record import _FrozenRecord, _Record
 from .algebra import TFAlgebra
-from .linalg import Matrix, _comb, _dot, _matmul, _product
+from .linalg import Matrix, _agree, _agree_product, _comb, _dot, _inverse, _matmul
 
 PRIMARY_TAGS = (
     "bimodule",
@@ -182,9 +187,11 @@ class _Tables:
     with product, inverse, action and kappa tables over them.  Blocks, tensors
     and the unit are the stored row lists, whose entries are residues already:
     ``mult[a][b][i][j]`` is e_i e_j and ``mcol[a][b][t][s]`` is e_s e_t.
-    Derived: ``mk[a][b][x][i][j]`` is x.(e_i e_j), ``pk[b][a][x]`` the block
-    of v -> x.phi_b(v) on V_a, and ``pm[a][i][j]`` the pairing
-    eta(e_i e_j, unit) of V_a with V_{a^-1}.
+    Derived: ``mk[a][b][x][i][j]`` is x.(e_i e_j) and ``pk[b][a][x]`` the
+    block of v -> x.phi_b(v) on V_a, for x in the subgroup kappa's values
+    generate (None at any other x); ``pm[a][i][j]`` is the pairing
+    eta(e_i e_j, unit) of V_a with V_{a^-1}, also as width-1 rows:
+    ``pt[a][i][j]`` is ``[pm[a][i][j]]`` and ``pc[a][j][i]`` the same row.
     """
 
     def __init__(self, V: TFAlgebra):
@@ -192,47 +199,44 @@ class _Tables:
         Gs, dims, mul = G.elements(), V.dims, G.table
         self.F, self.dims, self.e, self.G = F, dims, G.identity, Gs
         self.mul, self.inv = mul, G.inverse
-        self.conj = conj = [[G.conj(b, a) for a in Gs] for b in Gs]
+        self.conj = conj = [[mul[ba][binv] for ba in mul[b]] for b, binv in zip(Gs, G.inverse)]
         self.el = el = list(A.elements())
         pos = {x: k for k, x in enumerate(el)}
         self.one, self.ainv = pos[A.one()], [pos[A.inv(x)] for x in el]
         self.amul = [[pos[A.mul(x, y)] for y in el] for x in el]
         self.aact = [[pos[A.act(g, x)] for x in el] for g in Gs]
-        n, kap = G.order, [pos[v] for v in V.context.kappa.entries()]
+        # kappa's values as positions in el, by mixed radix: for rank 1 they are the positions
+        n, k, kap = G.order, A.rank, V.context.kappa.values
+        if k != 1:
+            kap, values = [0] * n**3, kap
+            for i, m in enumerate(A.moduli):
+                kap = [p * m + x for p, x in zip(kap, values[i::k])]
         self.kap = [[kap[(a * n + b) * n : (a * n + b + 1) * n] for b in Gs] for a in Gs]
         self.act = act = [[V.a_action[(a, x)].rows for x in el] for a in Gs]
         self.phi = phi = [[V.phi[(b, a)].rows for a in Gs] for b in Gs]
         self.mult = mult = [[V.mult[(a, b)] for b in Gs] for a in Gs]
         self.eta, self.unit = V.eta.rows, V.unit
         self.mcol = [[[[r[t] for r in mult[a][b]] for t in range(dims[b])] for b in Gs] for a in Gs]
-        # x.(e_i e_j) and x.phi_b(e_i), one block per module element x
-        self.mk = [[[[_matmul(F, r, K, dims[ab]) for r in mult[a][b]] for K in act[ab]]
-                    for b, ab in zip(Gs, mul[a])] for a in Gs]
-        self.pk = [[[_matmul(F, phi[b][a], K, dims[c]) for K in act[c]]
+        # x.(e_i e_j) and x.phi_b(e_i), one block per x in the subgroup that kappa's
+        # values generate: the only module elements the twisted identities act by
+        reach, gens, grown = {self.one}, set(kap), [self.one]
+        for x in grown:
+            new = {self.amul[x][g] for g in gens} - reach
+            reach |= new
+            grown += new
+        xs = [(x, x in reach) for x in range(len(el))]
+        self.mk = [[[[_matmul(F, r, act[ab][x], dims[ab]) for r in mult[a][b]] if hit else None
+                     for x, hit in xs] for b, ab in zip(Gs, mul[a])] for a in Gs]
+        self.pk = [[[_matmul(F, phi[b][a], act[c][x], dims[c]) if hit else None for x, hit in xs]
                     for a, c in zip(Gs, conj[b])] for b in Gs]
         self.ident = {d: Matrix.identity(F, d).rows for d in set(dims)}
         etau = [_dot(F, self.unit, row) for row in self.eta]
-        self.pm = [[[_dot(F, w, etau) for w in row] for row in mult[a][G.inv(a)]] for a in Gs]
+        self.pm = pm = [[[_dot(F, w, etau) for w in row] for row in mult[a][G.inv(a)]] for a in Gs]
+        self.pt = [[[[w] for w in row] for row in P] for P in pm]
+        self.pc = [[[[row[j]] for row in P] for j in range(dims[G.inverse[a]])] for a, P in zip(Gs, pm)]
         # rows of the inverse of each nonempty conjugation block, None where it has none
-        inverses = {k: M.inverse() for k, M in V.phi.items() if M.nrows}
-        self.phinv = {k: None if M is None else M.rows for k, M in inverses.items()}
-
-
-def _l_value(T: _Tables, b: int, a: int, g: int) -> int:
-    """The A-element l with phi_b(u) phi_b(v) = l . phi_b(u v) for u in V_a, v in V_g."""
-    kap, m, ca, cg = T.kap, T.amul, T.conj[b][a], T.conj[b][g]
-    return m[m[kap[ca][cg][b]][T.ainv[kap[ca][b][g]]]][kap[b][a][g]]
-
-
-def _h_value(T: _Tables, c: int, b: int, a: int) -> int:
-    """The A-element relating phi_{cb} with phi_c . phi_b on V_a."""
-    kap, m, cb = T.kap, T.amul, T.mul[c][b]
-    return m[m[kap[T.conj[cb][a]][c][b]][T.ainv[kap[c][T.conj[b][a]][b]]]][kap[c][b][a]]
-
-
-def _is_image(F, vec, coeffs, rows) -> bool:
-    """Whether vec = sum_k coeffs[k] rows[k]; the table entries are reduced, so lists compare."""
-    return _comb(F, coeffs, rows, len(vec)) == vec
+        self.phinv = {k: _inverse(F, M.rows, M.nrows) if M.nrows == M.ncols else None
+                      for k, M in V.phi.items() if M.nrows}
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +253,7 @@ def _check_bimodule(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
         if acts[T.one] != T.ident[d]:
             yield (a, el[T.one]), "identity of A must act as id"
         for x, M in enumerate(acts):
-            if d and V.a_action[(a, el[x])].rank() != d:
+            if d and _inverse(F, M, d) is None:
                 yield (a, el[x]), "module action not invertible"
             # grading law: x acts as its a-twist on component a
             if M != acts[T.aact[a][x]]:
@@ -271,7 +275,7 @@ def _check_associativity(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
                 for i, uvrow in enumerate(uvs):
                     for j, uv in enumerate(uvrow):
                         for t, vw in enumerate(vws[j]):
-                            if not _is_image(F, _comb(F, uv, cols[t], n), vw, kus[i]):
+                            if not _agree(F, uv, cols[t], vw, kus[i], n):
                                 yield (a, b, c, i, j, t), ""
 
 
@@ -280,9 +284,9 @@ def _check_unit(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     for a in T.G:
         d = T.dims[a]
         for i, u in enumerate(T.ident[d]):
-            if not _is_image(F, u, T.unit, T.mcol[e][a][i]):
+            if _comb(F, T.unit, T.mcol[e][a][i], d) != u:
                 yield (a, i), "left unit fails"
-            if not _is_image(F, u, T.unit, T.mult[a][e][i]):
+            if _comb(F, T.unit, T.mult[a][e][i], d) != u:
                 yield (a, i), "right unit fails"
 
 
@@ -317,11 +321,15 @@ def _check_phi_module(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     F = T.F
     for b in T.G:
         for a in T.G:
-            blk, n, pk = T.phi[b][a], T.dims[T.conj[b][a]], T.pk[b][a]
+            c = T.conj[b][a]
+            blk, n, acts = T.phi[b][a], T.dims[c], T.act[c]
             for x, M in enumerate(T.act[a]):
-                # act by x, then conjugate
-                if _matmul(F, M, blk, n) != pk[T.aact[b][x]]:
-                    yield (b, a, T.el[x]), ""
+                # act by x then conjugate, against conjugate then act by b.x, row by row
+                K = acts[T.aact[b][x]]
+                for row, prow in zip(M, blk):
+                    if not _agree(F, row, blk, prow, K, n):
+                        yield (b, a, T.el[x]), ""
+                        break
 
 
 def _check_phi_fix(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
@@ -332,7 +340,7 @@ def _check_phi_fix(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
 
 def _check_phi_unit(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     for b in T.G:
-        if not _is_image(T.F, T.unit, T.unit, T.phi[b][T.e]):
+        if _comb(T.F, T.unit, T.phi[b][T.e], len(T.unit)) != T.unit:
             yield (b,), ""
 
 
@@ -341,11 +349,11 @@ def _check_phi_commute(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     F = T.F
     for b in T.G:
         for a in T.G:
-            blk = T.phi[b][a]
+            blk, n = T.phi[b][a], T.dims[T.mul[b][a]]
             vus, cols = T.mult[b][a], T.mcol[T.conj[b][a]][b]
             for j, vu in enumerate(vus):
                 for i, pu in enumerate(blk):
-                    if not _is_image(F, vu[i], pu, cols[j]):
+                    if _comb(F, pu, cols[j], n) != vu[i]:
                         yield (b, a, j, i), ""
 
 
@@ -359,18 +367,21 @@ def _check_phi_isometry(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
 
 
 def _check_phi_mult(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
-    F, G, dims, mul, mult = T.F, T.G, T.dims, T.mul, T.mult
+    F, G, dims, mul, mult, kap, m, ainv = T.F, T.G, T.dims, T.mul, T.mult, T.kap, T.amul, T.ainv
     for b in G:
         cb, Pb, pkb = T.conj[b], T.phi[b], T.pk[b]
         for a in G:
+            ca, kba = cb[a], kap[b][a]
+            kca, kcab = kap[ca], kap[ca][b]
             for g in G:
-                ag = mul[a][g]
-                # phi_b(u) phi_b(v)  against  l . phi_b(u v)
-                n, pp, uvs = dims[cb[ag]], mult[cb[a]][cb[g]], mult[a][g]
-                lpk = pkb[ag][_l_value(T, b, a, g)]
+                ag, cg = mul[a][g], cb[g]
+                # phi_b(u) phi_b(v)  against  l . phi_b(u v), with the A-element
+                # l = kappa(ca, cg, b) kappa(ca, b, g)^-1 kappa(b, a, g)
+                n, pp, uvs = dims[cb[ag]], mult[ca][cg], mult[a][g]
+                lpk = pkb[ag][m[m[kca[cg][b]][ainv[kcab[g]]]][kba[g]]]
                 for i, pu in enumerate(Pb[a]):
                     for j, pv in enumerate(Pb[g]):
-                        if not _is_image(F, _product(F, pu, pv, pp, n), uvs[i][j], lpk):
+                        if not _agree_product(F, pu, pv, pp, uvs[i][j], lpk, n):
                             yield (b, a, g, i, j), ""
 
 
@@ -383,52 +394,55 @@ def _check_phi_compose(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
                 yield (b, a), "conjugation block is not square"
             if dims[a] and T.phinv[(b, a)] is None:
                 yield (b, a), "conjugation block is singular"
-    G, phi, conj = T.G, T.phi, T.conj
+    G, phi, conj, kap, m, ainv = T.G, T.phi, T.conj, T.kap, T.amul, T.ainv
     for c in G:
-        pkc = T.pk[c]
+        pkc, kc = T.pk[c], kap[c]
         for b in G:
-            cb, cjb = T.mul[c][b], conj[b]
+            cb, cjb, kcb = T.mul[c][b], conj[b], kap[c][b]
             for a in G:
-                # phi_{cb}  against  phi_b then phi_c then the h-scalar
-                hpk = pkc[cjb[a]][_h_value(T, c, b, a)]
-                if phi[cb][a] != _matmul(F, phi[b][a], hpk, dims[conj[cb][a]]):
+                # phi_{cb}  against  phi_b then phi_c then the A-element
+                # h = kappa(cb.a, c, b) kappa(c, b.a, b)^-1 kappa(c, b, a)
+                cba, ba = conj[cb][a], cjb[a]
+                hpk = pkc[ba][m[m[kap[cba][c][b]][ainv[kc[ba][b]]]][kcb[a]]]
+                if phi[cb][a] != _matmul(F, phi[b][a], hpk, dims[cba]):
                     yield (c, b, a), ""
 
 
 def _check_trace(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     """Two twisted traces agree for every homogeneous left multiplier."""
-    F, dims, mul, inv = T.F, T.dims, T.mul, T.inv
+    F, dims, mul, inv, act, kap = T.F, T.dims, T.mul, T.inv, T.act, T.kap
     for a in T.G:
         for b in T.G:
-            comm, ba, da, db = mul[mul[a][b]][mul[inv[a]][inv[b]]], T.conj[b][a], dims[a], dims[b]
-            kappa_c = T.mk[comm][ba][T.kap[comm][b][a]]
-            K2 = T.act[b][T.kap[comm][ba][b]]
+            comm, ba, db = mul[mul[a][b]][mul[inv[a]][inv[b]]], T.conj[b][a], dims[b]
             unconj = T.phinv[(a, b)] if db else []
+            if unconj is None:
+                if dims[comm]:
+                    yield (a, b, 0), "conjugation block is singular"
+                continue
+            # each side is trace(C W) = sum_k,m C[k][m] W[m][k], C the multiplier's block
+            # and W: on V_a conjugate by b and act by kappa, on V_b un-conjugate by a and
+            # act by kappa
+            left = _matmul(F, act[a][kap[comm][b][a]], T.phi[b][a], dims[ba])
+            right = _matmul(F, unconj, act[b][kap[comm][ba][b]], db)
+            left = [[w[k]] for k in range(dims[ba]) for w in left]
+            right = [[w[j]] for j in range(db) for w in right]
             for t in range(dims[comm]):
-                # left side: V_a -> V_a, conjugate by b, multiply by c, act by kappa
-                lhs = F.zero
-                for i, pu in enumerate(T.phi[b][a]):
-                    lhs = F.add(lhs, _comb(F, pu, kappa_c[t], da)[i])
-                # right side: V_b -> V_b, multiply by c, un-conjugate by a, act by kappa
-                if unconj is None:
-                    yield (a, b, t), "conjugation block is singular"
-                rhs = F.zero
-                for j, cv in enumerate(T.mult[comm][b][t]):
-                    rhs = F.add(rhs, _comb(F, _comb(F, cv, unconj, db), K2, db)[j])
-                if lhs != rhs:
+                lhs = [x for row in T.mult[comm][ba][t] for x in row]
+                rhs = [x for row in T.mult[comm][b][t] for x in row]
+                if not _agree(F, lhs, left, rhs, right, 1):
                     yield (a, b, t), ""
 
 
 def _check_lemma_a(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     F, dims = T.F, T.dims
     for a in T.G:
-        ainv, P = T.inv[a], T.pm[a]
+        ainv, pt, pc = T.inv[a], T.pt[a], T.pc[a]
         for x in range(len(T.el)):
             # eta(x u, v) against eta(u, x v)
-            xu, xv = _matmul(F, T.act[a][x], P, dims[ainv]), T.act[ainv][x]
+            xu, xv = T.act[a][x], T.act[ainv][x]
             for i in range(dims[a]):
                 for j in range(dims[ainv]):
-                    if xu[i][j] != _dot(F, xv[j], P[i]):
+                    if not _agree(F, xu[i], pc[j], xv[j], pt[i], 1):
                         yield (a, T.el[x], i, j), ""
 
 
@@ -437,39 +451,38 @@ def _check_lemma_b(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     for a in T.G:
         ainv = T.inv[a]
         # eta(u v) against eta(t v, u) with t the inverse kappa-scalar
-        tv, cols = T.act[ainv][T.ainv[T.kap[ainv][a][ainv]]], [list(c) for c in zip(*T.pm[ainv])]
+        tv, pt, pc = T.act[ainv][T.ainv[T.kap[ainv][a][ainv]]], T.pt[a], T.pc[ainv]
         for i in range(dims[a]):
             for j in range(dims[ainv]):
-                if T.pm[a][i][j] != _dot(F, tv[j], cols[i]):
+                if _comb(F, tv[j], pc[i], 1) != pt[i][j]:
                     yield (a, i, j), ""
 
 
 def _check_lemma_c(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
-    F, dims = T.F, T.dims
+    F, kap, m, ainvs = T.F, T.kap, T.amul, T.ainv
     for b in T.G:
         for a in T.G:
             ainv, ca = T.inv[a], T.conj[b][a]
-            # eta(phi_b u, phi_b v) against eta(l u, v)
-            pu = _matmul(F, T.phi[b][a], T.pm[ca], dims[T.inv[ca]])
-            lu = _matmul(F, T.act[a][_l_value(T, b, a, ainv)], T.pm[a], dims[ainv])
-            for i in range(dims[a]):
+            # eta(phi_b u, phi_b v) against eta(l u, v), with l as in phi-mult at g = a^-1
+            cg, pt, pc = T.conj[b][ainv], T.pt[ca], T.pc[a]
+            lu = T.act[a][m[m[kap[ca][cg][b]][ainvs[kap[ca][b][ainv]]]][kap[b][a][ainv]]]
+            for i, pu in enumerate(T.phi[b][a]):
                 for j, pv in enumerate(T.phi[b][ainv]):
-                    if _dot(F, pv, pu[i]) != lu[i][j]:
+                    if not _agree_product(F, pu, pv, pt, lu[i], pc[j], 1):
                         yield (b, a, i, j), ""
 
 
 def _check_lemma_d(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
-    F, dims = T.F, T.dims
+    F = T.F
     for a in T.G:
         for b in T.G:
             ab, abinv = T.mul[a][b], T.inv[T.mul[a][b]]
             # eta(u v, w) against eta(kappa u, v w)
-            ku = _matmul(F, T.act[a][T.kap[a][b][abinv]], T.pm[a], dims[T.inv[a]])
+            ku, pt, pc = T.act[a][T.kap[a][b][abinv]], T.pt[a], T.pc[ab]
             for i, uvrow in enumerate(T.mult[a][b]):
                 for j, vws in enumerate(T.mult[b][abinv]):
-                    left = _comb(F, uvrow[j], T.pm[ab], dims[abinv])
                     for t, vw in enumerate(vws):
-                        if left[t] != _dot(F, vw, ku[i]):
+                        if not _agree_product(F, ku[i], vw, pt, uvrow[j], pc[t], 1):
                             yield (a, b, i, j, t), ""
 
 
@@ -478,14 +491,15 @@ def _check_bilinearity(V: TFAlgebra, T: _Tables) -> Iterator[tuple]:
     F = T.F
     for a in T.G:
         for b in T.G:
-            uvs, cols = T.mult[a][b], T.mcol[a][b]
-            for x, wholes in enumerate(T.mk[a][b]):
+            uvs, cols, ab = T.mult[a][b], T.mcol[a][b], T.mul[a][b]
+            n = T.dims[ab]
+            for x, K in enumerate(T.act[ab]):
                 xus, xvs, xe = T.act[a][x], T.act[b][x], T.el[x]
-                for i, whole_row in enumerate(wholes):
-                    for j, whole in enumerate(whole_row):
-                        if not _is_image(F, whole, xus[i], cols[j]):
+                for i, uvrow in enumerate(uvs):
+                    for j, uv in enumerate(uvrow):
+                        if not _agree(F, uv, K, xus[i], cols[j], n):
                             yield (a, b, xe, i, j), "x(uv) != (xu)v"
-                        if not _is_image(F, whole, xvs[j], uvs[i]):
+                        if not _agree(F, uv, K, xvs[j], uvs[i], n):
                             yield (a, b, xe, i, j), "x(uv) != u(xv)"
 
 

@@ -10,8 +10,11 @@ import pytest
 
 import tfalgebra
 from tfalgebra.cli import main
+from tfalgebra.algebra import trivial_context
 from tfalgebra.cochains import Cochain
 from tfalgebra.fields import PrimeField
+from tfalgebra.gmodule import DEFAULT_ENUM_CAP, GModule
+from tfalgebra.groups import symmetric_group
 from tfalgebra.pairs import trivial_pair
 from tfalgebra.constructions import build_simple
 from tfalgebra.samples import truncated_polynomial_algebra
@@ -54,6 +57,27 @@ def test_verify_missing_algebra_is_input_error(tmp_path, capsys):
     path = write(tmp_path, "noalg.json", emit_instance(ctx))
     assert main(["verify", path]) == 2
     assert "algebra" in capsys.readouterr().err
+
+
+def test_verify_over_a_module_past_the_listing_cap_names_the_action_key(tmp_path, capsys):
+    # Z/7[S3]: S3 permutes six copies of Z/7, 7^6 = 117649 elements, past the cap
+    S3 = symmetric_group(3)
+    n = S3.order
+    action = {g: [[int(S3.mul(g, x) == y) for x in range(n)] for y in range(n)] for g in range(n)}
+    ctx = trivial_context(S3, GModule(S3, (7,) * n, action), F5)
+    doc = emit_instance(ctx)
+    doc["algebra"] = {
+        "dims": [0] * n,
+        "mult": [[[] for _ in range(n)] for _ in range(n)],
+        "a_action": [],
+        "unit": [],
+        "eta": [],
+        "phi": [[[] for _ in range(n)] for _ in range(n)],
+    }
+    assert main(["verify", write(tmp_path, "z7s3.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert "(at algebra.a_action)" in err
+    assert f"module of size {7**6} exceeds the listing cap {DEFAULT_ENUM_CAP}" in err
 
 
 def test_verify_writes_machine_summary(tmp_path, simple_instance):

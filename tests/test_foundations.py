@@ -21,7 +21,16 @@ from tfalgebra.groups import (
     symmetric_group,
     trivial_group,
 )
-from tfalgebra.linalg import Matrix, _comb, _matmul, _product, apply_map, bilinear_value
+from tfalgebra.linalg import (
+    Matrix,
+    _agree,
+    _agree_product,
+    _comb,
+    _matmul,
+    _product,
+    apply_map,
+    bilinear_value,
+)
 
 from lattice_reference import (
     dense,
@@ -332,10 +341,11 @@ def test_matrix_inverse_exact_rationals():
             assert M.mul(inv) == Matrix.identity(Q, n)
 
 
-# entries over F5 include unreduced residues and the unreduced zero 5; over Q, 0
+# entries over F5 include unreduced residues and the unreduced zero 5; over Q,
+# 0 and plain ints, whose products the field's arithmetic turns into Fractions
 ONE_BY_ONE_ENTRIES = [
     (PrimeField(5), list(range(-6, 11))),
-    (RationalField(), [Fraction(k, 3) for k in range(-4, 5)]),
+    (RationalField(), [Fraction(k, 3) for k in range(-4, 5)] + [-2, 0, 3]),
 ]
 
 
@@ -360,6 +370,51 @@ def test_one_by_one_kernel_matches_the_general_loop(F, entries):
             # one row of X, against Y of width 1 and of width 2
             for Y, n in (([[w]], 1), ([[w, c]], 2)):
                 _same(_matmul(F, [[c]], Y, n)[0], _matmul(F, [[c], [z]], Y, n)[0])
+
+
+def _padded(u, rows, n, z):
+    """The same sum with one more zero coefficient and zero row: it takes the general loop."""
+    return u + [z], rows + [[z] * n]
+
+
+# (coefficients on each side, width): 1x1, wider, and empty blocks
+FUSED_SHAPES = [((1, 1), 1)] * 12 + [
+    ((2, 1), 1), ((1, 3), 2), ((2, 2), 3), ((0, 1), 1), ((0, 0), 2), ((1, 1), 0)
+]
+
+
+@pytest.mark.parametrize("F,entries", ONE_BY_ONE_ENTRIES, ids=["F5", "Q"])
+def test_fused_checks_match_the_general_loop(F, entries):
+    rng = random.Random(f"fused:{F!r}")
+    z, seen = F.zero, set()
+
+    def draw(count, n):
+        """count coefficients, and count rows of width n."""
+        rows = [[rng.choice(entries) for _ in range(n)] for _ in range(count)]
+        return [rng.choice(entries) for _ in range(count)], rows
+
+    for _ in range(60):
+        for (m, k), n in FUSED_SHAPES:
+            (u, rows), (v, others), (w, wrows) = draw(m, n), draw(k, n), draw(k, n)
+            tensor = [[[rng.choice(entries) for _ in range(n)] for _ in range(k)] for _ in range(m)]
+            padded = [r + [[z] * n] for r in tensor] + [[[z] * n] * (k + 1)]
+            # a third of the time, the same sums on the other side, entries given unreduced
+            same = m == k and rng.random() < 0.3
+            if same:
+                v, others = [x + 5 for x in u], [[x - 5 for x in r] for r in rows]
+            product = _product(F, u + [z], v + [z], padded, n)
+            if same:
+                w, wrows = [F.one + 5], [[x + 10 for x in product]]
+            fast = _agree(F, u, rows, v, others, n)
+            loop = _comb(F, *_padded(u, rows, n, z), n) == _comb(F, *_padded(v, others, n, z), n)
+            assert type(fast) is bool and fast == loop, (u, rows, v, others)
+            seen.add(("agree", len(u), len(v), n, fast))
+            fast = _agree_product(F, u, v, tensor, w, wrows, n)
+            loop = product == _comb(F, *_padded(w, wrows, n, z), n)
+            assert type(fast) is bool and fast == loop, (u, v, tensor, w, wrows)
+            seen.add(("product", len(u), len(v), n, fast))
+    # both verdicts of both checks on 1x1 blocks
+    assert {(c, 1, 1, 1, verdict) for c in ("agree", "product") for verdict in (True, False)} <= seen
 
 
 @pytest.mark.parametrize("F,entries", ONE_BY_ONE_ENTRIES, ids=["F5", "Q"])

@@ -3,8 +3,8 @@
 ``GModule`` validates a module on its matrices, and the pair check reads
 the character on the generators and on the values of kappa.  Two seeded
 sweeps keep the element walks they replaced as references: the walk that
-checked each action for a bijection, and the walk that checked the
-character for G-invariance element by element.  ``GModule.elements()`` is
+checked each action for a bijection, and ``pair_reference.witness_by_walk``,
+which checks the character for G-invariance element by element.  ``GModule.elements()`` is
 the one lister of A and the one size check; the last tests take a module
 past its cap, Z/7[S3] with 7^6 = 117,649 elements, through the library and
 the ``tfa`` commands.
@@ -34,6 +34,8 @@ from tfalgebra.gmodule import DEFAULT_ENUM_CAP, GModule
 from tfalgebra.groups import cyclic_group, direct_product, symmetric_group
 from tfalgebra.pairs import trivial_pair
 from tfalgebra.serialize import dump_json, emit_instance
+
+from pair_reference import witness_by_walk
 
 GROUPS = (
     cyclic_group(2),
@@ -101,40 +103,6 @@ def test_every_accepted_module_acts_by_bijections():
     assert accepted >= 100 and rejected >= 100, (accepted, rejected)
 
 
-def _witness_by_element_walk(context, pair):
-    """The first failed pair condition, with the character walked over every element of A."""
-    G, A, F = context.group, context.module, context.field
-    add, zero = F.add, F.zero
-    pair = KappaPair({k: add(zero, v) for k, v in pair.g1.items()}, tuple(add(zero, x) for x in pair.g2))
-    e, table, g1 = G.identity, G.table, pair.g1
-    if len(pair.g2) != A.rank:
-        return ("g2-shape", len(pair.g2))
-    for i, (gi, m) in enumerate(zip(pair.g2, A.moduli)):
-        if F.is_zero(gi):
-            return ("g2-zero", i)
-        if F.power(gi, m) != F.one:
-            return ("g2-order", i)
-    chi = {x: pair.g2_value(F, x) for x in A.elements()}
-    for a in G.elements():
-        for x, value in chi.items():
-            if chi[A.act(a, x)] != value:
-                return ("g2-invariance", a, x)
-    for a, b in G.tuples(2):
-        v = g1.get((a, b))
-        if v is None or F.is_zero(v):
-            return ("g1-zero", a, b)
-    for a in G.elements():
-        if g1[(a, e)] != F.one or g1[(e, a)] != F.one:
-            return ("g1-normalization", a)
-    inv = {ab: F.inv(g1[ab]) for ab in G.tuples(2)}
-    for (a, b, c), kv in zip(G.tuples(3), context.kappa.entries()):
-        ab, bc = table[a][b], table[b][c]
-        d2 = F.mul(F.mul(g1[(b, c)], inv[(ab, c)]), F.mul(g1[(a, bc)], inv[(a, b)]))
-        if d2 != chi[kv]:
-            return ("compatibility", a, b, c)
-    return None
-
-
 def _draw_module(rng, G):
     """The first drawn action that ``GModule`` accepts; the trivial one after 50 tries."""
     moduli = tuple(rng.choice(MODULI) for _ in range(rng.randint(1, 3)))
@@ -187,7 +155,7 @@ def test_pair_witnesses_match_the_element_walk():
         ctx = AlgebraContext(G, A, kappa, F)
         pair = _draw_pair(rng, G, A, F)
         ok, witness = is_kappa_pair(ctx, pair)
-        assert witness == _witness_by_element_walk(ctx, pair) and ok is (witness is None), (A, pair)
+        assert witness == witness_by_walk(ctx, pair) and ok is (witness is None), (A, pair)
         twisted += not A.has_trivial_action()
         kind = witness[0] if witness else "pass"
         kinds[kind] = kinds.get(kind, 0) + 1

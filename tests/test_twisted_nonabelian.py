@@ -10,15 +10,19 @@ error in either would break the round trip.
 """
 
 import itertools
+import random
+from fractions import Fraction
 
-from tfalgebra.algebra import AlgebraContext, trivial_context
+from tfalgebra.algebra import AlgebraContext, KappaPair, trivial_context
 from tfalgebra.cochains import Cochain, coboundary, is_cocycle, is_normalized
 from tfalgebra.constructions import build_simple, extract_kappa_pair
-from tfalgebra.fields import PrimeField
+from tfalgebra.fields import PrimeField, RationalField
 from tfalgebra.gmodule import GModule, cyclic_module
 from tfalgebra.groups import cyclic_group, symmetric_group
-from tfalgebra.pairs import enumerate_pairs, is_kappa_pair
+from tfalgebra.pairs import coboundary_pair, enumerate_pairs, is_kappa_pair, pair_mul
 from tfalgebra.verify import verify
+
+from pair_reference import witness_by_walk
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -103,3 +107,55 @@ def test_inverted_z4_with_nontrivial_invariant_character():
         V = build_simple(ctx, pair)
         report = verify(V)
         assert report.passed, (pair, report.failing_tags())
+
+
+def _damaged(rng, G, pair, values):
+    """The pair with one g1 entry or one character value redrawn, or left as it is."""
+    g1, g2 = dict(pair.g1), list(pair.g2)
+    roll = rng.random()
+    if roll < 0.7:
+        g1[(rng.randrange(G.order), rng.randrange(G.order))] = rng.choice(values)
+    elif roll < 0.8:
+        g2[rng.randrange(len(g2))] = rng.choice(values)
+    return KappaPair(g1, tuple(g2))
+
+
+def test_pair_witnesses_match_the_compatibility_walk():
+    # nontrivial kappa: the inflated S3 class over F3, F5 and Q, and a
+    # coboundary on the inverted Z4; valid pairs and seeded damaged copies
+    rng = random.Random(2040)
+    G, A, kappa, _ = s3_sign_inflated_cocycle()
+    Z2 = cyclic_group(2)
+    inverted = GModule(Z2, (4,), action={0: [[1]], 1: [[3]]})
+    twist = coboundary(Cochain(inverted, 2, {(1, 1): (1,)}))
+    contexts = (
+        AlgebraContext(G, A, kappa, F3),
+        AlgebraContext(G, A, kappa, F5),
+        trivial_context(Z2, inverted, F5),
+        AlgebraContext(Z2, inverted, twist, F5),
+    )
+    cases = [(ctx, enumerate_pairs(ctx).pairs, range(-6, 11)) for ctx in contexts]
+    # over Q: the F3 pairs, whose values are 1 and 2 = -1, lifted and times a seeded coboundary
+    over_q, sign = AlgebraContext(G, A, kappa, RationalField()), {1: Fraction(1), 2: Fraction(-1)}
+    units = [Fraction(n, d) for n in (1, -1, 2, -3) for d in (1, 5)]
+    lifted = []
+    for p in cases[0][1]:
+        psi = {a: rng.choice(units) if a != G.identity else Fraction(1) for a in G.elements()}
+        lift = KappaPair({k: sign[v] for k, v in p.g1.items()}, tuple(sign[v] for v in p.g2))
+        lifted.append(pair_mul(over_q, lift, coboundary_pair(over_q, psi)))
+    cases.append((over_q, lifted, [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]))
+    at_kappa = [0, 0]
+    for ctx, pairs, values in cases:
+        passed = 0
+        for _ in range(300):
+            pair = _damaged(rng, ctx.group, rng.choice(pairs), list(values))
+            ok, witness = is_kappa_pair(ctx, pair)
+            assert witness == witness_by_walk(ctx, pair), (ctx.describe(), pair.g1, pair.g2)
+            assert ok is (witness is None)
+            passed += ok
+            # over Z2 a normalized g1 always meets the condition, so only S3 fails it
+            if witness and witness[0] == "compatibility":
+                at_kappa[any(ctx.kappa.value(*witness[1:]))] += 1
+        assert passed >= 30, ctx.describe()
+    # failures where chi(kappa) is 1 and where it is not
+    assert min(at_kappa) >= 30, at_kappa
